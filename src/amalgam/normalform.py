@@ -12,8 +12,19 @@ Multiplication lifts both operands to the higher level and pushes the right
 operand's letters one at a time onto the left operand's, merging at the
 junction; a merge that lands in B_{n-1} drops into the tail, and the next push
 meets the newly exposed letter, so cascades resolve letter by letter.  The
-result is reassembled at a lower level when all level-n letters cancel.  The
-empty word is ``Base(identity)`` and all representatives are fixed by the
+result is reassembled at a lower level when all level-n letters cancel.
+
+Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
+one pass and keeps the partial product as a chain of open frames, one
+``[level, letters, tail]`` per nesting level, where each frame below the root
+is its parent's top LLetter left open.  A lower-level syllable goes straight
+into the deepest frame at its level instead of re-lifting and copying every
+enclosing letter list; a frame is assembled and canonicalized into its
+parent only when a letter at the parent's level arrives, or at the end.  The
+junction merge (``_push``), reassembly (``_assemble``) and left-letter
+canonicalization (``_left_canonical``) are the ones ``mul`` uses.
+
+The empty word is ``Base(identity)`` and all representatives are fixed by the
 factor system, so forms are structurally unique per element; ``oracle`` checks
 that claim against an independent rewriting strategy.
 """
@@ -234,12 +245,80 @@ def eq(sys, f, g):
     return forms_equal(sys, f, g)
 
 
+def _close(sys, frames):
+    """Fold the deepest open frame into its parent as the parent's top letter."""
+    m, letters, tail = frames.pop()
+    parent = frames[-1]
+    p = parent[0]
+    lifted, b = _lift(sys, _assemble(sys, m, letters, tail), p)
+    parent[1] += lifted
+    parent[2] = sys.factor_mul(p, parent[2], b)
+
+
 def reduce_word(sys, word):
-    """Canonical form of a word given as (level, value) syllables, in order."""
-    acc = identity(sys)
+    """Canonical form of a word given as (level, value) syllables, in order.
+
+    One pass.  The partial product is a chain of open frames, one
+    ``[level, letters, tail]`` per nesting level with strictly falling
+    levels: each frame below the root stands for its parent's top LLetter,
+    left open so that lower-level syllables land in it directly.  Tails are
+    central at their level, so the chain is worth
+    ``letters_0 (letters_1 (...) tail_1) tail_0``.  For a syllable of level n:
+
+    - while the deepest frame is below n and its parent is not above n,
+      close it: assemble it and make it the parent's canonical top letter,
+      or drop it into the parent's tail;
+    - if the deepest frame is still below n (the root, when n is a new
+      maximum), lift it in place: its form becomes one left letter of a
+      level-n frame;
+    - while the deepest frame is above n, descend: reopen its top LLetter if
+      it ends in one (an R-letter cancel can expose it), else open an empty
+      level-n frame;
+    - push the R-letter onto the deepest frame, merging at the junction.
+
+    A level-0 syllable, or a value in B_{n-1}, which counts as one, instead
+    multiplies the tail of the first frame on the way down whose tail
+    subgroup holds it (a level-0 frame holds any).  At the end of the word
+    every frame is closed into its parent and the root is assembled.
+    """
+    frames = [[0, [], sys.factor_id(0)]]
+    top = frames[0]
     for n, x in word:
-        acc = mul(sys, acc, inject(sys, n, x))
-    return acc
+        sys.check_level(n)
+        if n and sys.in_base(n - 1, x):
+            # values in B_{n-1} are identified down the chain to level 0
+            n = 0
+        while top[0] < n:
+            if len(frames) > 1 and frames[-2][0] <= n:
+                _close(sys, frames)
+                top = frames[-1]
+            else:
+                top[1], top[2] = _lift(sys, _assemble(sys, *top), n)
+                top[0] = n
+        while top[0] > n:
+            if n == 0 and sys.in_base(top[0] - 1, x):
+                break
+            letters = top[1]
+            if letters and type(letters[-1]) is LLetter:
+                form = letters.pop().form
+                if form.level < n:
+                    top = [n, *_lift(sys, form, n)]
+                elif type(form) is Base:
+                    top = [0, [], form.value]
+                else:
+                    top = [form.level, list(form.letters), form.tail]
+            else:
+                top = [n, [], sys.factor_id(n)]
+            frames.append(top)
+        if n == 0:
+            top[2] = sys.factor_mul(top[0], top[2], x)
+        else:
+            rep, b = sys.split(n, x)
+            tail = sys.factor_mul(n, top[2], b)
+            top[2] = _push(sys, top[1], n, RLetter(rep), tail)
+    while len(frames) > 1:
+        _close(sys, frames)
+    return _assemble(sys, *frames[0])
 
 
 def centrality_check(sys, g, n, z):

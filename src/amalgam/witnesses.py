@@ -48,12 +48,8 @@ def _not_in_base(sys, form, m):
     return not sys.in_base(m, form.value)
 
 
-def lemma21_check(sys, h, g, m):
-    """Levels of (g h g^-1, g h g^-1 h^-1); the contract is (m+1, m+1).
-
-    Preconditions mirror the hypotheses that make the fact true: level(h) <= m
-    with h outside B_m, and level(g) exactly m+1.
-    """
+def _conj_comm(sys, h, g, m):
+    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses."""
     if level(h) > m:
         raise PreconditionViolated(
             f"hypothesis level(h) <= m fails: level {level(h)} > {m}"
@@ -66,9 +62,17 @@ def lemma21_check(sys, h, g, m):
         raise PreconditionViolated(
             f"hypothesis level(g) = m+1 fails: level {level(g)} != {m + 1}"
         )
-    gi = inv(sys, g)
-    conj = mul(sys, mul(sys, g, h), gi)
-    comm = mul(sys, conj, inv(sys, h))
+    conj = mul(sys, mul(sys, g, h), inv(sys, g))
+    return conj, mul(sys, conj, inv(sys, h))
+
+
+def lemma21_check(sys, h, g, m):
+    """Levels of (g h g^-1, g h g^-1 h^-1); the contract is (m+1, m+1).
+
+    Preconditions mirror the hypotheses that make the fact true: level(h) <= m
+    with h outside B_m, and level(g) exactly m+1.
+    """
+    conj, comm = _conj_comm(sys, h, g, m)
     return level(conj), level(comm)
 
 
@@ -209,15 +213,15 @@ def escape_witness(sys, h, k, seed=None):
     m is pushed high enough that h has level at most m and lies outside B_m;
     then g = h_{m+1}(escape_elem(m)) conjugates h out of the level-m stage.
     """
+    if k < 0:
+        raise InvalidParams(f"escape_witness needs a bound k >= 0, got {k}")
     if is_identity(sys, h):
         raise IdentityInput("escape_witness needs a non-identity element")
     m = max(k, level(h))
     if level(h) == 0:
         m = max(m, sys.base_escape_level(h.value))
     g = inject(sys, m + 1, sys.escape_elem(m))
-    conj_level, _ = lemma21_check(sys, h, g, m)
-    result = mul(sys, mul(sys, g, h), inv(sys, g))
-    assert conj_level == level(result)
+    result, _ = _conj_comm(sys, h, g, m)
     desc = sys.descriptor()
     return EscapeCertificate(
         instance=desc["instance"],
@@ -249,14 +253,11 @@ def _build_tree(sys, j, L):
         return AtomE(L + 1, x), form
     left_expr, left_form = _build_tree(sys, j - 1, L)
     right_expr, right_form = _build_tree(sys, j - 1, L - 1)
-    _, comm_level = lemma21_check(sys, right_form, left_form, L)
-    if comm_level != L + 1:
+    _, form = _conj_comm(sys, right_form, left_form, L)
+    if level(form) != L + 1:
         raise PreconditionViolated(
-            f"commutator dropped to level {comm_level}, expected {L + 1}"
+            f"commutator dropped to level {level(form)}, expected {L + 1}"
         )
-    gi = inv(sys, left_form)
-    hi = inv(sys, right_form)
-    form = mul(sys, mul(sys, mul(sys, left_form, right_form), gi), hi)
     return CommE(left_expr, right_expr), form
 
 
@@ -267,6 +268,8 @@ def derived_escape(sys, d, k, seed=None):
     higher start are kept for the contract's sake but a conforming instance
     never triggers them.
     """
+    if d < 0 or k < 0:
+        raise InvalidParams(f"derived_escape needs d >= 0 and k >= 0, got {d}, {k}")
     retries = 0
     while True:
         L = max(k, d) + retries

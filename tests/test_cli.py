@@ -144,6 +144,19 @@ def test_bad_prime_is_precondition_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("witness", "escape", "h0(1/5)", "-1"),
+    ("witness", "derived", "-1", "0"),
+    ("witness", "derived", "3", "-2"),
+])
+def test_negative_witness_arguments_are_precondition_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])

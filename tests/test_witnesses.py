@@ -132,6 +132,18 @@ def test_escape_of_high_level_element(dense):
     assert verify(cert)
 
 
+@pytest.mark.parametrize("k", [-1, -7])
+def test_escape_negative_bound_rejected(dense, k):
+    with pytest.raises(InvalidParams, match="k >= 0"):
+        escape_witness(dense, inject(dense, 0, P(1, 1)), k)
+
+
+@pytest.mark.parametrize("d,k", [(-1, 0), (-5, 3), (2, -1), (-1, -1)])
+def test_derived_negative_arguments_rejected(dense, d, k):
+    with pytest.raises(InvalidParams, match="d >= 0 and k >= 0"):
+        derived_escape(dense, d, k)
+
+
 def test_derived_depth_zero_is_single_leaf(dense):
     cert = derived_escape(dense, 0, 2)
     assert cert.tree_expr == "h3(1)"
