@@ -1,39 +1,9 @@
-"""Backend selector for the arithmetic kernels.
+"""The six Z[1/p] kernels of ``_kernels_py``, under this module's name.
 
-Tries the compiled extension first and falls back to the pure-Python twin.
-Set ``AMALGAM_KERNEL=py`` or ``AMALGAM_KERNEL=cy`` to force a backend; forcing
-``cy`` when the extension is not built raises at import time rather than
-silently degrading.
+``perfbench`` wraps the functions here and reads ``BACKEND``; the alias can go
+once the benchmark points those rows at ``padic``.
 """
 
-import os
+from amalgam._kernels_py import add, coset_split, in_subgroup, mul, norm, val
 
-_choice = os.environ.get("AMALGAM_KERNEL", "").strip().lower()
-
-if _choice not in ("", "py", "cy"):
-    raise RuntimeError(f"AMALGAM_KERNEL must be 'py' or 'cy', got {_choice!r}")
-
-if _choice == "py":
-    from amalgam import _kernels_py as _impl
-
-    BACKEND = "py"
-elif _choice == "cy":
-    from amalgam import _kernels_cy as _impl  # type: ignore[attr-defined]
-
-    BACKEND = "cy"
-else:
-    try:
-        from amalgam import _kernels_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cy"
-    except ImportError:
-        from amalgam import _kernels_py as _impl
-
-        BACKEND = "py"
-
-norm = _impl.norm
-add = _impl.add
-mul = _impl.mul
-val = _impl.val
-coset_split = _impl.coset_split
-in_subgroup = _impl.in_subgroup
+BACKEND = "py"

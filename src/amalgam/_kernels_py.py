@@ -2,8 +2,8 @@
 
 Values are passed as plain integer pairs ``(num, k)`` meaning ``num / p**k``,
 normalized so that ``k == 0`` or ``p`` does not divide ``num`` (and ``num == 0``
-forces ``k == 0``).  The compiled twin in ``_kernels_cy`` implements the same
-six functions with identical semantics; ``_kernels`` picks one at import time.
+forces ``k == 0``).  ``padic`` and the instances call them through
+``_kernels``.
 """
 
 

@@ -11,8 +11,10 @@ after the subcommand:
 
 Exit codes: 0 success, 1 a computed answer is negative (eq false, a check
 suite found failures), 2 malformed input (expressions, literals, certificate
-files), 3 violated precondition or unusable parameters, 4 a certificate
-failed verification.
+files, including certificate fields of the wrong JSON type), 3 violated
+precondition or unusable parameters (among them a prime of 2**64 or more, a
+negative witness argument, a derived depth above 8, and an expression or form
+nested too deeply to evaluate or print), 4 a certificate failed verification.
 """
 
 import argparse
@@ -21,16 +23,7 @@ import os
 import sys as _sys
 import time
 
-from amalgam.errors import (
-    AmalgamError,
-    ExprSyntaxError,
-    IdentityInput,
-    InvalidParams,
-    LiteralError,
-    PreconditionViolated,
-    RetryExhausted,
-    UnsupportedLevel,
-)
+from amalgam.errors import AmalgamError, ExprSyntaxError, InvalidParams, LiteralError
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.instances import make_instance
 from amalgam.normalform import eq as forms_eq
@@ -129,12 +122,12 @@ def _elapsed_ms(t0):
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _emit(args, command, sys_obj, result, text, t0):
+def _emit(args, command, instance, prime, result, text, t0):
     if args.json:
         envelope = {
             "command": command,
-            "instance": sys_obj.kind if sys_obj is not None else None,
-            "prime": sys_obj.p if sys_obj is not None else None,
+            "instance": instance,
+            "prime": prime,
             "result": result,
             "elapsed_ms": _elapsed_ms(t0),
         }
@@ -157,19 +150,9 @@ def _dispatch(args, t0):
             print(f"error: {exc}", file=_sys.stderr)
             return _EXIT_PARSE
         ok = verify(cert)
-        result = {"valid": ok, "type": cert.to_json_dict()["type"]}
-        text = "certificate valid" if ok else "certificate INVALID"
-        if args.json:
-            envelope = {
-                "command": cmd,
-                "instance": cert.instance,
-                "prime": cert.prime,
-                "result": result,
-                "elapsed_ms": _elapsed_ms(t0),
-            }
-            print(json.dumps(envelope, sort_keys=True, indent=2))
-        else:
-            print(text)
+        _emit(args, cmd, cert.instance, cert.prime,
+              {"valid": ok, "type": cert.to_json_dict()["type"]},
+              "certificate valid" if ok else "certificate INVALID", t0)
         return _EXIT_OK if ok else _EXIT_VERIFY
 
     sys_obj = make_instance(args.instance, args.prime)
@@ -181,7 +164,7 @@ def _dispatch(args, t0):
             "level": form_level(form),
             "expr": form_expr_str(sys_obj, form),
         }
-        _emit(args, cmd, sys_obj, result,
+        _emit(args, cmd, sys_obj.kind, sys_obj.p, result,
               f"{result['form']}, level={result['level']}", t0)
         return _EXIT_OK
 
@@ -189,14 +172,14 @@ def _dispatch(args, t0):
         fa = eval_expr(sys_obj, parse_expr(args.expr_a, sys_obj))
         fb = eval_expr(sys_obj, parse_expr(args.expr_b, sys_obj))
         equal = forms_eq(sys_obj, fa, fb)
-        _emit(args, cmd, sys_obj, {"equal": equal},
+        _emit(args, cmd, sys_obj.kind, sys_obj.p, {"equal": equal},
               "equal" if equal else "not equal", t0)
         return _EXIT_OK if equal else _EXIT_NEGATIVE
 
     if cmd == "level":
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
         n = form_level(form)
-        _emit(args, cmd, sys_obj, {"level": n}, f"level={n}", t0)
+        _emit(args, cmd, sys_obj.kind, sys_obj.p, {"level": n}, f"level={n}", t0)
         return _EXIT_OK
 
     if cmd == "phi":
@@ -204,15 +187,15 @@ def _dispatch(args, t0):
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
         v = phi_eval(form, hom)
         s = hom.target.value_str(v)
-        _emit(args, cmd, sys_obj, {"value": s, "target": hom.target.name},
-              s, t0)
+        _emit(args, cmd, sys_obj.kind, sys_obj.p,
+              {"value": s, "target": hom.target.name}, s, t0)
         return _EXIT_OK
 
     if cmd == "psi":
         hom = standard_hom(sys_obj)
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
         m = psi_eval(form, hom)
-        _emit(args, cmd, sys_obj, {"matrix": str(m)}, str(m), t0)
+        _emit(args, cmd, sys_obj.kind, sys_obj.p, {"matrix": str(m)}, str(m), t0)
         return _EXIT_OK
 
     if cmd == "witness":
@@ -221,9 +204,8 @@ def _dispatch(args, t0):
             cert = escape_witness(sys_obj, h, args.k, seed=args.seed)
         else:
             cert = derived_escape(sys_obj, args.d, args.k, seed=args.seed)
-        payload = cert.to_json_dict()
-        _emit(args, f"witness {args.witness_kind}", sys_obj, payload,
-              certificate_to_json(cert), t0)
+        _emit(args, f"witness {args.witness_kind}", sys_obj.kind, sys_obj.p,
+              cert.to_json_dict(), certificate_to_json(cert), t0)
         return _EXIT_OK
 
     if cmd == "check":
@@ -240,8 +222,8 @@ def _dispatch(args, t0):
         ]
         for name, count in report["checks"].items():
             lines.append(f"  {name}: {count}")
-        _emit(args, f"check {args.check_kind}", sys_obj, report,
-              "\n".join(lines), t0)
+        _emit(args, f"check {args.check_kind}", sys_obj.kind, sys_obj.p,
+              report, "\n".join(lines), t0)
         return _EXIT_OK if report["ok"] else _EXIT_NEGATIVE
 
     raise AssertionError(f"unhandled command {cmd!r}")
@@ -255,12 +237,11 @@ def main(argv=None):
     except (ExprSyntaxError, LiteralError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return _EXIT_PARSE
-    except (PreconditionViolated, UnsupportedLevel, IdentityInput,
-            InvalidParams, RetryExhausted) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return _EXIT_PRECONDITION
     except AmalgamError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return _EXIT_PRECONDITION
+    except RecursionError:
+        print("error: expression nests too deeply", file=_sys.stderr)
         return _EXIT_PRECONDITION
 
 

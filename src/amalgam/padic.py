@@ -2,7 +2,7 @@
 
 Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
-overflow.  The inner loops are delegated to the kernel backend chosen by
+overflow.  The inner loops are the integer-pair kernels in
 ``amalgam._kernels``.
 """
 
@@ -12,19 +12,49 @@ from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError
 
 
+# Trial divisors, and the Miller-Rabin bases that decide primality for every
+# integer below 2**64 (indeed below 3.3 * 10**24).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _miller_rabin(p):
+    """True iff an odd p > 37 with no prime factor up to 37 is prime."""
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Prime:
-    """A validated prime, checked by trial division at construction."""
+    """A validated prime below 2**64.
+
+    Construction divides by the primes up to 37, then runs Miller-Rabin with
+    those primes as bases, which is exact in this range.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p):
         if not isinstance(p, int) or isinstance(p, bool) or p < 2:
             raise InvalidParams(f"prime must be an integer >= 2, got {p!r}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
+        if p >= 2**64:
+            raise InvalidParams(f"prime must be below 2**64, got {p}")
+        for d in _SMALL_PRIMES:
+            if p % d == 0 and p != d:
                 raise InvalidParams(f"{p} is not prime (divisible by {d})")
-            d += 1
+        if p > _SMALL_PRIMES[-1] and not _miller_rabin(p):
+            raise InvalidParams(f"{p} is not prime")
         self.p = p
 
     def __int__(self):

@@ -12,7 +12,7 @@ def cli_env():
     """Environment for a ``python -m amalgam.cli`` child process.
 
     Only PATH and AMALGAM_FIXED_ELAPSED=1 are kept from a scrubbed slate, so
-    no caller variable (AMALGAM_KERNEL, say) reaches the child.  PYTHONPATH
+    no variable of the caller's environment reaches the child.  PYTHONPATH
     names the directory holding the ``amalgam`` package this process
     imported, so the child runs the same code whether the suite runs from
     ``src`` or against an installed copy.

@@ -157,6 +157,37 @@ def test_negative_witness_arguments_are_precondition_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+DEEP_FLAT = " ".join(f"h{n}(1)" for n in range(500, 1, -1)) + " h1(1/5) h0(1/5)"
+DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", DEEP_FLAT),
+    ("level", DEEP_PARENS),
+    ("witness", "derived", "12", "0"),
+    ("reduce", "h0(1)", "--prime", str(2**64 + 13)),
+    ("reduce", "h0(1)", "--prime", str(1000003 * 1000033)),
+])
+def test_hostile_input_is_precondition_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deep_flat_word_level_is_answered(capsys):
+    code, out, _ = run(capsys, "level", DEEP_FLAT)
+    assert code == 0
+    assert out == "level=500\n"
+
+
+def test_huge_prime_is_accepted(capsys):
+    code, out, _ = run(capsys, "reduce", "h0(1)", "--prime", str(10**18 + 3))
+    assert code == 0
+    assert out == "Base(1), level=0\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -200,6 +231,19 @@ def test_verify_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(cert_file))
     assert code == 2
     assert "malformed" in err
+
+
+def test_verify_ill_typed_field_is_malformed(capsys, tmp_path):
+    _, out, _ = run(capsys, "witness", "escape", "h0(1/5)", "2")
+    data = json.loads(out)
+    data["k"] = "3"
+    cert_file = tmp_path / "typed.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 2
+    assert out == ""
+    assert "k must be int" in err
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -1,155 +1,16 @@
-"""Backend twins must be indistinguishable, and the selector must obey."""
-
-import os
-import random
-import subprocess
-import sys
+"""The kernel module and the name it is reached through."""
 
 import pytest
 
 from amalgam import _kernels as K
 from amalgam import _kernels_py as PY
 
-try:
-    from amalgam import _kernels_cy as CY
-except ImportError:
-    CY = None
-
-needs_compiled = pytest.mark.skipif(CY is None, reason="compiled twin not built")
-
-PRIMES = [2, 3, 5, 7]
-
-
-def _pairs(rng, p, count):
-    for _ in range(count):
-        num = rng.randint(-10**6, 10**6)
-        k = rng.randint(0, 6)
-        yield PY.norm(num, k, p)
-
-
-@needs_compiled
-def test_twins_agree_on_norm():
-    rng = random.Random(1)
-    for p in PRIMES:
-        for _ in range(300):
-            num = rng.randint(-10**9, 10**9)
-            k = rng.randint(0, 8)
-            assert PY.norm(num, k, p) == CY.norm(num, k, p)
-
-
-@needs_compiled
-def test_twins_agree_on_add_and_mul():
-    rng = random.Random(2)
-    for p in PRIMES:
-        pairs = list(_pairs(rng, p, 60))
-        for an, ak in pairs[:30]:
-            for bn, bk in pairs[30:]:
-                assert PY.add(an, ak, bn, bk, p) == CY.add(an, ak, bn, bk, p)
-                assert PY.mul(an, ak, bn, bk, p) == CY.mul(an, ak, bn, bk, p)
-
-
-@needs_compiled
-def test_twins_agree_on_val():
-    rng = random.Random(3)
-    for p in PRIMES:
-        for num, k in _pairs(rng, p, 200):
-            if num == 0:
-                continue
-            assert PY.val(num, k, p) == CY.val(num, k, p)
-
-
-@needs_compiled
-def test_twins_agree_on_coset_split():
-    rng = random.Random(4)
-    for p in PRIMES:
-        for num, k in _pairs(rng, p, 150):
-            for n in range(0, 5):
-                assert PY.coset_split(num, k, p, n) == \
-                    CY.coset_split(num, k, p, n)
-
-
-@needs_compiled
-def test_twins_agree_on_in_subgroup():
-    rng = random.Random(5)
-    for p in PRIMES:
-        for num, k in _pairs(rng, p, 150):
-            for n in range(0, 5):
-                assert PY.in_subgroup(num, k, p, n) == \
-                    CY.in_subgroup(num, k, p, n)
-
-
-@needs_compiled
-def test_twins_agree_on_huge_numerators():
-    rng = random.Random(6)
-    p = 5
-    for _ in range(50):
-        an, ak = PY.norm(rng.randint(-10**40, 10**40), rng.randint(0, 10), p)
-        bn, bk = PY.norm(rng.randint(-10**40, 10**40), rng.randint(0, 10), p)
-        assert PY.add(an, ak, bn, bk, p) == CY.add(an, ak, bn, bk, p)
-        assert PY.mul(an, ak, bn, bk, p) == CY.mul(an, ak, bn, bk, p)
-
 
 def test_val_of_zero_raises_in_both():
     with pytest.raises(ValueError):
         PY.val(0, 0, 5)
-    if CY is not None:
-        with pytest.raises(ValueError):
-            CY.val(0, 0, 5)
 
 
 def test_selector_exposes_active_backend():
     assert K.BACKEND in ("py", "cy")
     assert K.add is not None
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ, AMALGAM_KERNEL=value)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from amalgam import _kernels as K; print(K.BACKEND)"],
-        capture_output=True, text=True, env=env,
-    )
-    return proc
-
-
-def test_env_forces_pure_python():
-    proc = _backend_in_subprocess("py")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "py"
-
-
-@needs_compiled
-def test_env_forces_compiled():
-    proc = _backend_in_subprocess("cy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "cy"
-
-
-def test_env_rejects_unknown_backend():
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "AMALGAM_KERNEL" in proc.stderr
-
-
-def test_engine_results_identical_across_backends():
-    script = (
-        "from amalgam.instances import make_instance\n"
-        "from amalgam.suites import random_word\n"
-        "from amalgam.normalform import reduce_word\n"
-        "from amalgam.wordexpr import form_expr_str\n"
-        "import random\n"
-        "sys_ = make_instance('dense', 5)\n"
-        "rng = random.Random(12345)\n"
-        "for _ in range(50):\n"
-        "    w = random_word(sys_, rng, 10, 4)\n"
-        "    print(form_expr_str(sys_, reduce_word(sys_, w)))\n"
-    )
-    outs = {}
-    for backend in ("py", "cy") if CY is not None else ("py",):
-        env = dict(os.environ, AMALGAM_KERNEL=backend)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs[backend] = proc.stdout
-    if CY is not None:
-        assert outs["py"] == outs["cy"]

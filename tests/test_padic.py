@@ -1,10 +1,12 @@
 """Value-level arithmetic: normalization, valuation, coset splitting, matrices."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from amalgam import padic
 from amalgam.errors import InvalidParams, LiteralError
 from amalgam.padic import (
     Mat2,
@@ -77,6 +79,32 @@ def test_prime_validation():
     for bad in (0, 1, 4, 6, 9, -5, 2.0, True):
         with pytest.raises(InvalidParams):
             Prime(bad)
+
+
+def test_prime_validation_large():
+    for p in (10**18 + 3, 2**61 - 1, 2**64 - 59):
+        t0 = time.perf_counter()
+        assert Prime(p).p == p
+        assert time.perf_counter() - t0 < 1.0
+    # strong pseudoprimes to the first bases, and a product of two primes
+    # with no factor up to 37
+    for bad in (3215031751, 3825123056546413051, 1000003 * 1000033):
+        with pytest.raises(InvalidParams, match="is not prime"):
+            Prime(bad)
+    with pytest.raises(InvalidParams, match="divisible by 3"):
+        Prime(3 * 1000003)
+    for bad in (2**64 + 13, 2**64):
+        with pytest.raises(InvalidParams, match="below 2"):
+            Prime(bad)
+
+
+def test_small_primes_need_no_modular_exponentiation(monkeypatch):
+    def no_pow(*args):
+        raise AssertionError("modular exponentiation on a small prime")
+
+    monkeypatch.setattr(padic, "pow", no_pow, raising=False)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        assert Prime(p).p == p
 
 
 def test_str_forms():

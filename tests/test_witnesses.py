@@ -144,6 +144,11 @@ def test_derived_negative_arguments_rejected(dense, d, k):
         derived_escape(dense, d, k)
 
 
+def test_derived_depth_above_cap_rejected(dense):
+    with pytest.raises(InvalidParams, match="d <= 8"):
+        derived_escape(dense, 9, 0)
+
+
 def test_derived_depth_zero_is_single_leaf(dense):
     cert = derived_escape(dense, 0, 2)
     assert cert.tree_expr == "h3(1)"
@@ -286,6 +291,49 @@ def test_malformed_certificate_rejected():
         certificate_from_json("{\"type\": \"sideways\"}")
     with pytest.raises(InvalidParams):
         certificate_from_json("not json at all")
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("escape", "instance", 5),
+    ("escape", "prime", "5"),
+    ("escape", "prime", True),
+    ("escape", "params", []),
+    ("escape", "k", "3"),
+    ("escape", "k", 3.0),
+    ("escape", "m", None),
+    ("escape", "result.level", False),
+    ("escape", "result.expr", ["h4(1)"]),
+    ("escape", "inputs.h", 1),
+    ("escape", "inputs.g", {"h": 4}),
+    ("derived", "d", "2"),
+    ("derived", "inputs.tree", None),
+])
+def test_ill_typed_certificate_field_rejected(dense, kind, field, value):
+    if kind == "escape":
+        cert = escape_witness(dense, inject(dense, 0, P(1, 1)), 3)
+    else:
+        cert = derived_escape(dense, 2, 3)
+    with pytest.raises(InvalidParams, match="must be"):
+        _tamper(cert, **{field: value})
+
+
+@pytest.mark.parametrize("top", ["[]", "\"escape\"", "3", "null"])
+def test_certificate_top_level_must_be_object(top):
+    with pytest.raises(InvalidParams, match="top level must be dict"):
+        certificate_from_json(top)
+
+
+def test_verify_lets_internal_errors_propagate(dense, monkeypatch):
+    import amalgam.witnesses as witnesses
+
+    cert = escape_witness(dense, inject(dense, 0, P(1, 1)), 3)
+
+    def broken(sys, expr):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(witnesses, "eval_expr", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        verify(cert)
 
 
 def test_certificate_schema_fields(dense):
