@@ -26,8 +26,7 @@ import time
 from amalgam.errors import AmalgamError, ExprSyntaxError, InvalidParams, LiteralError
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.instances import make_instance
-from amalgam.normalform import eq as forms_eq
-from amalgam.normalform import level as form_level
+from amalgam.normalform import forms_equal
 from amalgam.suites import check_axioms, check_instance, check_lemma21
 from amalgam.witnesses import (
     certificate_from_json,
@@ -151,7 +150,7 @@ def _dispatch(args, t0):
             return _EXIT_PARSE
         ok = verify(cert)
         _emit(args, cmd, cert.instance, cert.prime,
-              {"valid": ok, "type": cert.to_json_dict()["type"]},
+              {"valid": ok, "type": cert.type},
               "certificate valid" if ok else "certificate INVALID", t0)
         return _EXIT_OK if ok else _EXIT_VERIFY
 
@@ -161,7 +160,7 @@ def _dispatch(args, t0):
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
         result = {
             "form": format_form(sys_obj, form),
-            "level": form_level(form),
+            "level": form.level,
             "expr": form_expr_str(sys_obj, form),
         }
         _emit(args, cmd, sys_obj.kind, sys_obj.p, result,
@@ -171,14 +170,14 @@ def _dispatch(args, t0):
     if cmd == "eq":
         fa = eval_expr(sys_obj, parse_expr(args.expr_a, sys_obj))
         fb = eval_expr(sys_obj, parse_expr(args.expr_b, sys_obj))
-        equal = forms_eq(sys_obj, fa, fb)
+        equal = forms_equal(sys_obj, fa, fb)
         _emit(args, cmd, sys_obj.kind, sys_obj.p, {"equal": equal},
               "equal" if equal else "not equal", t0)
         return _EXIT_OK if equal else _EXIT_NEGATIVE
 
     if cmd == "level":
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
-        n = form_level(form)
+        n = form.level
         _emit(args, cmd, sys_obj.kind, sys_obj.p, {"level": n}, f"level={n}", t0)
         return _EXIT_OK
 

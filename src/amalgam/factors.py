@@ -26,8 +26,9 @@ class FactorSystem(ABC):
       terminates on every non-identity value);
     - each B_n is central in H_n and in H_{n+1};
     - B_n is proper in both H_n and H_{n+1} (``nonbase_elem``/``escape_elem``);
-    - ``split``/``split_chain`` are exact factorizations whose representatives
-      depend only on the coset.
+    - ``split`` is an exact factorization whose representative depends only
+      on the coset; the one map serves H_n modulo B_{n-1} and, on base
+      values, each B_m modulo B_{n-1}.
     """
 
     kind = "abstract"
@@ -61,14 +62,9 @@ class FactorSystem(ABC):
         """Factor h in H_n (n >= 1) as rep*b with b in B_{n-1}.
 
         rep is the canonical transversal representative of h*B_{n-1} and
-        depends only on that coset.
-        """
-
-    @abstractmethod
-    def split_chain(self, m, n, b):
-        """Factor b in B_m (m < n) as rep*b2 with b2 in B_n.
-
-        rep is the canonical representative of b*B_n inside B_m.
+        depends only on that coset.  For h in B_m with m < n-1, rep stays in
+        B_m, so the same map picks the representatives of B_m modulo B_{n-1}
+        that the tails of left letters need.
         """
 
     @abstractmethod

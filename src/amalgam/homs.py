@@ -19,13 +19,12 @@ _CHECK_SEED = 0x5E7
 class Target:
     """An abelian group, written additively, with decidable equality."""
 
-    __slots__ = ("name", "zero", "add", "neg", "eq", "value_str", "embeds")
+    __slots__ = ("name", "zero", "add", "eq", "value_str", "embeds")
 
-    def __init__(self, name, zero, add, neg, eq, value_str, embeds=False):
+    def __init__(self, name, zero, add, eq, value_str, embeds=False):
         self.name = name
         self.zero = zero
         self.add = add
-        self.neg = neg
         self.eq = eq
         self.value_str = value_str
         # True when target values are PAdicRational, so they can sit in the
@@ -99,7 +98,6 @@ def standard_hom(sys):
             name="Z[1/p]",
             zero=PAdicRational.zero(p),
             add=lambda a, b: a + b,
-            neg=lambda a: -a,
             eq=lambda a, b: a == b,
             value_str=str,
             embeds=True,
@@ -110,7 +108,6 @@ def standard_hom(sys):
             name="Z^2",
             zero=(0, 0),
             add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            neg=lambda a: (-a[0], -a[1]),
             eq=lambda a, b: a == b,
             value_str=lambda a: f"({a[0]},{a[1]})",
         )
@@ -121,7 +118,6 @@ def standard_hom(sys):
             name=f"Z/{modulus}",
             zero=0,
             add=lambda a, b: (a + b) % modulus,
-            neg=lambda a: (-a) % modulus,
             eq=lambda a, b: a == b,
             value_str=str,
         )

@@ -55,10 +55,6 @@ class DenseInstance(FactorSystem):
         rn, rk, bn, bk = K.coset_split(h.num, h.den_exp, self.p, n - 1)
         return PAdicRational._raw(rn, rk, self.p), PAdicRational._raw(bn, bk, self.p)
 
-    def split_chain(self, m, n, b):
-        rn, rk, bn, bk = K.coset_split(b.num, b.den_exp, self.p, n)
-        return PAdicRational._raw(rn, rk, self.p), PAdicRational._raw(bn, bk, self.p)
-
     def nonbase_elem(self, n):
         return self._invp if n == 0 else self._one
 
@@ -113,11 +109,6 @@ class HeisenbergInstance(FactorSystem):
         q = self.p ** (n - 1)
         zr = h[2] % q
         return (h[0], h[1], zr), (0, 0, h[2] - zr)
-
-    def split_chain(self, m, n, b):
-        q = self.p**n
-        zr = b[2] % q
-        return (0, 0, zr), (0, 0, b[2] - zr)
 
     def nonbase_elem(self, n):
         return (1, 0, 0)
@@ -197,11 +188,6 @@ class FiniteCyclicInstance(FactorSystem):
         q = self.p ** self._exp(n - 1)
         rep = h % q
         return rep, (h - rep) % self.modulus
-
-    def split_chain(self, m, n, b):
-        q = self.p ** self._exp(n)
-        rep = b % q
-        return rep, (b - rep) % self.modulus
 
     def nonbase_elem(self, n):
         return 1

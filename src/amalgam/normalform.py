@@ -116,11 +116,6 @@ def identity(sys):
     return Base(sys.factor_id(0))
 
 
-def level(form):
-    """Minimal n such that the element lies in the level-n stage."""
-    return form.level
-
-
 def is_identity(sys, form):
     return type(form) is Base and sys.factor_eq(0, form.value, sys.factor_id(0))
 
@@ -140,7 +135,7 @@ def _left_canonical(sys, form, n):
     if type(form) is Base:
         rep, b = sys.split(n, form.value)
         return LLetter(Base(rep)), b
-    rep_t, b2 = sys.split_chain(form.level - 1, n - 1, form.tail)
+    rep_t, b2 = sys.split(n, form.tail)
     return LLetter(Alt(form.level, form.letters, rep_t)), b2
 
 
@@ -239,10 +234,6 @@ def forms_equal(sys, f, g):
         elif not forms_equal(sys, a.form, b.form):
             return False
     return sys.factor_eq(f.level, f.tail, g.tail)
-
-
-def eq(sys, f, g):
-    return forms_equal(sys, f, g)
 
 
 def _close(sys, frames):

@@ -6,8 +6,8 @@ to a fixpoint with four local rules (drop identities, re-tag base members one
 level down, merge adjacent same-level syllables, absorb base members rightward
 into higher-level neighbors), then assembles the canonical form structurally
 in one recursive pass over the irreducible list.  Only the factor-system
-contract (split/split_chain/in_base/group ops) is shared with the engine; no
-reduction code is.
+contract (split/in_base/group ops) is shared with the engine; no reduction
+code is.
 
 The termination measure is (length, sum of levels), lexicographic: every rule
 strictly decreases it.
@@ -73,7 +73,7 @@ def _build(sys, sylls):
             rep, b = sys.split(n, sub.value)
             letters.append(LLetter(Base(rep)))
         else:
-            rep_t, b = sys.split_chain(sub.level - 1, n - 1, sub.tail)
+            rep_t, b = sys.split(n, sub.tail)
             letters.append(LLetter(Alt(sub.level, sub.letters, rep_t)))
         tail = sys.factor_mul(n, tail, b)
 

@@ -181,16 +181,6 @@ class PAdicRational:
         return f"PAdicRational({self.num}, {self.den_exp}, p={self.p})"
 
 
-def coset_rep(x, n):
-    """Split x as rep + b with rep the unique element of [0, p**n) in x's coset.
-
-    b lands in p**n Z; the rep depends only on the coset x + p**n Z, which is
-    what makes it usable as a transversal map.
-    """
-    rn, rk, bn, bk = K.coset_split(x.num, x.den_exp, x.p, n)
-    return PAdicRational._raw(rn, rk, x.p), PAdicRational._raw(bn, bk, x.p)
-
-
 def parse_padic(text, p):
     """Parse `m` or `m/d` with d a positive power of the configured prime."""
     pp = _as_int_prime(p)
@@ -230,20 +220,6 @@ class Mat2:
         self.c = c
         self.d = d
 
-    @classmethod
-    def identity(cls, p):
-        one = PAdicRational.one(p)
-        zero = PAdicRational.zero(p)
-        return cls(one, zero, zero, one)
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def is_unipotent(self):
-        one = PAdicRational.one(self.a.p)
-        zero = PAdicRational.zero(self.a.p)
-        return self.a == one and self.d == one and self.c == zero
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -253,9 +229,6 @@ class Mat2:
             and self.c == other.c
             and self.d == other.d
         )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

@@ -8,21 +8,21 @@ full-scale acceptance run both call these.
 
 import random
 
+from amalgam.errors import InvalidParams
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.normalform import (
     centrality_check,
-    eq,
+    forms_equal,
     identity,
     inject,
     inv,
     is_identity,
-    level,
     mul,
     reduce_word,
 )
 from amalgam.oracle import naive_reduce
 from amalgam.padic import mat_mul
-from amalgam.witnesses import lemma21_suite
+from amalgam.witnesses import lemma21_check
 
 
 def _cap(sys, max_level):
@@ -67,13 +67,14 @@ def check_axioms(sys, samples, seed, max_level=6, max_len=8):
         b = random_form(sys, rng, max_len, max_level)
         c = random_form(sys, rng, max_len, max_level)
         ab = mul(sys, a, b)
-        if not eq(sys, mul(sys, ab, c), mul(sys, a, mul(sys, b, c))):
+        if not forms_equal(sys, mul(sys, ab, c), mul(sys, a, mul(sys, b, c))):
             checks["assoc"] += 1
-        if not (eq(sys, mul(sys, a, e), a) and eq(sys, mul(sys, e, a), a)):
+        if not (forms_equal(sys, mul(sys, a, e), a)
+                and forms_equal(sys, mul(sys, e, a), a)):
             checks["identity"] += 1
         if not is_identity(sys, mul(sys, a, inv(sys, a))):
             checks["inverse"] += 1
-        if level(ab) > max(level(a), level(b)):
+        if ab.level > max(a.level, b.level):
             checks["level_bound"] += 1
     return _report("axioms", sys, samples, seed, checks)
 
@@ -87,11 +88,11 @@ def check_oracle(sys, samples, seed, max_len=10, max_level=4):
         w2 = random_word(sys, rng, max_len, max_level)
         f1 = reduce_word(sys, w1)
         f2 = reduce_word(sys, w2)
-        if not (eq(sys, f1, naive_reduce(sys, w1))
-                and eq(sys, f2, naive_reduce(sys, w2))):
+        if not (forms_equal(sys, f1, naive_reduce(sys, w1))
+                and forms_equal(sys, f2, naive_reduce(sys, w2))):
             checks["oracle_match"] += 1
         quotient_triv = is_identity(sys, mul(sys, f1, inv(sys, f2)))
-        if eq(sys, f1, f2) != quotient_triv:
+        if forms_equal(sys, f1, f2) != quotient_triv:
             checks["eq_quotient"] += 1
     return _report("oracle", sys, samples, seed, checks)
 
@@ -110,15 +111,40 @@ def check_oracle_exhaustive(sys, alphabet, max_len):
     checks = {"oracle_match": 0}
     for word in exhaustive_words(alphabet, max_len):
         count += 1
-        if not eq(sys, reduce_word(sys, word), naive_reduce(sys, word)):
+        if not forms_equal(sys, reduce_word(sys, word), naive_reduce(sys, word)):
             checks["oracle_match"] += 1
     return _report("oracle_exhaustive", sys, count, None, checks)
 
 
+def sample_lemma21_inputs(sys, rng, max_m=5):
+    """A random preconditioned triple (h, g, m) for ``lemma21_check``.
+
+    h gets a nonbase factor tacked on if the raw sample lands in B_m, and g is
+    a random lower-stage element times a fresh level-(m+1) letter, which has
+    level exactly m+1 whatever the random part is.
+    """
+    m = rng.randint(0, max_m)
+    h = random_form(sys, rng, 6, m)
+    if h.level == 0 and sys.in_base(m, h.value):
+        h = mul(sys, h, inject(sys, m, sys.nonbase_elem(m)))
+    w = random_form(sys, rng, 4, m)
+    g = mul(sys, w, inject(sys, m + 1, sys.escape_elem(m)))
+    return h, g, m
+
+
 def check_lemma21(sys, samples, seed, max_m=5):
-    rep = lemma21_suite(sys, samples, seed, max_m)
-    return _report("lemma21", sys, rep.samples, rep.seed,
-                   {"conjugation_level": rep.failures})
+    """Conjugation by a fresh level-(m+1) element lands at level m+1."""
+    if sys.max_level is not None:
+        max_m = min(max_m, sys.max_level - 1)
+    if max_m < 0:
+        raise InvalidParams("instance has no level to conjugate into")
+    rng = random.Random(seed)
+    checks = {"conjugation_level": 0}
+    for _ in range(samples):
+        h, g, m = sample_lemma21_inputs(sys, rng, max_m)
+        if lemma21_check(sys, h, g, m) != (m + 1, m + 1):
+            checks["conjugation_level"] += 1
+    return _report("lemma21", sys, samples, seed, checks)
 
 
 def check_centrality(sys, samples, seed, max_n=5):
@@ -198,7 +224,7 @@ def check_instance(sys, samples, seed, max_level=6):
             checks["split_coset"] += 1
         m = rng.randint(0, n - 1)
         bm = sys.sample_base(m, rng)
-        crep, cb = sys.split_chain(m, n, bm)
+        crep, cb = sys.split(n + 1, bm)
         if not sys.factor_eq(m, sys.factor_mul(m, crep, cb), bm):
             checks["chain_exact"] += 1
         if not sys.in_base(n, cb):

@@ -3,9 +3,9 @@
 The central fact being exercised: for h of level at most m lying outside B_m
 and g of level exactly m+1, both g h g^-1 and the commutator [g, h] again have
 level exactly m+1, so conjugation by a fresh-level element cannot fall back
-into the lower stage.  ``lemma21_check`` verifies one triple,
-``lemma21_suite`` samples many, and the two certificate generators iterate
-the fact into replayable evidence:
+into the lower stage.  ``lemma21_check`` verifies one triple (the sampled
+batch is ``suites.check_lemma21``), and the two certificate generators
+iterate the fact into replayable evidence:
 
 * ``escape_witness``: for any h != id and bound k, a conjugate of h whose
   level exceeds k, showing the normal closure of h sits inside no finite
@@ -29,7 +29,7 @@ from amalgam.errors import (
     RetryExhausted,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import eq, inject, inv, is_identity, level, mul
+from amalgam.normalform import forms_equal, inject, inv, is_identity, mul
 from amalgam.wordexpr import (
     AtomE,
     CommE,
@@ -55,17 +55,17 @@ def _not_in_base(sys, form, m):
 
 def _conj_comm(sys, h, g, m):
     """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses."""
-    if level(h) > m:
+    if h.level > m:
         raise PreconditionViolated(
-            f"hypothesis level(h) <= m fails: level {level(h)} > {m}"
+            f"hypothesis level(h) <= m fails: level {h.level} > {m}"
         )
     if not _not_in_base(sys, h, m):
         raise PreconditionViolated(
             f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
         )
-    if level(g) != m + 1:
+    if g.level != m + 1:
         raise PreconditionViolated(
-            f"hypothesis level(g) = m+1 fails: level {level(g)} != {m + 1}"
+            f"hypothesis level(g) = m+1 fails: level {g.level} != {m + 1}"
         )
     conj = mul(sys, mul(sys, g, h), inv(sys, g))
     return conj, mul(sys, conj, inv(sys, h))
@@ -78,138 +78,92 @@ def lemma21_check(sys, h, g, m):
     with h outside B_m, and level(g) exactly m+1.
     """
     conj, comm = _conj_comm(sys, h, g, m)
-    return level(conj), level(comm)
+    return conj.level, comm.level
 
 
-class Lemma21Report:
-    """Outcome of a sampled batch of conjugation-level checks."""
+class _Certificate:
+    """Fields and JSON layout shared by both certificate kinds.
 
-    __slots__ = ("samples", "failures", "seed", "instance")
-
-    def __init__(self, samples, failures, seed, instance):
-        self.samples = samples
-        self.failures = failures
-        self.seed = seed
-        self.instance = instance
-
-    def ok(self):
-        return self.failures == 0
-
-    def to_json_dict(self):
-        return {
-            "samples": self.samples,
-            "failures": self.failures,
-            "seed": self.seed,
-            "instance": self.instance,
-        }
-
-
-def _random_form(sys, rng, max_len, max_level):
-    from amalgam.normalform import reduce_word
-
-    word = [
-        (rng.randint(0, max_level), sys.sample(rng.randint(0, max_level), rng))
-        for _ in range(rng.randint(0, max_len))
-    ]
-    return reduce_word(sys, word)
-
-
-def sample_lemma21_inputs(sys, rng, max_m=5):
-    """A random preconditioned triple (h, g, m).
-
-    h gets a nonbase factor tacked on if the raw sample lands in B_m, and g is
-    a random lower-stage element times a fresh level-(m+1) letter, which has
-    level exactly m+1 whatever the random part is.
+    A kind names its JSON ``type``, the expressions it keeps under
+    ``inputs`` (JSON key ``x`` is the attribute ``x_expr``) and its integer
+    fields besides ``k``.  Every field is passed by keyword.
     """
-    m = rng.randint(0, max_m)
-    h = _random_form(sys, rng, 6, m)
-    if not _not_in_base(sys, h, m):
-        h = mul(sys, h, inject(sys, m, sys.nonbase_elem(m)))
-    w = _random_form(sys, rng, 4, m)
-    g = mul(sys, w, inject(sys, m + 1, sys.escape_elem(m)))
-    return h, g, m
 
+    __slots__ = ("instance", "prime", "params", "k", "result_expr",
+                 "result_level", "seed")
+    type = None
+    _inputs = ()
+    _ints = ()
 
-def lemma21_suite(sys, samples, seed, max_m=5):
-    import random
-
-    if sys.max_level is not None:
-        max_m = min(max_m, sys.max_level - 1)
-    if max_m < 0:
-        raise InvalidParams("instance has no level to conjugate into")
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(samples):
-        h, g, m = sample_lemma21_inputs(sys, rng, max_m)
-        lc, lm = lemma21_check(sys, h, g, m)
-        if lc != m + 1 or lm != m + 1:
-            failures += 1
-    return Lemma21Report(samples, failures, seed, sys.descriptor())
-
-
-class EscapeCertificate:
-    """Replayable record that a conjugate of h escapes the level-k stage."""
-
-    __slots__ = ("instance", "prime", "params", "h_expr", "g_expr", "m", "k",
-                 "result_expr", "result_level", "seed")
-
-    def __init__(self, instance, prime, params, h_expr, g_expr, m, k,
-                 result_expr, result_level, seed=None):
+    def __init__(self, *, instance, prime, params, k, result_expr,
+                 result_level, seed=None):
         self.instance = instance
         self.prime = prime
         self.params = params
+        self.k = k
+        self.result_expr = result_expr
+        self.result_level = result_level
+        self.seed = seed
+
+    def to_json_dict(self):
+        return {
+            "type": self.type,
+            "instance": self.instance,
+            "prime": self.prime,
+            "params": self.params,
+            "inputs": {key: getattr(self, key + "_expr") for key in self._inputs},
+            **{name: getattr(self, name) for name in self._ints},
+            "k": self.k,
+            "result": {"expr": self.result_expr, "level": self.result_level},
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def _from_json_dict(cls, data):
+        """The certificate in data; KeyError or TypeError if a field is missing."""
+        return cls(
+            instance=_typed(data["instance"], str, "instance"),
+            prime=_typed(data["prime"], int, "prime"),
+            params=_typed(data.get("params", {}), dict, "params"),
+            k=_typed(data["k"], int, "k"),
+            result_expr=_typed(data["result"]["expr"], str, "result.expr"),
+            result_level=_typed(data["result"]["level"], int, "result.level"),
+            seed=data.get("seed"),
+            **{
+                key + "_expr": _typed(data["inputs"][key], str, f"inputs.{key}")
+                for key in cls._inputs
+            },
+            **{name: _typed(data[name], int, name) for name in cls._ints},
+        )
+
+
+class EscapeCertificate(_Certificate):
+    """Replayable record that a conjugate of h escapes the level-k stage."""
+
+    __slots__ = ("h_expr", "g_expr", "m")
+    type = "escape"
+    _inputs = ("h", "g")
+    _ints = ("m",)
+
+    def __init__(self, *, h_expr, g_expr, m, **common):
+        super().__init__(**common)
         self.h_expr = h_expr
         self.g_expr = g_expr
         self.m = m
-        self.k = k
-        self.result_expr = result_expr
-        self.result_level = result_level
-        self.seed = seed
-
-    def to_json_dict(self):
-        return {
-            "type": "escape",
-            "instance": self.instance,
-            "prime": self.prime,
-            "params": self.params,
-            "inputs": {"h": self.h_expr, "g": self.g_expr},
-            "m": self.m,
-            "k": self.k,
-            "result": {"expr": self.result_expr, "level": self.result_level},
-            "seed": self.seed,
-        }
 
 
-class DerivedCertificate:
+class DerivedCertificate(_Certificate):
     """Replayable record of a deep commutator surviving above level k."""
 
-    __slots__ = ("instance", "prime", "params", "tree_expr", "d", "k",
-                 "result_expr", "result_level", "seed")
+    __slots__ = ("tree_expr", "d")
+    type = "derived"
+    _inputs = ("tree",)
+    _ints = ("d",)
 
-    def __init__(self, instance, prime, params, tree_expr, d, k,
-                 result_expr, result_level, seed=None):
-        self.instance = instance
-        self.prime = prime
-        self.params = params
+    def __init__(self, *, tree_expr, d, **common):
+        super().__init__(**common)
         self.tree_expr = tree_expr
         self.d = d
-        self.k = k
-        self.result_expr = result_expr
-        self.result_level = result_level
-        self.seed = seed
-
-    def to_json_dict(self):
-        return {
-            "type": "derived",
-            "instance": self.instance,
-            "prime": self.prime,
-            "params": self.params,
-            "inputs": {"tree": self.tree_expr},
-            "d": self.d,
-            "k": self.k,
-            "result": {"expr": self.result_expr, "level": self.result_level},
-            "seed": self.seed,
-        }
 
 
 def escape_witness(sys, h, k, seed=None):
@@ -222,22 +176,19 @@ def escape_witness(sys, h, k, seed=None):
         raise InvalidParams(f"escape_witness needs a bound k >= 0, got {k}")
     if is_identity(sys, h):
         raise IdentityInput("escape_witness needs a non-identity element")
-    m = max(k, level(h))
-    if level(h) == 0:
+    m = max(k, h.level)
+    if h.level == 0:
         m = max(m, sys.base_escape_level(h.value))
     g = inject(sys, m + 1, sys.escape_elem(m))
     result, _ = _conj_comm(sys, h, g, m)
-    desc = sys.descriptor()
     return EscapeCertificate(
-        instance=desc["instance"],
-        prime=desc["prime"],
-        params=desc["params"],
+        **sys.descriptor(),
         h_expr=form_expr_str(sys, h),
         g_expr=form_expr_str(sys, g),
         m=m,
         k=k,
         result_expr=form_expr_str(sys, result),
-        result_level=level(result),
+        result_level=result.level,
         seed=seed,
     )
 
@@ -251,7 +202,7 @@ def _build_tree(sys, j, L):
     if j == 0:
         x = sys.escape_elem(L)
         form = inject(sys, L + 1, x)
-        if level(form) != L + 1:
+        if form.level != L + 1:
             raise PreconditionViolated(
                 f"escape_elem({L}) failed to reach level {L + 1}"
             )
@@ -259,9 +210,9 @@ def _build_tree(sys, j, L):
     left_expr, left_form = _build_tree(sys, j - 1, L)
     right_expr, right_form = _build_tree(sys, j - 1, L - 1)
     _, form = _conj_comm(sys, right_form, left_form, L)
-    if level(form) != L + 1:
+    if form.level != L + 1:
         raise PreconditionViolated(
-            f"commutator dropped to level {level(form)}, expected {L + 1}"
+            f"commutator dropped to level {form.level}, expected {L + 1}"
         )
     return CommE(left_expr, right_expr), form
 
@@ -293,17 +244,14 @@ def derived_escape(sys, d, k, seed=None):
                     f"derived_escape failed after {retries - 1} retries; "
                     "the factor system violates its contract"
                 ) from None
-    assert level(form) == L + 1 > k
-    desc = sys.descriptor()
+    assert form.level == L + 1 > k
     return DerivedCertificate(
-        instance=desc["instance"],
-        prime=desc["prime"],
-        params=desc["params"],
+        **sys.descriptor(),
         tree_expr=expr_str(sys, tree_expr),
         d=d,
         k=k,
         result_expr=form_expr_str(sys, form),
-        result_level=level(form),
+        result_level=form.level,
         seed=seed,
     )
 
@@ -326,28 +274,9 @@ def certificate_from_json_dict(data):
     _typed(data, dict, "top level")
     try:
         kind = data["type"]
-        common = dict(
-            instance=_typed(data["instance"], str, "instance"),
-            prime=_typed(data["prime"], int, "prime"),
-            params=_typed(data.get("params", {}), dict, "params"),
-            k=_typed(data["k"], int, "k"),
-            result_expr=_typed(data["result"]["expr"], str, "result.expr"),
-            result_level=_typed(data["result"]["level"], int, "result.level"),
-            seed=data.get("seed"),
-        )
-        if kind == "escape":
-            return EscapeCertificate(
-                h_expr=_typed(data["inputs"]["h"], str, "inputs.h"),
-                g_expr=_typed(data["inputs"]["g"], str, "inputs.g"),
-                m=_typed(data["m"], int, "m"),
-                **common,
-            )
-        if kind == "derived":
-            return DerivedCertificate(
-                tree_expr=_typed(data["inputs"]["tree"], str, "inputs.tree"),
-                d=_typed(data["d"], int, "d"),
-                **common,
-            )
+        for cls in (EscapeCertificate, DerivedCertificate):
+            if kind == cls.type:
+                return cls._from_json_dict(data)
     except (KeyError, TypeError) as exc:
         raise InvalidParams(f"malformed certificate: {exc}") from None
     raise InvalidParams(f"unknown certificate type {kind!r}")
@@ -399,21 +328,23 @@ def verify(cert):
     try:
         sys = make_instance(cert.instance, cert.prime, cert.params)
         claimed = eval_expr(sys, parse_expr(cert.result_expr, sys))
-        if level(claimed) != cert.result_level:
+        if claimed.level != cert.result_level:
             return False
         if type(cert) is EscapeCertificate:
             h = eval_expr(sys, parse_expr(cert.h_expr, sys))
             g = eval_expr(sys, parse_expr(cert.g_expr, sys))
             if is_identity(sys, h):
                 return False
-            if level(h) > cert.m or not _not_in_base(sys, h, cert.m):
+            # the levels bound m by the size of the expressions, so the
+            # B_m test below cannot be made arbitrarily expensive
+            if g.level != cert.m + 1 or h.level > cert.m:
                 return False
-            if level(g) != cert.m + 1:
+            if not _not_in_base(sys, h, cert.m):
                 return False
             result = mul(sys, mul(sys, g, h), inv(sys, g))
-            if not eq(sys, result, claimed):
+            if not forms_equal(sys, result, claimed):
                 return False
-            return level(result) == cert.m + 1 > cert.k
+            return result.level == cert.m + 1 > cert.k
         if type(cert) is DerivedCertificate:
             tree = parse_expr(cert.tree_expr, sys)
             if _tree_depth(tree) != cert.d:
@@ -421,9 +352,9 @@ def verify(cert):
             result = eval_expr(sys, tree)
             if is_identity(sys, result):
                 return False
-            if not eq(sys, result, claimed):
+            if not forms_equal(sys, result, claimed):
                 return False
-            return level(result) > cert.k
+            return result.level > cert.k
         return False
     except AmalgamError:
         return False

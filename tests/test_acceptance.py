@@ -17,7 +17,7 @@ from amalgam.cli import main as cli_main
 from amalgam.errors import InvalidParams
 from amalgam.homs import in_kernel, standard_hom
 from amalgam.instances import make_instance
-from amalgam.normalform import inject, level
+from amalgam.normalform import inject
 from amalgam.suites import (
     check_axioms,
     check_centrality,

@@ -50,6 +50,69 @@ GOLDEN_WITNESS_JSON = """\
 }
 """
 
+GOLDEN_CHECK_INSTANCE_TEXT = """\
+instance: 40 samples, 0 failures -> ok
+  split_exact: 0
+  split_rep_fixed: 0
+  split_coset: 0
+  chain_exact: 0
+  chain_descent: 0
+  base_central: 0
+  escape_proper: 0
+  bel_consistent: 0
+"""
+
+GOLDEN_CHECK_LEMMA21_JSON = """\
+{
+  "command": "check lemma21",
+  "elapsed_ms": 0,
+  "instance": "dense",
+  "prime": 5,
+  "result": {
+    "checks": {
+      "conjugation_level": 0
+    },
+    "failures": 0,
+    "instance": {
+      "instance": "dense",
+      "params": {},
+      "prime": 5
+    },
+    "name": "lemma21",
+    "ok": true,
+    "samples": 40,
+    "seed": 3
+  }
+}
+"""
+
+GOLDEN_DERIVED_JSON = """\
+{
+  "command": "witness derived",
+  "elapsed_ms": 0,
+  "instance": "dense",
+  "prime": 5,
+  "result": {
+    "d": 2,
+    "inputs": {
+      "tree": "[[h3(1), h2(1)], [h2(1), h1(1/5)]]"
+    },
+    "instance": "dense",
+    "k": 1,
+    "params": {},
+    "prime": 5,
+    "result": {
+      "expr": "h3(1) h2(1) h3(24) (h1(1/5) h2(4) (h1(4/5) h0(4)) h2(1) h0(15)) \
+h3(1) (h2(4) h0(20)) h3(24) (h1(1/5) h2(1) (h1(4/5) h0(4)) h2(4) h0(15)) \
+h0(-125)",
+      "level": 3
+    },
+    "seed": 0,
+    "type": "derived"
+  }
+}
+"""
+
 
 @pytest.fixture(autouse=True)
 def fixed_elapsed(monkeypatch):
@@ -80,6 +143,26 @@ def test_witness_golden_json_bytes(capsys):
     code, out, _ = run(capsys, "witness", "escape", "h0(1/5)", "3", "--json")
     assert code == 0
     assert out == GOLDEN_WITNESS_JSON
+
+
+def test_check_instance_golden_text(capsys):
+    code, out, _ = run(capsys, "check", "instance", "--samples", "40",
+                       "--seed", "3")
+    assert code == 0
+    assert out == GOLDEN_CHECK_INSTANCE_TEXT
+
+
+def test_check_lemma21_golden_json_bytes(capsys):
+    code, out, _ = run(capsys, "check", "lemma21", "--samples", "40",
+                       "--seed", "3", "--json")
+    assert code == 0
+    assert out == GOLDEN_CHECK_LEMMA21_JSON
+
+
+def test_witness_derived_golden_json_bytes(capsys):
+    code, out, _ = run(capsys, "witness", "derived", "2", "1", "--json")
+    assert code == 0
+    assert out == GOLDEN_DERIVED_JSON
 
 
 def test_golden_json_stable_across_runs(capsys):
@@ -219,6 +302,17 @@ def test_verify_tampered_certificate(capsys, tmp_path):
     data = json.loads(out)
     data["result"]["level"] = 9
     cert_file = tmp_path / "bad.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(cert_file))
+    assert code == 4
+    assert out.strip() == "certificate INVALID"
+
+
+def test_verify_huge_tampered_stage_is_invalid(capsys, tmp_path):
+    _, out, _ = run(capsys, "witness", "escape", "h0(25)", "1")
+    data = json.loads(out)
+    data["m"] = 10**7
+    cert_file = tmp_path / "huge_m.json"
     cert_file.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", str(cert_file))
     assert code == 4

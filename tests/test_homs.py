@@ -83,9 +83,8 @@ def test_phi_factor_inclusion_agreement(dense, dense_hom):
 def test_psi_is_unipotent_with_phi_corner(dense, dense_hom):
     g = eval_expr(dense, parse_expr("h1(2/5) h0(3)", dense))
     m = psi_eval(g, dense_hom)
-    assert m.is_unipotent()
+    assert m.a == P(1) and m.c == P(0) and m.d == P(1)
     assert m.b == phi_eval(g, dense_hom)
-    assert m.det() == P(1)
 
 
 def test_psi_is_multiplicative(dense, dense_hom):
@@ -126,7 +125,6 @@ def test_incompatible_per_level_maps_rejected(dense):
         name="Z[1/p]",
         zero=PAdicRational.zero(5),
         add=lambda a, b: a + b,
-        neg=lambda a: -a,
         eq=lambda a, b: a == b,
         value_str=str,
         embeds=True,
@@ -144,7 +142,6 @@ def test_non_homomorphic_map_rejected(dense):
         name="Z[1/p]",
         zero=PAdicRational.zero(5),
         add=lambda a, b: a + b,
-        neg=lambda a: -a,
         eq=lambda a, b: a == b,
         value_str=str,
         embeds=True,

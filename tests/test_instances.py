@@ -121,7 +121,7 @@ def test_split_chain_exactness(name, request):
         for n in range(m + 1, 6):
             for _ in range(20):
                 b = sys.sample_base(m, rng)
-                rep, b2 = sys.split_chain(m, n, b)
+                rep, b2 = sys.split(n + 1, b)
                 assert sys.in_base(n, b2)
                 assert sys.in_base(m, rep)
                 assert sys.factor_eq(n, sys.factor_mul(n, rep, b2), b)

@@ -18,7 +18,6 @@ from amalgam.normalform import (
     forms_equal,
     identity,
     inject,
-    level,
     mul,
     reduce_word,
 )
@@ -150,7 +149,7 @@ def test_deep_descending_word():
     dense = INSTANCES["dense"]
     word = descending_word(dense, 400)
     got = reduce_word(dense, word)
-    assert level(got) == 400
+    assert got.level == 400
     assert nesting(got) == 400
     assert forms_equal(dense, got, fold_reduce(dense, word))
     # the frame chain does not recurse per level, unlike the fold, which

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -12,8 +13,9 @@ from amalgam.errors import (
     RetryExhausted,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import inject, is_identity, level, reduce_word
+from amalgam.normalform import inject, is_identity, reduce_word
 from amalgam.padic import PAdicRational
+from amalgam.suites import check_lemma21, sample_lemma21_inputs
 from amalgam.witnesses import (
     DerivedCertificate,
     EscapeCertificate,
@@ -22,8 +24,6 @@ from amalgam.witnesses import (
     derived_escape,
     escape_witness,
     lemma21_check,
-    lemma21_suite,
-    sample_lemma21_inputs,
     verify,
 )
 
@@ -84,13 +84,12 @@ def test_preconditioned_sampler_always_valid(dense, heis):
 
 
 def test_lemma21_suite_clean(dense):
-    rep = lemma21_suite(dense, 300, seed=11)
-    assert rep.samples == 300
-    assert rep.failures == 0
-    assert rep.ok()
-    d = rep.to_json_dict()
-    assert d["seed"] == 11
-    assert d["instance"]["instance"] == "dense"
+    rep = check_lemma21(dense, 300, 11)
+    assert rep["samples"] == 300
+    assert rep["failures"] == 0
+    assert rep["ok"]
+    assert rep["seed"] == 11
+    assert rep["instance"]["instance"] == "dense"
 
 
 def test_escape_from_deep_base_value(dense):
@@ -127,8 +126,8 @@ def test_escape_identity_rejected(dense):
 def test_escape_of_high_level_element(dense):
     h = reduce_word(dense, [(2, P(1, 1)), (1, P(1, 1))])
     cert = escape_witness(dense, h, 0)
-    assert cert.m == level(h)
-    assert cert.result_level == level(h) + 1
+    assert cert.m == h.level
+    assert cert.result_level == h.level + 1
     assert verify(cert)
 
 
@@ -237,6 +236,15 @@ def test_tampered_bound_fails(dense):
 def test_tampered_stage_fails(dense):
     cert = escape_witness(dense, inject(dense, 0, P(25)), 1)
     assert not verify(_tamper(cert, m=1))
+
+
+def test_tampered_huge_stage_fails_fast(dense):
+    # the level checks refuse m before the B_m test could build p**m
+    cert = escape_witness(dense, inject(dense, 0, P(25)), 1)
+    bad = _tamper(cert, m=10**7)
+    t0 = time.perf_counter()
+    assert not verify(bad)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_tampered_conjugator_fails(dense):
