@@ -21,10 +21,6 @@ class IdentityInput(AmalgamError):
     """An operation that needs a non-identity element got the identity."""
 
 
-class RetryExhausted(AmalgamError):
-    """A bounded retry loop ran out; the instance violates its contract."""
-
-
 class IncompatibleHom(AmalgamError):
     """Levelwise maps disagree on an amalgamated central subgroup."""
 

@@ -8,27 +8,41 @@ matters (it never does for the shipped instances, but the contract keeps it).
 
 The contract is what the normal-form engine, the oracle, the homomorphism
 layer and the witness generators program against; concrete systems live in
-``instances``.
+``instances``.  ``check_instance`` is the one check of the contract: every
+constructor runs it on a few samples, and ``amalgam check instance`` and the
+acceptance run run it on many.
 """
 
+import random
 from abc import ABC, abstractmethod
 
 from amalgam.errors import InvalidParams, UnsupportedLevel
+
+# The check every constructor runs; a fixed seed keeps construction
+# deterministic.
+_PROBE_SEED = 0xA3A1
+_PROBE_SAMPLES = 4
 
 
 class FactorSystem(ABC):
     """Group structure, base-chain membership and transversal data.
 
-    Required structural facts, validated by probes at construction and by the
-    fuller conformance suite:
+    The contract, all of it sampled by ``check_instance``:
 
-    - the chain descends with trivial intersection (``base_escape_level``
-      terminates on every non-identity value);
+    - values of one instance compare with ``==``, at every level;
+    - the chain descends with trivial intersection: B_n holds the identity,
+      B_{n+1} lies in B_n, and ``base_escape_level`` is the least n with a
+      non-identity value outside B_n;
     - each B_n is central in H_n and in H_{n+1};
-    - B_n is proper in both H_n and H_{n+1} (``nonbase_elem``/``escape_elem``);
-    - ``split`` is an exact factorization whose representative depends only
-      on the coset; the one map serves H_n modulo B_{n-1} and, on base
-      values, each B_m modulo B_{n-1}.
+    - ``escape_elem(n)`` lies outside B_n, so B_n is proper in both H_n and
+      H_{n+1};
+    - ``split`` is an exact factorization into a representative and a tail
+      in B_{n-1}; the representative depends only on the coset and is its
+      own representative.  The one map serves H_n modulo B_{n-1} and, on
+      base values, each B_m modulo B_{n-1}.
+
+    Each constructor ends with ``_check_contract``, so an instance that
+    breaks the contract is refused with ``InvalidParams``.
     """
 
     kind = "abstract"
@@ -48,9 +62,6 @@ class FactorSystem(ABC):
     def factor_inv(self, n, x):
         """Inverse of x in H_n."""
 
-    def factor_eq(self, n, x, y):
-        return x == y
-
     # -- the amalgamated chain -------------------------------------------
 
     @abstractmethod
@@ -68,12 +79,8 @@ class FactorSystem(ABC):
         """
 
     @abstractmethod
-    def nonbase_elem(self, n):
-        """A fixed element of H_n outside B_n."""
-
-    @abstractmethod
     def escape_elem(self, n):
-        """A fixed element of H_{n+1} outside B_n."""
+        """A fixed value outside B_n, in H_n and in H_{n+1}."""
 
     @abstractmethod
     def base_escape_level(self, x):
@@ -118,52 +125,89 @@ class FactorSystem(ABC):
     def __repr__(self):
         return f"<{type(self).__name__} p={self.p}>"
 
-    # -- construction-time probes -----------------------------------------
+    def _check_contract(self):
+        """Raise InvalidParams naming every check the instance fails."""
+        report = check_instance(self, _PROBE_SAMPLES, _PROBE_SEED)
+        if not report["ok"]:
+            failing = ", ".join(k for k, v in report["checks"].items() if v)
+            raise InvalidParams(
+                f"{self.kind} instance breaks the factor-system contract: "
+                f"{failing}"
+            )
 
-    def _validate_axioms(self, rng, probe_levels=4, samples=3):
-        """Cheap deterministic checks of the contract; raises InvalidParams.
 
-        This is the constructor-side gate; the full sampled conformance suite
-        lives in ``suites.check_instance``.
-        """
-        for n in range(probe_levels):
-            ident = self.factor_id(n)
-            if not self.in_base(n, ident):
-                raise InvalidParams(f"identity not in B_{n}")
-            nb = self.nonbase_elem(n)
-            if self.in_base(n, nb):
-                raise InvalidParams(
-                    f"B_{n} is not proper in H_{n}: nonbase_elem({n}) lies in it"
-                )
-            es = self.escape_elem(n)
-            if self.in_base(n, es):
-                raise InvalidParams(
-                    f"B_{n} is not proper in H_{n + 1}: escape_elem({n}) lies in it"
-                )
-            for _ in range(samples):
-                b = self.sample_base(n, rng)
-                for m in range(n + 1):
-                    if not self.in_base(m, b):
-                        raise InvalidParams(
-                            f"chain does not descend: B_{n} value escapes B_{m}"
-                        )
-                # centrality of B_n in H_n and in H_{n+1}
-                for lvl in (n, n + 1):
-                    x = self.sample(lvl, rng)
-                    if not self.factor_eq(
-                        lvl, self.factor_mul(lvl, x, b), self.factor_mul(lvl, b, x)
-                    ):
-                        raise InvalidParams(f"B_{n} is not central in H_{lvl}")
-            for _ in range(samples):
-                h = self.sample(n + 1, rng)
-                rep, b = self.split(n + 1, h)
-                if not self.in_base(n, b):
-                    raise InvalidParams(f"split({n + 1}, .) tail escapes B_{n}")
-                if not self.factor_eq(n + 1, self.factor_mul(n + 1, rep, b), h):
-                    raise InvalidParams(f"split({n + 1}, .) is not a factorization")
-                if not self.factor_eq(n + 1, h, ident) and not self.in_base(n, h):
-                    lvl = self.base_escape_level(h)
-                    if lvl > n:
-                        raise InvalidParams(
-                            f"base_escape_level inconsistent with in_base at {n}"
-                        )
+def _cap(sys, max_level):
+    if sys.max_level is not None:
+        return min(max_level, sys.max_level)
+    return max_level
+
+
+def _report(name, sys, samples, seed, checks):
+    failures = sum(checks.values())
+    return {
+        "name": name,
+        "instance": sys.descriptor(),
+        "samples": samples,
+        "failures": failures,
+        "checks": checks,
+        "seed": seed,
+        "ok": failures == 0,
+    }
+
+
+def check_instance(sys, samples, seed, max_level=6):
+    """Sampled factor-system contract: splits, chain, centrality, escapes.
+
+    Properness and the identity's membership are checked at every level up
+    to max_level before sampling, without drawing from the rng.
+    """
+    max_level = max(1, _cap(sys, max_level))
+    rng = random.Random(seed)
+    checks = {
+        "split_exact": 0,
+        "split_rep_fixed": 0,
+        "split_coset": 0,
+        "chain_exact": 0,
+        "chain_descent": 0,
+        "base_central": 0,
+        "escape_proper": 0,
+        "bel_consistent": 0,
+    }
+    for n in range(max_level + 1):
+        if not sys.in_base(n, sys.factor_id(n)):
+            checks["chain_descent"] += 1
+        if sys.in_base(n, sys.escape_elem(n)):
+            checks["escape_proper"] += 1
+    e = sys.factor_id(0)
+    for _ in range(samples):
+        n = rng.randint(1, max_level)
+        h = sys.sample(n, rng)
+        rep, b = sys.split(n, h)
+        if not (sys.in_base(n - 1, b) and sys.factor_mul(n, rep, b) == h):
+            checks["split_exact"] += 1
+        rep2, b2 = sys.split(n, rep)
+        if not (rep2 == rep and b2 == e):
+            checks["split_rep_fixed"] += 1
+        z = sys.sample_base(n - 1, rng)
+        rep3, _ = sys.split(n, sys.factor_mul(n, h, z))
+        if rep3 != rep:
+            checks["split_coset"] += 1
+        m = rng.randint(0, n - 1)
+        bm = sys.sample_base(m, rng)
+        crep, cb = sys.split(n + 1, bm)
+        if sys.factor_mul(m, crep, cb) != bm:
+            checks["chain_exact"] += 1
+        if not (sys.in_base(n, cb)
+                and all(sys.in_base(k, bm) for k in range(m + 1))):
+            checks["chain_descent"] += 1
+        for lvl in (n - 1, n):
+            x = sys.sample(lvl, rng)
+            zb = sys.sample_base(n - 1, rng)
+            if sys.factor_mul(lvl, x, zb) != sys.factor_mul(lvl, zb, x):
+                checks["base_central"] += 1
+        if h != e:
+            bl = sys.base_escape_level(h)
+            least = not sys.in_base(bl, h) and (bl == 0 or sys.in_base(bl - 1, h))
+            if not least:
+                checks["bel_consistent"] += 1
+    return _report("instance", sys, samples, seed, checks)

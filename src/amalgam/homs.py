@@ -17,15 +17,14 @@ _CHECK_SEED = 0x5E7
 
 
 class Target:
-    """An abelian group, written additively, with decidable equality."""
+    """An abelian group, written additively, whose values compare with ``==``."""
 
-    __slots__ = ("name", "zero", "add", "eq", "value_str", "embeds")
+    __slots__ = ("name", "zero", "add", "value_str", "embeds")
 
-    def __init__(self, name, zero, add, eq, value_str, embeds=False):
+    def __init__(self, name, zero, add, value_str, embeds=False):
         self.name = name
         self.zero = zero
         self.add = add
-        self.eq = eq
         self.value_str = value_str
         # True when target values are PAdicRational, so they can sit in the
         # upper-right entry of a unipotent matrix
@@ -46,12 +45,12 @@ class LevelwiseHom:
                 y = sys.sample(n, rng)
                 lhs = phi(n, sys.factor_mul(n, x, y))
                 rhs = target.add(phi(n, x), phi(n, y))
-                if not target.eq(lhs, rhs):
+                if lhs != rhs:
                     raise IncompatibleHom(
                         f"phi_{n} is not a homomorphism at sampled inputs"
                     )
                 b = sys.sample_base(n, rng)
-                if not target.eq(phi(n, b), phi(n + 1, b)):
+                if phi(n, b) != phi(n + 1, b):
                     raise IncompatibleHom(
                         f"phi_{n} and phi_{n + 1} disagree on a sampled B_{n} value"
                     )
@@ -73,7 +72,7 @@ def phi_eval(g, hom):
 
 
 def in_kernel(g, hom):
-    return hom.target.eq(phi_eval(g, hom), hom.target.zero)
+    return phi_eval(g, hom) == hom.target.zero
 
 
 def psi_eval(g, hom):
@@ -98,7 +97,6 @@ def standard_hom(sys):
             name="Z[1/p]",
             zero=PAdicRational.zero(p),
             add=lambda a, b: a + b,
-            eq=lambda a, b: a == b,
             value_str=str,
             embeds=True,
         )
@@ -108,7 +106,6 @@ def standard_hom(sys):
             name="Z^2",
             zero=(0, 0),
             add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            eq=lambda a, b: a == b,
             value_str=lambda a: f"({a[0]},{a[1]})",
         )
         return LevelwiseHom(sys, target, lambda n, x: (x[0], x[1]))
@@ -118,7 +115,6 @@ def standard_hom(sys):
             name=f"Z/{modulus}",
             zero=0,
             add=lambda a, b: (a + b) % modulus,
-            eq=lambda a, b: a == b,
             value_str=str,
         )
         return LevelwiseHom(sys, target, lambda n, x: x)

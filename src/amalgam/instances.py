@@ -12,18 +12,10 @@
   the kind of degenerate instance construction must reject.
 """
 
-import random
-
 from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError
 from amalgam.factors import FactorSystem
-from amalgam.padic import PAdicRational, Prime, parse_padic
-
-_PROBE_SEED = 0xA3A1
-
-
-def _as_prime_int(p):
-    return p.p if isinstance(p, Prime) else Prime(p).p
+from amalgam.padic import PAdicRational, check_prime, parse_padic
 
 
 class DenseInstance(FactorSystem):
@@ -32,11 +24,11 @@ class DenseInstance(FactorSystem):
     kind = "dense"
 
     def __init__(self, p):
-        self.p = _as_prime_int(p)
+        self.p = check_prime(p)
         self._zero = PAdicRational.zero(self.p)
         self._one = PAdicRational.one(self.p)
         self._invp = PAdicRational(1, 1, self.p)
-        self._validate_axioms(random.Random(_PROBE_SEED))
+        self._check_contract()
 
     def factor_id(self, n):
         return self._zero
@@ -54,9 +46,6 @@ class DenseInstance(FactorSystem):
     def split(self, n, h):
         rn, rk, bn, bk = K.coset_split(h.num, h.den_exp, self.p, n - 1)
         return PAdicRational._raw(rn, rk, self.p), PAdicRational._raw(bn, bk, self.p)
-
-    def nonbase_elem(self, n):
-        return self._invp if n == 0 else self._one
 
     def escape_elem(self, n):
         return self._invp if n == 0 else self._one
@@ -89,9 +78,9 @@ class HeisenbergInstance(FactorSystem):
     kind = "heisenberg"
 
     def __init__(self, p):
-        self.p = _as_prime_int(p)
+        self.p = check_prime(p)
         self._id = (0, 0, 0)
-        self._validate_axioms(random.Random(_PROBE_SEED))
+        self._check_contract()
 
     def factor_id(self, n):
         return self._id
@@ -109,9 +98,6 @@ class HeisenbergInstance(FactorSystem):
         q = self.p ** (n - 1)
         zr = h[2] % q
         return (h[0], h[1], zr), (0, 0, h[2] - zr)
-
-    def nonbase_elem(self, n):
-        return (1, 0, 0)
 
     def escape_elem(self, n):
         return (1, 0, 0)
@@ -148,7 +134,7 @@ class FiniteCyclicInstance(FactorSystem):
     """H_n = Z/p**L at every level, B_n = <p**min(n+shift, L)>.
 
     The default shift of 1 keeps B_0 proper in H_0.  shift=0 makes B_0 the
-    whole group; the constructor's axiom probes reject it.  The chain becomes
+    whole group; the constructor's contract check rejects it.  The chain becomes
     trivial from level L-shift on, so the intersection is trivial and words
     can be enumerated exhaustively.
     """
@@ -156,7 +142,7 @@ class FiniteCyclicInstance(FactorSystem):
     kind = "cyclic"
 
     def __init__(self, p, L, chain_shift=1, max_level=None):
-        self.p = _as_prime_int(p)
+        self.p = check_prime(p)
         if not isinstance(L, int) or isinstance(L, bool) or L < 2:
             raise InvalidParams(f"cyclic instance needs integer L >= 2, got {L!r}")
         if not isinstance(chain_shift, int) or chain_shift < 0:
@@ -167,7 +153,7 @@ class FiniteCyclicInstance(FactorSystem):
         self.chain_shift = chain_shift
         self.max_level = max_level
         self.modulus = self.p**L
-        self._validate_axioms(random.Random(_PROBE_SEED))
+        self._check_contract()
 
     def _exp(self, n):
         return min(n + self.chain_shift, self.L)
@@ -188,9 +174,6 @@ class FiniteCyclicInstance(FactorSystem):
         q = self.p ** self._exp(n - 1)
         rep = h % q
         return rep, (h - rep) % self.modulus
-
-    def nonbase_elem(self, n):
-        return 1
 
     def escape_elem(self, n):
         return 1
@@ -230,7 +213,7 @@ _KINDS = {
 
 
 def make_instance(kind, p, params=None):
-    """Build a factor system by name, validating its axioms at construction."""
+    """Build a factor system by name; its constructor checks the contract."""
     if kind not in _KINDS:
         raise InvalidParams(
             f"unknown instance kind {kind!r}; expected one of {sorted(_KINDS)}"

@@ -25,8 +25,9 @@ junction merge (``_push``), reassembly (``_assemble``) and left-letter
 canonicalization (``_left_canonical``) are the ones ``mul`` uses.
 
 The empty word is ``Base(identity)`` and all representatives are fixed by the
-factor system, so forms are structurally unique per element; ``oracle`` checks
-that claim against an independent rewriting strategy.
+factor system, so forms are structurally unique per element and ``==`` on
+forms is equality in the group; ``oracle`` checks that claim against an
+independent rewriting strategy.
 """
 
 from amalgam.errors import PreconditionViolated
@@ -98,15 +99,36 @@ class Alt:
         self.tail = tail
 
     def __eq__(self, other):
-        return (
-            type(other) is Alt
-            and self.level == other.level
-            and self.letters == other.letters
-            and self.tail == other.tail
-        )
+        """Structural equality, walking nested left letters with a stack."""
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if type(f) is not type(g):
+                return False
+            if type(f) is Base:
+                if f.value != g.value:
+                    return False
+                continue
+            if (f.level != g.level or f.tail != g.tail
+                    or len(f.letters) != len(g.letters)):
+                return False
+            for a, b in zip(f.letters, g.letters):
+                ta = type(a)
+                if ta is not type(b):
+                    return False
+                if ta is RLetter:
+                    if a.value != b.value:
+                        return False
+                else:
+                    stack.append((a.form, b.form))
+        return True
 
     def __hash__(self):
-        return hash(("A", self.level, self.letters, self.tail))
+        # only this level's data, so that hashing does not recurse; equal
+        # forms agree on all of it
+        return hash((self.level, self.tail, tuple(
+            letter.value if type(letter) is RLetter else letter.form.level
+            for letter in self.letters)))
 
     def __repr__(self):
         return f"Alt({self.level}; {list(self.letters)!r}; tail={self.tail!r})"
@@ -117,7 +139,7 @@ def identity(sys):
 
 
 def is_identity(sys, form):
-    return type(form) is Base and sys.factor_eq(0, form.value, sys.factor_id(0))
+    return type(form) is Base and form.value == sys.factor_id(0)
 
 
 def inject(sys, n, x):
@@ -216,24 +238,8 @@ def inv(sys, form):
 
 
 def forms_equal(sys, f, g):
-    """Structural equality through the factor system's own value equality."""
-    tf = type(f)
-    if tf is not type(g):
-        return False
-    if tf is Base:
-        return sys.factor_eq(0, f.value, g.value)
-    if f.level != g.level or len(f.letters) != len(g.letters):
-        return False
-    for a, b in zip(f.letters, g.letters):
-        ta = type(a)
-        if ta is not type(b):
-            return False
-        if ta is RLetter:
-            if not sys.factor_eq(f.level, a.value, b.value):
-                return False
-        elif not forms_equal(sys, a.form, b.form):
-            return False
-    return sys.factor_eq(f.level, f.tail, g.tail)
+    """True iff two canonical forms denote the same element."""
+    return f == g
 
 
 def _close(sys, frames):

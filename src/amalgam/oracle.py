@@ -22,7 +22,7 @@ def _rewrite(sys, sylls):
     while changed:
         changed = False
         for i, (n, x) in enumerate(sylls):
-            if sys.factor_eq(n, x, sys.factor_id(n)):
+            if x == sys.factor_id(n):
                 del sylls[i]
                 changed = True
                 break

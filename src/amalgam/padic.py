@@ -3,7 +3,8 @@
 Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
 overflow.  The inner loops are the integer-pair kernels in
-``amalgam._kernels``.
+``amalgam._kernels``.  ``check_prime`` validates the prime every instance is
+built on.
 """
 
 import math
@@ -36,48 +37,22 @@ def _miller_rabin(p):
     return True
 
 
-class Prime:
-    """A validated prime below 2**64.
+def check_prime(p):
+    """p, if it is a prime below 2**64; raises InvalidParams otherwise.
 
-    Construction divides by the primes up to 37, then runs Miller-Rabin with
-    those primes as bases, which is exact in this range.
+    Divides by the primes up to 37, then runs Miller-Rabin with those primes
+    as bases, which is exact in this range.
     """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-            raise InvalidParams(f"prime must be an integer >= 2, got {p!r}")
-        if p >= 2**64:
-            raise InvalidParams(f"prime must be below 2**64, got {p}")
-        for d in _SMALL_PRIMES:
-            if p % d == 0 and p != d:
-                raise InvalidParams(f"{p} is not prime (divisible by {d})")
-        if p > _SMALL_PRIMES[-1] and not _miller_rabin(p):
-            raise InvalidParams(f"{p} is not prime")
-        self.p = p
-
-    def __int__(self):
-        return self.p
-
-    __index__ = __int__
-
-    def __eq__(self, other):
-        if isinstance(other, Prime):
-            return self.p == other.p
-        if isinstance(other, int):
-            return self.p == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def __repr__(self):
-        return f"Prime({self.p})"
-
-
-def _as_int_prime(p):
-    return p.p if isinstance(p, Prime) else p
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise InvalidParams(f"prime must be an integer >= 2, got {p!r}")
+    if p >= 2**64:
+        raise InvalidParams(f"prime must be below 2**64, got {p}")
+    for d in _SMALL_PRIMES:
+        if p % d == 0 and p != d:
+            raise InvalidParams(f"{p} is not prime (divisible by {d})")
+    if p > _SMALL_PRIMES[-1] and not _miller_rabin(p):
+        raise InvalidParams(f"{p} is not prime")
+    return p
 
 
 class PAdicRational:
@@ -93,11 +68,10 @@ class PAdicRational:
             raise InvalidParams("PAdicRational needs a prime")
         if den_exp < 0:
             raise InvalidParams(f"den_exp must be a natural, got {den_exp}")
-        pp = _as_int_prime(p)
-        n, k = K.norm(num, den_exp, pp)
+        n, k = K.norm(num, den_exp, p)
         self.num = n
         self.den_exp = k
-        self.p = pp
+        self.p = p
 
     @classmethod
     def _raw(cls, num, den_exp, p):
@@ -110,11 +84,11 @@ class PAdicRational:
 
     @classmethod
     def zero(cls, p):
-        return cls._raw(0, 0, _as_int_prime(p))
+        return cls._raw(0, 0, p)
 
     @classmethod
     def one(cls, p):
-        return cls._raw(1, 0, _as_int_prime(p))
+        return cls._raw(1, 0, p)
 
     def _check_same(self, other):
         if not isinstance(other, PAdicRational):
@@ -183,7 +157,6 @@ class PAdicRational:
 
 def parse_padic(text, p):
     """Parse `m` or `m/d` with d a positive power of the configured prime."""
-    pp = _as_int_prime(p)
     s = text.strip()
     num_s, slash, den_s = s.partition("/")
     try:
@@ -191,7 +164,7 @@ def parse_padic(text, p):
     except ValueError:
         raise LiteralError(f"bad integer numerator in {text!r}") from None
     if not slash:
-        return PAdicRational._raw(num, 0, pp)
+        return PAdicRational._raw(num, 0, p)
     try:
         den = int(den_s.strip())
     except ValueError:
@@ -199,14 +172,14 @@ def parse_padic(text, p):
     if den < 1:
         raise LiteralError(f"denominator must be positive in {text!r}")
     k = 0
-    while den % pp == 0:
-        den //= pp
+    while den % p == 0:
+        den //= p
         k += 1
     if den != 1:
         raise LiteralError(
-            f"denominator in {text!r} is not a power of the prime {pp}"
+            f"denominator in {text!r} is not a power of the prime {p}"
         )
-    return PAdicRational(num, k, pp)
+    return PAdicRational(num, k, p)
 
 
 class Mat2:

@@ -3,12 +3,15 @@
 Every suite is deterministic given its seed and returns a plain dict shaped
 for JSON output: name, instance descriptor, sample count, failure count per
 sub-check, overall ok flag.  The CLI's ``check`` subcommands and the
-full-scale acceptance run both call these.
+full-scale acceptance run both call these.  ``check_instance`` lives beside
+the contract in ``factors``, which constructors also run it from; it is
+imported here so that every suite can be reached through this module.
 """
 
 import random
 
 from amalgam.errors import InvalidParams
+from amalgam.factors import _cap, _report, check_instance
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.normalform import (
     centrality_check,
@@ -25,12 +28,6 @@ from amalgam.padic import mat_mul
 from amalgam.witnesses import lemma21_check
 
 
-def _cap(sys, max_level):
-    if sys.max_level is not None:
-        return min(max_level, sys.max_level)
-    return max_level
-
-
 def random_word(sys, rng, max_len=12, max_level=6):
     max_level = _cap(sys, max_level)
     out = []
@@ -42,19 +39,6 @@ def random_word(sys, rng, max_len=12, max_level=6):
 
 def random_form(sys, rng, max_len=12, max_level=6):
     return reduce_word(sys, random_word(sys, rng, max_len, max_level))
-
-
-def _report(name, sys, samples, seed, checks):
-    failures = sum(checks.values())
-    return {
-        "name": name,
-        "instance": sys.descriptor(),
-        "samples": samples,
-        "failures": failures,
-        "checks": checks,
-        "seed": seed,
-        "ok": failures == 0,
-    }
 
 
 def check_axioms(sys, samples, seed, max_level=6, max_len=8):
@@ -119,14 +103,14 @@ def check_oracle_exhaustive(sys, alphabet, max_len):
 def sample_lemma21_inputs(sys, rng, max_m=5):
     """A random preconditioned triple (h, g, m) for ``lemma21_check``.
 
-    h gets a nonbase factor tacked on if the raw sample lands in B_m, and g is
+    h gets an escape factor tacked on if the raw sample lands in B_m, and g is
     a random lower-stage element times a fresh level-(m+1) letter, which has
     level exactly m+1 whatever the random part is.
     """
     m = rng.randint(0, max_m)
     h = random_form(sys, rng, 6, m)
     if h.level == 0 and sys.in_base(m, h.value):
-        h = mul(sys, h, inject(sys, m, sys.nonbase_elem(m)))
+        h = mul(sys, h, inject(sys, m, sys.escape_elem(m)))
     w = random_form(sys, rng, 4, m)
     g = mul(sys, w, inject(sys, m + 1, sys.escape_elem(m)))
     return h, g, m
@@ -177,7 +161,7 @@ def check_homs(sys, samples, seed, max_level=6, incl_samples=None):
         ab = mul(sys, a, b)
         lhs = phi_eval(ab, hom)
         rhs = t.add(phi_eval(a, hom), phi_eval(b, hom))
-        if not t.eq(lhs, rhs):
+        if lhs != rhs:
             checks["hom_mul"] += 1
         if t.embeds:
             pa = psi_eval(a, hom)
@@ -189,60 +173,6 @@ def check_homs(sys, samples, seed, max_level=6, incl_samples=None):
             x = sys.sample(n, rng)
             direct = hom.phi(n, x)
             through = phi_eval(inject(sys, n, x), hom)
-            if not t.eq(direct, through):
+            if direct != through:
                 checks["factor_incl"] += 1
     return _report("homs", sys, samples, seed, checks)
-
-
-def check_instance(sys, samples, seed, max_level=6):
-    """Sampled factor-system contract: splits, chain, centrality, escapes."""
-    max_level = max(1, _cap(sys, max_level))
-    rng = random.Random(seed)
-    checks = {
-        "split_exact": 0,
-        "split_rep_fixed": 0,
-        "split_coset": 0,
-        "chain_exact": 0,
-        "chain_descent": 0,
-        "base_central": 0,
-        "escape_proper": 0,
-        "bel_consistent": 0,
-    }
-    e = sys.factor_id(0)
-    for _ in range(samples):
-        n = rng.randint(1, max_level)
-        h = sys.sample(n, rng)
-        rep, b = sys.split(n, h)
-        if not sys.factor_eq(n, sys.factor_mul(n, rep, b), h):
-            checks["split_exact"] += 1
-        rep2, b2 = sys.split(n, rep)
-        if not (sys.factor_eq(n, rep2, rep) and sys.factor_eq(n, b2, e)):
-            checks["split_rep_fixed"] += 1
-        z = sys.sample_base(n - 1, rng)
-        rep3, _ = sys.split(n, sys.factor_mul(n, h, z))
-        if not sys.factor_eq(n, rep3, rep):
-            checks["split_coset"] += 1
-        m = rng.randint(0, n - 1)
-        bm = sys.sample_base(m, rng)
-        crep, cb = sys.split(n + 1, bm)
-        if not sys.factor_eq(m, sys.factor_mul(m, crep, cb), bm):
-            checks["chain_exact"] += 1
-        if not sys.in_base(n, cb):
-            checks["chain_descent"] += 1
-        for lvl in (n - 1, n):
-            x = sys.sample(lvl, rng)
-            zb = sys.sample_base(n - 1, rng)
-            if not sys.factor_eq(
-                lvl, sys.factor_mul(lvl, x, zb), sys.factor_mul(lvl, zb, x)
-            ):
-                checks["base_central"] += 1
-        ne = sys.nonbase_elem(n)
-        esc = sys.escape_elem(n)
-        if sys.in_base(n, ne) or sys.in_base(n, esc):
-            checks["escape_proper"] += 1
-        if not sys.factor_eq(n, h, e):
-            bl = sys.base_escape_level(h)
-            least = not sys.in_base(bl, h) and (bl == 0 or sys.in_base(bl - 1, h))
-            if not least:
-                checks["bel_consistent"] += 1
-    return _report("instance", sys, samples, seed, checks)

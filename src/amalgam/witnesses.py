@@ -26,7 +26,6 @@ from amalgam.errors import (
     IdentityInput,
     InvalidParams,
     PreconditionViolated,
-    RetryExhausted,
 )
 from amalgam.instances import make_instance
 from amalgam.normalform import forms_equal, inject, inv, is_identity, mul
@@ -39,7 +38,6 @@ from amalgam.wordexpr import (
     parse_expr,
 )
 
-_MAX_RETRIES = 3
 # The tree has 2**d leaves and its cost grows 4-6x per level.  On a 2-vCPU
 # Xeon VM, depth 8 on dense p=5 takes about 1.7 s to generate and verify
 # (315 KB), depth 9 about 10 s (1.1 MB).
@@ -54,18 +52,22 @@ def _not_in_base(sys, form, m):
 
 
 def _conj_comm(sys, h, g, m):
-    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses."""
+    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses.
+
+    The levels are checked first: they bound m by the size of the forms, so
+    the B_m test, which can cost time in m, never sees an arbitrary m.
+    """
     if h.level > m:
         raise PreconditionViolated(
             f"hypothesis level(h) <= m fails: level {h.level} > {m}"
         )
-    if not _not_in_base(sys, h, m):
-        raise PreconditionViolated(
-            f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
-        )
     if g.level != m + 1:
         raise PreconditionViolated(
             f"hypothesis level(g) = m+1 fails: level {g.level} != {m + 1}"
+        )
+    if not _not_in_base(sys, h, m):
+        raise PreconditionViolated(
+            f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
         )
     conj = mul(sys, mul(sys, g, h), inv(sys, g))
     return conj, mul(sys, conj, inv(sys, h))
@@ -220,10 +222,9 @@ def _build_tree(sys, j, L):
 def derived_escape(sys, d, k, seed=None):
     """A depth-d derived-series element of level above k.
 
-    The recursion needs a start level of at least max(k, d); retries with a
-    higher start are kept for the contract's sake but a conforming instance
-    never triggers them.  Depths above 8 are refused, since the work grows
-    exponentially with d.
+    The tree is topped at level max(k, d) + 1, the least start the recursion
+    needs.  Depths above 8 are refused, since the work grows exponentially
+    with d.
     """
     if d < 0 or k < 0:
         raise InvalidParams(f"derived_escape needs d >= 0 and k >= 0, got {d}, {k}")
@@ -231,20 +232,7 @@ def derived_escape(sys, d, k, seed=None):
         raise InvalidParams(
             f"derived_escape supports depth d <= {_MAX_DEPTH}, got {d}"
         )
-    retries = 0
-    while True:
-        L = max(k, d) + retries
-        try:
-            tree_expr, form = _build_tree(sys, d, L)
-            break
-        except PreconditionViolated:
-            retries += 1
-            if retries > _MAX_RETRIES:
-                raise RetryExhausted(
-                    f"derived_escape failed after {retries - 1} retries; "
-                    "the factor system violates its contract"
-                ) from None
-    assert form.level == L + 1 > k
+    tree_expr, form = _build_tree(sys, d, max(k, d))
     return DerivedCertificate(
         **sys.descriptor(),
         tree_expr=expr_str(sys, tree_expr),

@@ -214,7 +214,7 @@ def form_to_expr(sys, form):
             terms.append(AtomE(n, letter.value))
         else:
             terms.append(form_to_expr(sys, letter.form))
-    if not sys.factor_eq(n, form.tail, sys.factor_id(n)):
+    if form.tail != sys.factor_id(n):
         terms.append(AtomE(0, form.tail))
     return terms[0] if len(terms) == 1 else ProdE(terms)
 

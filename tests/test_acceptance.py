@@ -254,7 +254,7 @@ def test_criterion_8_cli_golden_and_round_trips(cli_env):
         sysx = (d5, h3, cyc)[i % 3]
         h = random_form(sysx, random.Random(SEED + i), 6, 3)
         if is_identity(sysx, h):
-            h = inject(sysx, 0, sysx.nonbase_elem(0))
+            h = inject(sysx, 0, sysx.escape_elem(0))
         cert = escape_witness(sysx, h, i % 7, seed=i)
         text = certificate_to_json(cert)
         back = certificate_from_json(text)

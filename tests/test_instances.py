@@ -5,6 +5,7 @@ import random
 import pytest
 
 from amalgam.errors import InvalidParams, LiteralError, UnsupportedLevel
+from amalgam.factors import check_instance
 from amalgam.instances import make_instance
 from amalgam.padic import PAdicRational
 
@@ -72,6 +73,28 @@ def test_unshifted_cyclic_chain_rejected():
         make_instance("cyclic", 2, {"L": 3, "chain_shift": 0})
 
 
+def test_constructor_names_failing_checks():
+    with pytest.raises(InvalidParams, match="escape_proper"):
+        make_instance("cyclic", 2, {"L": 3, "chain_shift": 0})
+
+
+def test_check_instance_catches_unshifted_chain():
+    cyc = make_instance("cyclic", 2, {"L": 3})
+    cyc.chain_shift = 0
+    report = check_instance(cyc, 40, 3)
+    assert report["checks"]["escape_proper"] > 0
+    assert not report["ok"]
+
+
+def test_check_instance_catches_split_tail_outside_base():
+    # rep * tail is still h, but the tail is not in B_{n-1}
+    dense = make_instance("dense", 5)
+    dense.split = lambda n, h: (dense.factor_id(n), h)
+    report = check_instance(dense, 40, 3)
+    assert report["checks"]["split_exact"] > 0
+    assert not report["ok"]
+
+
 def test_bad_construction_params():
     with pytest.raises(InvalidParams):
         make_instance("cyclic", 2, {"L": 1})
@@ -102,15 +125,15 @@ def test_split_exactness_and_determinism(name, request):
             h = sys.sample(n, rng)
             rep, b = sys.split(n, h)
             assert sys.in_base(n - 1, b)
-            assert sys.factor_eq(n, sys.factor_mul(n, rep, b), h)
+            assert sys.factor_mul(n, rep, b) == h
             # representative is a function of the coset
             shift = sys.sample_base(n - 1, rng)
             rep2, _ = sys.split(n, sys.factor_mul(n, h, shift))
-            assert sys.factor_eq(n, rep, rep2)
+            assert rep == rep2
             # and is its own representative
             rep3, b3 = sys.split(n, rep)
-            assert sys.factor_eq(n, rep3, rep)
-            assert sys.factor_eq(n, b3, sys.factor_id(n))
+            assert rep3 == rep
+            assert b3 == sys.factor_id(n)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -124,7 +147,7 @@ def test_split_chain_exactness(name, request):
                 rep, b2 = sys.split(n + 1, b)
                 assert sys.in_base(n, b2)
                 assert sys.in_base(m, rep)
-                assert sys.factor_eq(n, sys.factor_mul(n, rep, b2), b)
+                assert sys.factor_mul(n, rep, b2) == b
 
 
 def test_dense_split_rep_range(dense):
@@ -144,7 +167,7 @@ def test_base_escape_level_consistency(name, request):
     for lvl in range(0, 5):
         for _ in range(40):
             x = sys.sample(lvl, rng)
-            if sys.factor_eq(lvl, x, sys.factor_id(lvl)):
+            if x == sys.factor_id(lvl):
                 continue
             m = sys.base_escape_level(x)
             assert not sys.in_base(m, x)
@@ -161,9 +184,7 @@ def test_centrality_of_base_values(name, request):
             b = sys.sample_base(n, rng)
             for lvl in (n, n + 1):
                 x = sys.sample(lvl, rng)
-                assert sys.factor_eq(
-                    lvl, sys.factor_mul(lvl, x, b), sys.factor_mul(lvl, b, x)
-                )
+                assert sys.factor_mul(lvl, x, b) == sys.factor_mul(lvl, b, x)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -173,7 +194,7 @@ def test_value_text_round_trip(name, request):
     for lvl in range(0, 4):
         for _ in range(30):
             x = sys.sample(lvl, rng)
-            assert sys.factor_eq(lvl, sys.parse_value(sys.value_str(x)), x)
+            assert sys.parse_value(sys.value_str(x)) == x
 
 
 def test_parse_value_rejects(dense, heis, cyc):

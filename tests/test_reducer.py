@@ -131,7 +131,7 @@ def test_level_above_cap_raises_mid_word():
 
 def descending_word(sys, top):
     word = [(n, sys.escape_elem(n - 1)) for n in range(top, 0, -1)]
-    return word + [(0, sys.nonbase_elem(0))]
+    return word + [(0, sys.escape_elem(0))]
 
 
 def nesting(form):
@@ -155,6 +155,18 @@ def test_deep_descending_word():
     # the frame chain does not recurse per level, unlike the fold, which
     # runs out of stack well before 1000
     assert nesting(reduce_word(dense, descending_word(dense, 1000))) == 1000
+
+
+def test_deep_form_equality_and_hash():
+    # == and hash() do not recurse per nesting level either
+    dense = INSTANCES["dense"]
+    word = descending_word(dense, 1000)
+    f, g = reduce_word(dense, word), reduce_word(dense, word)
+    assert f is not g
+    assert f == g
+    assert hash(f) == hash(g)
+    # a difference at the bottom of the nesting is seen
+    assert f != reduce_word(dense, word + [(0, dense.escape_elem(0))])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -10,7 +10,6 @@ from amalgam.errors import (
     IdentityInput,
     InvalidParams,
     PreconditionViolated,
-    RetryExhausted,
 )
 from amalgam.instances import make_instance
 from amalgam.normalform import inject, is_identity, reduce_word
@@ -73,6 +72,16 @@ def test_g_level_wrong_rejected(dense):
     g = inject(dense, 3, P(1))
     with pytest.raises(PreconditionViolated, match="level\\(g\\)"):
         lemma21_check(dense, h, g, 1)
+
+
+def test_huge_stage_rejected_before_base_test(dense):
+    # the level of g refuses m before the B_m test could build p**m
+    h = inject(dense, 0, P(25))
+    g = inject(dense, 1, P(1))
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionViolated, match="level\\(g\\)"):
+        lemma21_check(dense, h, g, 10**7)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_preconditioned_sampler_always_valid(dense, heis):
@@ -184,7 +193,7 @@ def test_derived_on_finite_cyclic():
 def test_broken_system_exhausts_retries(dense):
     broken = make_instance("dense", 5)
     broken.escape_elem = lambda n: PAdicRational.zero(5)
-    with pytest.raises(RetryExhausted):
+    with pytest.raises(PreconditionViolated, match="escape_elem"):
         derived_escape(broken, 1, 1)
 
 
