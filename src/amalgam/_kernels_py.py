@@ -2,8 +2,8 @@
 
 Values are passed as plain integer pairs ``(num, k)`` meaning ``num / p**k``,
 normalized so that ``k == 0`` or ``p`` does not divide ``num`` (and ``num == 0``
-forces ``k == 0``).  ``padic`` and the instances call them through
-``_kernels``.
+forces ``k == 0``).  ``padic`` and the instances' valuations call them
+through ``_kernels``.
 """
 
 

@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 a computed answer is negative (eq false, a check
 suite found failures), 2 malformed input (expressions, literals, certificate
 files, including certificate fields of the wrong JSON type), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
-negative witness argument, a derived depth above 8, and an expression or form
-nested too deeply to evaluate or print), 4 a certificate failed verification.
+negative witness argument, a derived depth above 8, and ``phi`` or ``psi`` of
+a form nested about a thousand levels deep), 4 a certificate failed
+verification.
 """
 
 import argparse

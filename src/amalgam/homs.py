@@ -11,7 +11,7 @@ import random
 
 from amalgam.errors import IncompatibleHom, PreconditionViolated
 from amalgam.normalform import Base, RLetter
-from amalgam.padic import PAdicRational, unipotent
+from amalgam.padic import unipotent
 
 _CHECK_SEED = 0x5E7
 
@@ -87,16 +87,16 @@ def psi_eval(g, hom):
 def standard_hom(sys):
     """The canonical levelwise family for each shipped instance.
 
-    dense: every phi_n is the identity on Z[1/p].  heisenberg: drop the
-    central z coordinate, landing in (Z^2, +).  cyclic: identity on Z/p**L.
+    dense: every phi_n is the identity on Z[1/p], whose sums are the
+    instance's own level-0 group law.  heisenberg: drop the central z
+    coordinate, landing in (Z^2, +).  cyclic: identity on Z/p**L.
     """
     kind = sys.kind
     if kind == "dense":
-        p = sys.p
         target = Target(
             name="Z[1/p]",
-            zero=PAdicRational.zero(p),
-            add=lambda a, b: a + b,
+            zero=sys.factor_id(0),
+            add=lambda a, b: sys.factor_mul(0, a, b),
             value_str=str,
             embeds=True,
         )

@@ -18,8 +18,22 @@ from amalgam.factors import FactorSystem
 from amalgam.padic import PAdicRational, check_prime, parse_padic
 
 
+def _value(num, k, p):
+    """The PAdicRational num / p**k of a pair the caller has normalized."""
+    x = object.__new__(PAdicRational)
+    x.num = num
+    x.den_exp = k
+    x.p = p
+    return x
+
+
 class DenseInstance(FactorSystem):
-    """H_n = (Z[1/p], +) for every n, B_n = p**n Z."""
+    """H_n = (Z[1/p], +) for every n, B_n = p**n Z.
+
+    Values are ``PAdicRational``s; the group law, inverse, ``in_base`` and
+    ``split`` compute on their ``num``/``den_exp`` pairs inline, keeping
+    each result normalized (p does not divide num unless den_exp is 0).
+    """
 
     kind = "dense"
 
@@ -34,18 +48,51 @@ class DenseInstance(FactorSystem):
         return self._zero
 
     def factor_mul(self, n, x, y):
-        num, k = K.add(x.num, x.den_exp, y.num, y.den_exp, self.p)
-        return PAdicRational._raw(num, k, self.p)
+        num, k, bn, bk = x.num, x.den_exp, y.num, y.den_exp
+        if bn == 0:
+            return x
+        if num == 0:
+            return y
+        p = self.p
+        if k == bk:
+            num += bn
+        elif k > bk:
+            num += bn * p ** (k - bk)
+        else:
+            num, k = bn + num * p ** (bk - k), bk
+        if num == 0:
+            return self._zero
+        while k and num % p == 0:
+            num //= p
+            k -= 1
+        return _value(num, k, p)
 
     def factor_inv(self, n, x):
-        return PAdicRational._raw(-x.num, x.den_exp, self.p)
+        if x.num == 0:
+            return x
+        return _value(-x.num, x.den_exp, self.p)
 
     def in_base(self, n, x):
-        return K.in_subgroup(x.num, x.den_exp, self.p, n)
+        num = x.num
+        if num == 0:
+            return True
+        return x.den_exp == 0 and (n == 0 or num % self.p ** n == 0)
 
     def split(self, n, h):
-        rn, rk, bn, bk = K.coset_split(h.num, h.den_exp, self.p, n - 1)
-        return PAdicRational._raw(rn, rk, self.p), PAdicRational._raw(bn, bk, self.p)
+        """(rep, h - rep): rep in [0, p**(n-1)), h - rep in p**(n-1) Z."""
+        num, k = h.num, h.den_exp
+        p = self.p
+        rep = num % p ** (n - 1 + k)
+        if rep == num:
+            return h, self._zero
+        base = (num - rep) // p ** k
+        base = _value(base, 0, p) if base else self._zero
+        if rep == 0:
+            return self._zero, base
+        while k and rep % p == 0:
+            rep //= p
+            k -= 1
+        return _value(rep, k, p), base
 
     def escape_elem(self, n):
         return self._invp if n == 0 else self._one

@@ -14,6 +14,13 @@ junction; a merge that lands in B_{n-1} drops into the tail, and the next push
 meets the newly exposed letter, so cascades resolve letter by letter.  The
 result is reassembled at a lower level when all level-n letters cancel.
 
+Nothing here recurses once per nesting level.  When two L-letters meet,
+``mul`` suspends the product as a frame on an explicit stack while it
+multiplies their forms one level down; ``inv`` likewise suspends an
+inversion while it inverts a nested L-letter's form, and ``==`` walks nested
+letters with a stack.  A form nested a thousand levels deep needs no more
+Python stack than a flat one.
+
 Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
 one pass and keeps the partial product as a chain of open frames, one
 ``[level, letters, tail]`` per nesting level, where each frame below the root
@@ -172,27 +179,17 @@ def _lift(sys, form, n):
 
 
 def _push(sys, stack, n, letter, tail):
-    """Append one canonical letter, merging at the junction; returns the tail."""
-    if not stack:
-        stack.append(letter)
-        return tail
-    top = stack[-1]
-    tt, tl = type(top), type(letter)
-    if tt is RLetter and tl is RLetter:
-        prod = sys.factor_mul(n, top.value, letter.value)
-        stack.pop()
+    """Append one canonical letter, merging two R-letters; returns the tail.
+
+    Two L-letters meeting at the junction are ``mul``'s case: their forms
+    are multiplied one level down.
+    """
+    if stack and type(letter) is RLetter and type(stack[-1]) is RLetter:
+        prod = sys.factor_mul(n, stack.pop().value, letter.value)
         if sys.in_base(n - 1, prod):
             return sys.factor_mul(n, tail, prod)
         rep, b = sys.split(n, prod)
         stack.append(RLetter(rep))
-        return sys.factor_mul(n, tail, b)
-    if tt is LLetter and tl is LLetter:
-        prod = mul(sys, top.form, letter.form)
-        stack.pop()
-        if type(prod) is Base and sys.in_base(n - 1, prod.value):
-            return sys.factor_mul(n, tail, prod.value)
-        newl, b = _left_canonical(sys, prod, n)
-        stack.append(newl)
         return sys.factor_mul(n, tail, b)
     stack.append(letter)
     return tail
@@ -202,39 +199,98 @@ def _assemble(sys, n, letters, tail):
     if not letters:
         return Base(tail)
     if len(letters) == 1 and type(letters[0]) is LLetter:
-        # no level-n letter survived: the element lives below level n
+        # no level-n letter survived: the element lives below level n (the
+        # tail, in B_{n-1}, joins the letter's tail: no letters are pushed)
         return mul(sys, letters[0].form, Base(tail))
     return Alt(n, tuple(letters), tail)
 
 
 def mul(sys, f, g):
-    lf, lg = f.level, g.level
-    if lf == 0 and lg == 0:
-        return Base(sys.factor_mul(0, f.value, g.value))
-    n = lf if lf > lg else lg
-    stack, ft = _lift(sys, f, n)
-    gletters, gt = _lift(sys, g, n)
-    tail = sys.factor_mul(n, ft, gt)
-    for letter in gletters:
-        tail = _push(sys, stack, n, letter, tail)
-    return _assemble(sys, n, stack, tail)
+    """Product of two canonical forms.
+
+    Both are lifted to the higher level n and g's letters are pushed onto
+    f's one at a time.  When two L-letters meet, the product waits for the
+    product of their forms: it is suspended as a frame
+    ``[n, letters, tail, g's letters left]`` on an explicit stack, so
+    nesting depth costs no Python stack.
+    """
+    frames = []
+    prod = None
+    while True:
+        if f is not None:
+            lf, lg = f.level, g.level
+            if lf == 0 and lg == 0:
+                prod = Base(sys.factor_mul(0, f.value, g.value))
+            else:
+                n = lf if lf > lg else lg
+                stack, ft = _lift(sys, f, n)
+                gletters, gt = _lift(sys, g, n)
+                frames.append([n, stack, sys.factor_mul(n, ft, gt),
+                               iter(gletters)])
+            f = None
+        if not frames:
+            return prod
+        frame = frames[-1]
+        n, stack, tail, gletters = frame
+        if prod is not None:
+            # the product of the two L-letters this frame was waiting on
+            if type(prod) is Base and sys.in_base(n - 1, prod.value):
+                tail = sys.factor_mul(n, tail, prod.value)
+            else:
+                newl, b = _left_canonical(sys, prod, n)
+                stack.append(newl)
+                tail = sys.factor_mul(n, tail, b)
+            prod = None
+        for letter in gletters:
+            if (type(letter) is LLetter and stack
+                    and type(stack[-1]) is LLetter):
+                f, g = stack.pop().form, letter.form
+                frame[2] = tail
+                break
+            tail = _push(sys, stack, n, letter, tail)
+        else:
+            frames.pop()
+            prod = _assemble(sys, n, stack, tail)
 
 
 def inv(sys, form):
+    """Inverse of a canonical form.
+
+    Letters are inverted in reverse order and re-canonicalized, each
+    residue moving into the central tail; an inverted L-letter's form is
+    split like ``_left_canonical`` does.  A nested Alt is inverted first:
+    the outer inversion is suspended as ``(level, letters left, letters
+    out, tail)`` on an explicit stack.
+    """
     if type(form) is Base:
         return Base(sys.factor_inv(0, form.value))
-    n = form.level
-    tail = sys.factor_inv(n, form.tail)
-    out = []
-    for letter in reversed(form.letters):
-        if type(letter) is RLetter:
-            rep, b = sys.split(n, sys.factor_inv(n, letter.value))
-            out.append(RLetter(rep))
+    split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
+    suspended = []
+    n, letters = form.level, reversed(form.letters)
+    out, tail = [], finv(n, form.tail)
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                rep, b = split(n, finv(n, letter.value))
+                out.append(RLetter(rep))
+            elif type(letter.form) is Base:
+                rep, b = split(n, finv(0, letter.form.value))
+                out.append(LLetter(Base(rep)))
+            else:
+                suspended.append((n, letters, out, tail))
+                sub = letter.form
+                n, letters = sub.level, reversed(sub.letters)
+                out, tail = [], finv(n, sub.tail)
+                break
+            tail = fmul(n, tail, b)
         else:
-            newl, b = _left_canonical(sys, inv(sys, letter.form), n)
-            out.append(newl)
-        tail = sys.factor_mul(n, tail, b)
-    return Alt(n, tuple(out), tail)
+            if not suspended:
+                return Alt(n, tuple(out), tail)
+            m, inner, inner_tail = n, tuple(out), tail
+            n, letters, out, tail = suspended.pop()
+            rep, b = split(n, inner_tail)
+            out.append(LLetter(Alt(m, inner, rep)))
+            tail = fmul(n, tail, b)
 
 
 def forms_equal(sys, f, g):

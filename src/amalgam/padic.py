@@ -2,9 +2,9 @@
 
 Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
-overflow.  The inner loops are the integer-pair kernels in
-``amalgam._kernels``.  ``check_prime`` validates the prime every instance is
-built on.
+overflow.  The operators run on the integer-pair kernels in
+``amalgam._kernels``; the dense instance does its own arithmetic on the
+pairs.  ``check_prime`` validates the prime every instance is built on.
 """
 
 import math

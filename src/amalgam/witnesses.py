@@ -32,6 +32,7 @@ from amalgam.normalform import forms_equal, inject, inv, is_identity, mul
 from amalgam.wordexpr import (
     AtomE,
     CommE,
+    commutator_depths,
     eval_expr,
     expr_str,
     form_expr_str,
@@ -275,36 +276,15 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(text):
+    """Load a certificate; text that is not one raises ``InvalidParams``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParams(f"certificate is not valid JSON: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise InvalidParams("malformed certificate: JSON nests too deeply") from None
     return certificate_from_json_dict(data)
-
-
-def _tree_depth(e):
-    """Depth of a perfect commutator tree; None if the shape is wrong."""
-    if type(e) is CommE:
-        dl = _tree_depth(e.a)
-        dr = _tree_depth(e.b)
-        if dl is None or dr is None or dl != dr:
-            return None
-        return dl + 1
-    # a leaf must be commutator-free
-    if _contains_comm(e):
-        return None
-    return 0
-
-
-def _contains_comm(e):
-    t = type(e)
-    if t is CommE:
-        return True
-    if t is AtomE:
-        return False
-    if hasattr(e, "child"):
-        return _contains_comm(e.child)
-    return any(_contains_comm(c) for c in e.terms)
 
 
 def verify(cert):
@@ -335,7 +315,8 @@ def verify(cert):
             return result.level == cert.m + 1 > cert.k
         if type(cert) is DerivedCertificate:
             tree = parse_expr(cert.tree_expr, sys)
-            if _tree_depth(tree) != cert.d:
+            # a perfect commutator tree of depth d with commutator-free leaves
+            if commutator_depths(tree).get(id(tree), 0) != cert.d:
                 return False
             result = eval_expr(sys, tree)
             if is_identity(sys, result):

@@ -8,12 +8,29 @@ Grammar (whitespace-insensitive)::
 
 The literal between an atom's parentheses is instance-specific and parsed by
 the factor system; a commutator [a,b] denotes a b a^-1 b^-1.  The AST keeps
-commutators as nodes (certificate verification needs the tree shape); lowering
-to flat syllables happens in ``expr_to_word``.
+commutators as nodes (certificate verification needs the tree shape).
+
+No function here recurses once per nesting level, so the depth of an
+expression or form is bounded by memory, not by Python's stack:
+
+* ``parse_expr`` makes one left-to-right pass.  Compiled patterns match a
+  whole atom (with its inversion suffix and the whitespace after it) in one
+  step, and each open ``(`` or ``[`` is a frame on an explicit stack.
+* ``eval_expr`` evaluates on the tree's structure.  A subtree without
+  commutators is lowered to flat syllables (``expr_to_word``) and reduced in
+  one ``reduce_word`` pass; a commutator [a, b] evaluates a and b once and
+  returns (ab)(ba)^-1, and inversions and products above a commutator
+  combine their children's forms with ``inv`` and ``mul``.  A depth-d
+  commutator tree therefore never expands into its 4**d syllables.
+* ``expr_to_word``, ``commutator_depths`` and the printers (``expr_str``,
+  ``form_to_expr``, ``format_form``) walk with explicit stacks, and the
+  printers join one list of pieces once.
 """
 
+import re
+
 from amalgam.errors import ExprSyntaxError
-from amalgam.normalform import Base, RLetter, reduce_word
+from amalgam.normalform import Base, RLetter, inv, mul, reduce_word
 
 
 class AtomE:
@@ -59,179 +76,373 @@ class ProdE:
 
 
 _TERM_STARTS = frozenset("h[(")
+_WS = re.compile(r"\s*")
+# The optional "^-1" after an atom or a closing parenthesis, and the
+# whitespace after it.
+_SUFFIX = r"\s*(?:(?P<caret>\^)\s*(?P<minus>-1)?\s*)?"
+_INVERSE = re.compile(_SUFFIX)
+# An atom whose literal nests parentheses at most one deep (the literals of
+# every shipped instance) with its suffix, in one match.
+_ATOM = re.compile(r"h(\d+)\s*\(([^()]*(?:\([^()]*\)[^()]*)*)\)" + _SUFFIX)
+_DIGITS = re.compile(r"\d*")
+_PAREN = re.compile(r"[()]")
 
 
-class _Parser:
-    def __init__(self, src, sys):
-        self.src = src
-        self.sys = sys
-        self.pos = 0
-
-    def error(self, message):
-        raise ExprSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def expr(self):
-        terms = [self.term()]
-        while True:
-            self.skip_ws()
-            if self.peek() in _TERM_STARTS:
-                terms.append(self.term())
-            else:
-                break
-        return terms[0] if len(terms) == 1 else ProdE(terms)
-
-    def term(self):
-        self.skip_ws()
-        c = self.peek()
-        if c == "h":
-            return self.maybe_inverted(self.atom())
-        if c == "[":
-            self.pos += 1
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("]")
-            return CommE(a, b)
-        if c == "(":
-            self.pos += 1
-            e = self.expr()
-            self.expect(")")
-            return self.maybe_inverted(e)
-        self.error("expected 'h', '[' or '('")
-
-    def maybe_inverted(self, e):
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            if not self.src.startswith("-1", self.pos):
-                self.error("expected '-1' after '^'")
-            self.pos += 2
-            return InvE(e)
+def _inverted(m, e):
+    """e, or its inverse if m (an _ATOM or _INVERSE match) saw "^-1"."""
+    if m.group("caret") is None:
         return e
+    if m.group("minus") is None:
+        raise ExprSyntaxError("expected '-1' after '^'", m.end())
+    return InvE(e)
 
-    def atom(self):
-        self.pos += 1  # past 'h'
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a factor level after 'h'")
-        n = int(self.src[start : self.pos])
-        self.expect("(")
-        lit_start = self.pos
-        depth = 1
-        while self.pos < len(self.src):
-            c = self.src[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            self.pos += 1
-        else:
-            self.error("unterminated value literal")
-        literal = self.src[lit_start : self.pos]
-        self.pos += 1  # past ')'
-        return AtomE(n, self.sys.parse_value(literal))
+
+def _general_atom(src, pos, sys):
+    """(atom, match after it) for the atom at src[pos] == 'h', any literal."""
+    start = pos + 1
+    digits = _DIGITS.match(src, start)
+    if digits.end() == start:
+        raise ExprSyntaxError("expected a factor level after 'h'", start)
+    pos = _WS.match(src, digits.end()).end()
+    if not src.startswith("(", pos):
+        raise ExprSyntaxError("expected '('", pos)
+    lit_start = pos = pos + 1
+    depth = 1
+    while depth:
+        paren = _PAREN.search(src, pos)
+        if paren is None:
+            raise ExprSyntaxError("unterminated value literal", len(src))
+        pos = paren.end()
+        depth += 1 if paren.group() == "(" else -1
+    atom = AtomE(int(digits.group()), sys.parse_value(src[lit_start:pos - 1]))
+    return atom, _INVERSE.match(src, pos)
 
 
 def parse_expr(src, sys):
-    """Parse one word expression; raises ExprSyntaxError or LiteralError."""
-    p = _Parser(src, sys)
-    e = p.expr()
-    p.skip_ws()
-    if p.pos != len(src):
-        p.error("unexpected trailing input")
-    return e
+    """Parse one word expression; raises ExprSyntaxError or LiteralError.
+
+    One pass with an explicit stack of open groups, each
+    ``[opener, enclosing terms, first commutator operand]``; ``terms``
+    collects the product being read inside the innermost group.  Positions
+    in error messages point past any whitespace, at the offending character.
+    """
+    groups = []
+    terms = []
+    end = len(src)
+    pos = _WS.match(src).end()
+    while True:
+        # a term starts here
+        c = src[pos:pos + 1]
+        if c == "h":
+            m = _ATOM.match(src, pos)
+            if m is None:
+                atom, m = _general_atom(src, pos, sys)
+                terms.append(_inverted(m, atom))
+            else:
+                level, literal, caret, _ = m.groups()
+                atom = AtomE(int(level), sys.parse_value(literal))
+                terms.append(atom if caret is None else _inverted(m, atom))
+            pos = m.end()
+        elif c == "(" or c == "[":
+            groups.append([c, terms, None])
+            terms = []
+            pos = _WS.match(src, pos + 1).end()
+            continue
+        else:
+            raise ExprSyntaxError("expected 'h', '[' or '('", pos)
+        # after a term: close every group that ends here
+        while True:
+            c = src[pos:pos + 1]
+            if c in _TERM_STARTS:
+                break
+            e = terms[0] if len(terms) == 1 else ProdE(terms)
+            if not groups:
+                if pos != end:
+                    raise ExprSyntaxError("unexpected trailing input", pos)
+                return e
+            group = groups[-1]
+            if group[0] == "(":
+                if c != ")":
+                    raise ExprSyntaxError("expected ')'", pos)
+                m = _INVERSE.match(src, pos + 1)
+                e = _inverted(m, e)
+                pos = m.end()
+            elif group[2] is None:
+                if c != ",":
+                    raise ExprSyntaxError("expected ','", pos)
+                group[2] = e
+                terms = []
+                pos = _WS.match(src, pos + 1).end()
+                break
+            else:
+                if c != "]":
+                    raise ExprSyntaxError("expected ']'", pos)
+                e = CommE(group[2], e)
+                pos = _WS.match(src, pos + 1).end()
+            groups.pop()
+            terms = group[1]
+            terms.append(e)
 
 
-def _inv_word(sys, w):
-    return [(n, sys.factor_inv(n, x)) for n, x in reversed(w)]
+def _children(e):
+    t = type(e)
+    if t is ProdE:
+        return e.terms
+    if t is CommE:
+        return (e.a, e.b)
+    if t is InvE:
+        return (e.child,)
+    return ()
+
+
+def commutator_depths(e):
+    """Commutator depth of the subtrees of an AST, without recursion.
+
+    The depth is 0 for a subtree with no commutator, d for a perfect binary
+    commutator tree of depth d whose leaves have no commutator, and None for
+    any other subtree.  Returns ``{id(node): depth}`` for the nodes whose
+    depth is not 0, so a commutator-free AST maps to ``{}``.
+    """
+    order = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is not AtomE:
+            order.append(node)
+            stack += _children(node)
+    depth = {}
+    if not any(type(node) is CommE for node in order):
+        return depth
+    get = depth.get
+    for node in reversed(order):
+        t = type(node)
+        if t is CommE:
+            da, db = get(id(node.a), 0), get(id(node.b), 0)
+            depth[id(node)] = da + 1 if da is not None and da == db else None
+        elif any(id(c) in depth for c in _children(node)):
+            depth[id(node)] = None
+    return depth
 
 
 def expr_to_word(sys, e):
-    """Lower an AST to flat (level, value) syllables."""
-    t = type(e)
-    if t is AtomE:
-        return [(e.level, e.value)]
-    if t is ProdE:
-        out = []
-        for c in e.terms:
-            out.extend(expr_to_word(sys, c))
-        return out
+    """Lower an AST to flat (level, value) syllables, without recursion.
+
+    A stack of ``(iterator over nodes, inverted)``: an inverted product is
+    walked in reverse with each atom inverted, and [a, b] lowers to
+    a b a^-1 b^-1, its inverse to b a b^-1 a^-1.
+    """
+    out = []
+    stack = [(iter((e,)), False)]
+    while stack:
+        nodes, inverted = stack[-1]
+        for node in nodes:
+            t = type(node)
+            if t is AtomE:
+                n = node.level
+                out.append((n, sys.factor_inv(n, node.value)) if inverted
+                           else (n, node.value))
+                continue
+            if t is ProdE:
+                terms = node.terms
+                stack.append((reversed(terms) if inverted else iter(terms),
+                              inverted))
+            elif t is InvE:
+                stack.append((iter((node.child,)), not inverted))
+            else:
+                a, b = (node.b, node.a) if inverted else (node.a, node.b)
+                stack.append((iter((a, b, InvE(a), InvE(b))), False))
+            break
+        else:
+            stack.pop()
+    return out
+
+
+def _combine(sys, node, forms):
+    """Form of an inversion, commutator or product from its children's forms."""
+    t = type(node)
     if t is InvE:
-        return _inv_word(sys, expr_to_word(sys, e.child))
-    wa = expr_to_word(sys, e.a)
-    wb = expr_to_word(sys, e.b)
-    return wa + wb + _inv_word(sys, wa) + _inv_word(sys, wb)
+        return inv(sys, forms[0])
+    if t is CommE:
+        a, b = forms
+        return mul(sys, mul(sys, a, b), inv(sys, mul(sys, b, a)))
+    acc = forms[0]
+    for f in forms[1:]:
+        acc = mul(sys, acc, f)
+    return acc
 
 
 def eval_expr(sys, e):
-    return reduce_word(sys, expr_to_word(sys, e))
+    """Canonical form of an AST, evaluated on its structure.
+
+    Each maximal commutator-free subtree is reduced in one ``reduce_word``
+    pass; the nodes above them combine forms (see the module docstring).
+    Subtrees are visited left to right on an explicit stack of
+    ``(node, forms of its children so far)``.
+    """
+    depths = commutator_depths(e)
+    pending = []
+    node = e
+    while True:
+        if id(node) in depths:
+            pending.append((node, []))
+            node = _children(node)[0]
+            continue
+        form = reduce_word(sys, expr_to_word(sys, node))
+        while pending:
+            parent, forms = pending[-1]
+            forms.append(form)
+            kids = _children(parent)
+            if len(forms) < len(kids):
+                node = kids[len(forms)]
+                break
+            pending.pop()
+            form = _combine(sys, parent, forms)
+        else:
+            return form
 
 
 def expr_str(sys, e):
-    """Render an AST back to parseable text."""
-    t = type(e)
-    if t is AtomE:
-        return f"h{e.level}({sys.value_str(e.value)})"
-    if t is InvE:
-        inner = expr_str(sys, e.child)
-        if type(e.child) is AtomE:
-            return inner + "^-1"
-        return f"({inner})^-1"
-    if t is CommE:
-        return f"[{expr_str(sys, e.a)}, {expr_str(sys, e.b)}]"
-    return " ".join(
-        f"({expr_str(sys, c)})" if type(c) is ProdE else expr_str(sys, c)
-        for c in e.terms
-    )
+    """Render an AST back to parseable text.
+
+    A stack of iterators over pieces still to render: strings are copied
+    out, atoms are rendered in place, and any other node suspends the
+    current iterator while its own pieces are rendered.
+    """
+    vs = sys.value_str
+    out = []
+    stack = [iter((e,))]
+    while stack:
+        for item in stack[-1]:
+            t = type(item)
+            if t is str:
+                out.append(item)
+            elif t is AtomE:
+                out.append(f"h{item.level}({vs(item.value)})")
+            elif t is InvE:
+                if type(item.child) is AtomE:
+                    out.append(f"h{item.child.level}({vs(item.child.value)})^-1")
+                    continue
+                stack.append(iter(("(", item.child, ")^-1")))
+                break
+            elif t is CommE:
+                stack.append(iter(("[", item.a, ", ", item.b, "]")))
+                break
+            else:
+                pieces = []
+                for c in item.terms:
+                    if type(c) is ProdE:
+                        pieces += (" (", c, ")")
+                    else:
+                        pieces += (" ", c)
+                pieces[0] = pieces[0][1:]
+                stack.append(iter(pieces))
+                break
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 def form_to_expr(sys, form):
-    """A word expression denoting the element of a canonical form."""
+    """A word expression denoting the element of a canonical form.
+
+    Nested left letters suspend their parent's letter iterator on an
+    explicit stack of ``(level, letters left, terms so far, tail)``.
+    """
     if type(form) is Base:
         return AtomE(0, form.value)
-    n = form.level
-    terms = []
-    for letter in form.letters:
-        if type(letter) is RLetter:
-            terms.append(AtomE(n, letter.value))
+    pending = []
+    n, letters, terms, tail = form.level, iter(form.letters), [], form.tail
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                terms.append(AtomE(n, letter.value))
+            elif type(letter.form) is Base:
+                terms.append(AtomE(0, letter.form.value))
+            else:
+                pending.append((n, letters, terms, tail))
+                sub = letter.form
+                n, letters, terms, tail = sub.level, iter(sub.letters), [], sub.tail
+                break
         else:
-            terms.append(form_to_expr(sys, letter.form))
-    if form.tail != sys.factor_id(n):
-        terms.append(AtomE(0, form.tail))
-    return terms[0] if len(terms) == 1 else ProdE(terms)
+            if tail != sys.factor_id(n):
+                terms.append(AtomE(0, tail))
+            e = terms[0] if len(terms) == 1 else ProdE(terms)
+            if not pending:
+                return e
+            n, letters, terms, tail = pending.pop()
+            terms.append(e)
 
 
 def form_expr_str(sys, form):
-    return expr_str(sys, form_to_expr(sys, form))
+    """The text of ``form_to_expr(sys, form)``, rendered from the form.
+
+    No AST is built.  A nested form of more than one term is written in
+    parentheses; its parent's letter iterator waits on an explicit stack
+    of ``(level, letters left, tail)``.
+    """
+    vs = sys.value_str
+    if type(form) is Base:
+        return f"h0({vs(form.value)})"
+    out = []
+    pending = []
+    n, letters, tail = form.level, iter(form.letters), form.tail
+    sep = ""
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                out.append(f"{sep}h{n}({vs(letter.value)})")
+            elif type(letter.form) is Base:
+                out.append(f"{sep}h0({vs(letter.form.value)})")
+            else:
+                sub = letter.form
+                if (len(sub.letters) == 1
+                        and sub.tail == sys.factor_id(sub.level)):
+                    # one R-letter: a lone atom, without parentheses
+                    out.append(f"{sep}h{sub.level}({vs(sub.letters[0].value)})")
+                else:
+                    out.append(sep + "(")
+                    pending.append((n, letters, tail))
+                    n, letters, tail = sub.level, iter(sub.letters), sub.tail
+                    sep = ""
+                    break
+            sep = " "
+        else:
+            if tail != sys.factor_id(n):
+                out.append(f"{sep}h0({vs(tail)})")
+            if not pending:
+                return "".join(out)
+            out.append(")")
+            n, letters, tail = pending.pop()
+            sep = " "
 
 
 def format_form(sys, form):
-    """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t)."""
+    """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t).
+
+    Nested left letters suspend their parent's letter iterator on an
+    explicit stack, as in ``form_to_expr``.
+    """
+    vs = sys.value_str
     if type(form) is Base:
-        return f"Base({sys.value_str(form.value)})"
-    bits = []
-    for letter in form.letters:
-        if type(letter) is RLetter:
-            bits.append("R:" + sys.value_str(letter.value))
+        return f"Base({vs(form.value)})"
+    out = [f"Alt({form.level}; "]
+    pending = []
+    letters, tail = iter(form.letters), form.tail
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                out.append(f"R:{vs(letter.value)}; ")
+            elif type(letter.form) is Base:
+                out.append(f"L:(Base({vs(letter.form.value)})); ")
+            else:
+                pending.append((letters, tail))
+                sub = letter.form
+                out.append(f"L:(Alt({sub.level}; ")
+                letters, tail = iter(sub.letters), sub.tail
+                break
         else:
-            bits.append("L:(" + format_form(sys, letter.form) + ")")
-    bits.append("tail " + sys.value_str(form.tail))
-    return f"Alt({form.level}; " + "; ".join(bits) + ")"
+            out.append(f"tail {vs(tail)})")
+            if not pending:
+                return "".join(out)
+            out.append("); ")
+            letters, tail = pending.pop()

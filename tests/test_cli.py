@@ -240,13 +240,24 @@ def test_negative_witness_arguments_are_precondition_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-DEEP_FLAT = " ".join(f"h{n}(1)" for n in range(500, 1, -1)) + " h1(1/5) h0(1/5)"
+def deep_flat(top):
+    """A flat word whose form nests one LLetter per level, top down to 1."""
+    return " ".join(f"h{n}(1)" for n in range(top, 1, -1)) + " h1(1/5) h0(1/5)"
+
+
+def deep_flat_form(top):
+    """format_form of deep_flat(top), built up from the bottom level."""
+    text = "Alt(1; R:1/5; L:(Base(1/5)); tail 0)"
+    for n in range(2, top + 1):
+        text = f"Alt({n}; R:1; L:({text}); tail 0)"
+    return text
+
+
+DEEP_FLAT = deep_flat(500)
 DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
 
 
 @pytest.mark.parametrize("argv", [
-    ("reduce", DEEP_FLAT),
-    ("level", DEEP_PARENS),
     ("witness", "derived", "12", "0"),
     ("reduce", "h0(1)", "--prime", str(2**64 + 13)),
     ("reduce", "h0(1)", "--prime", str(1000003 * 1000033)),
@@ -263,6 +274,25 @@ def test_deep_flat_word_level_is_answered(capsys):
     code, out, _ = run(capsys, "level", DEEP_FLAT)
     assert code == 0
     assert out == "level=500\n"
+
+
+def test_deep_flat_word_reduce_is_answered(capsys):
+    code, out, err = run(capsys, "reduce", DEEP_FLAT)
+    assert code == 0 and err == ""
+    assert out == deep_flat_form(500) + ", level=500\n"
+
+
+def test_deep_parens_level_is_answered(capsys):
+    code, out, err = run(capsys, "level", DEEP_PARENS)
+    assert code == 0 and err == ""
+    assert out == "level=0\n"
+
+
+def test_deep_commutator_level_is_answered(capsys):
+    # mul and inv walk the 1000 nested left letters without recursing
+    code, out, err = run(capsys, "level", f"[{deep_flat(1000)}, h1(1)]")
+    assert code == 0 and err == ""
+    assert out == "level=1000\n"
 
 
 def test_huge_prime_is_accepted(capsys):
@@ -317,6 +347,29 @@ def test_verify_huge_tampered_stage_is_invalid(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(cert_file))
     assert code == 4
     assert out.strip() == "certificate INVALID"
+
+
+@pytest.mark.parametrize("field", ["result", "tree"])
+def test_verify_deeply_nested_expression_is_invalid(capsys, tmp_path, field):
+    _, out, _ = run(capsys, "witness", "derived", "2", "1")
+    data = json.loads(out)
+    if field == "result":
+        data["result"]["expr"] = DEEP_PARENS
+    else:
+        data["inputs"]["tree"] = DEEP_PARENS
+    cert_file = tmp_path / "deep.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 4 and err == ""
+    assert out == "certificate INVALID\n"
+
+
+def test_verify_deeply_nested_json_is_malformed(capsys, tmp_path):
+    cert_file = tmp_path / "nested.json"
+    cert_file.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 2 and out == ""
+    assert err == "error: malformed certificate: JSON nests too deeply\n"
 
 
 def test_verify_malformed_file(capsys, tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError, UnsupportedLevel
 from amalgam.factors import check_instance
 from amalgam.instances import make_instance
@@ -158,6 +159,34 @@ def test_dense_split_rep_range(dense):
             assert rep.num >= 0
             # rep < p**(n-1) after clearing the denominator
             assert rep.num < 5 ** (n - 1 + rep.den_exp)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_dense_inline_arithmetic_matches_kernels(p):
+    # the instance computes on num/den_exp itself; the integer-pair kernels
+    # are the reference
+    dense = make_instance("dense", p)
+    rng = random.Random(p)
+
+    def value():
+        if rng.random() < 0.15:
+            return PAdicRational(0, 0, p)
+        return PAdicRational(rng.randint(-p**6, p**6) * p**rng.randint(0, 3),
+                             rng.randint(0, 4), p)
+
+    for _ in range(3000):
+        x, y, n = value(), value(), rng.randint(1, 6)
+        z = dense.factor_mul(n, x, y)
+        assert z.p == p
+        assert (z.num, z.den_exp) == K.add(x.num, x.den_exp, y.num, y.den_exp, p)
+        xi = dense.factor_inv(n, x)
+        assert (xi.num, xi.den_exp, xi.p) == (-x.num, x.den_exp, p)
+        for m in (n - 1, n):
+            assert dense.in_base(m, x) == K.in_subgroup(x.num, x.den_exp, p, m)
+        rep, b = dense.split(n, x)
+        assert (rep.num, rep.den_exp, b.num, b.den_exp) == \
+            K.coset_split(x.num, x.den_exp, p, n - 1)
+        assert rep.p == b.p == p
 
 
 @pytest.mark.parametrize("name", ALL)

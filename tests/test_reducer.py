@@ -18,6 +18,7 @@ from amalgam.normalform import (
     forms_equal,
     identity,
     inject,
+    inv,
     mul,
     reduce_word,
 )
@@ -167,6 +168,20 @@ def test_deep_form_equality_and_hash():
     assert hash(f) == hash(g)
     # a difference at the bottom of the nesting is seen
     assert f != reduce_word(dense, word + [(0, dense.escape_elem(0))])
+
+
+def test_deep_mul_and_inv():
+    # inv and mul keep explicit stacks: a 1000-level form, whose L-letters
+    # meet at every level of f * f^-1, needs no Python stack per level
+    dense = INSTANCES["dense"]
+    word = descending_word(dense, 1000)
+    f = reduce_word(dense, word)
+    g = inv(dense, f)
+    assert inv(dense, g) == f
+    assert mul(dense, f, g) == identity(dense)
+    assert mul(dense, g, f) == identity(dense)
+    assert g == reduce_word(dense, inverse_word(dense, word))
+    assert mul(dense, f, f) == reduce_word(dense, word + word)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

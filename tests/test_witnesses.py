@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from amalgam import wordexpr
 from amalgam.errors import (
     IdentityInput,
     InvalidParams,
@@ -285,6 +286,25 @@ def test_commutator_hidden_in_leaf_fails(dense):
     # nor is a bare commutator wrapped in parens to fake a deeper tree
     bad2 = _tamper(cert, **{"inputs.tree": "[h4(1), ([h3(1), h2(1)])]"})
     assert not verify(bad2)
+
+
+def test_verify_does_not_expand_commutators(dense, monkeypatch):
+    cert = derived_escape(dense, 6, 0)
+    result_word = wordexpr.expr_to_word(
+        dense, wordexpr.parse_expr(cert.result_expr, dense))
+    counts = []
+    reduce = wordexpr.reduce_word
+
+    def counting(sys, word):
+        counts.append(len(word))
+        return reduce(sys, word)
+
+    monkeypatch.setattr(wordexpr, "reduce_word", counting)
+    assert verify(cert)
+    # lowered, the tree alone is 4**6 syllables; evaluated on its structure
+    # only the commutator-free result and the 2**6 one-atom leaves are
+    assert counts == [len(result_word)] + [1] * 2**6
+    assert sum(counts) < 4**6
 
 
 def test_identity_valued_tree_fails(dense):

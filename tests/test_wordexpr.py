@@ -6,7 +6,14 @@ import pytest
 
 from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import make_instance
-from amalgam.normalform import forms_equal, inv, is_identity, mul, reduce_word
+from amalgam.normalform import (
+    forms_equal,
+    identity,
+    inv,
+    is_identity,
+    mul,
+    reduce_word,
+)
 from amalgam.padic import PAdicRational
 from amalgam.wordexpr import (
     AtomE,
@@ -210,3 +217,192 @@ def test_commutator_of_commuting_elements_is_identity(dense):
 def test_commutator_level(dense):
     e = parse_expr("[h1(1/5), h0(1/5)]", dense)
     assert eval_expr(dense, e).level == 1
+
+
+# -- differential tests against recursive references -------------------------
+
+
+class RecursiveParser:
+    """Recursive-descent reference for the grammar, one call per term."""
+
+    def __init__(self, src, sys):
+        self.src, self.sys, self.pos = src, sys, 0
+
+    def error(self, message):
+        raise ExprSyntaxError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.src[self.pos] if self.pos < len(self.src) else ""
+
+    def expect(self, ch):
+        self.skip_ws()
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse(self):
+        e = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.src):
+            self.error("unexpected trailing input")
+        return e
+
+    def expr(self):
+        terms = [self.term()]
+        self.skip_ws()
+        while self.peek() in ("h", "[", "("):
+            terms.append(self.term())
+            self.skip_ws()
+        return terms[0] if len(terms) == 1 else ProdE(terms)
+
+    def term(self):
+        self.skip_ws()
+        c = self.peek()
+        if c == "h":
+            return self.maybe_inverted(self.atom())
+        if c == "[":
+            self.pos += 1
+            a = self.expr()
+            self.expect(",")
+            b = self.expr()
+            self.expect("]")
+            return CommE(a, b)
+        if c == "(":
+            self.pos += 1
+            e = self.expr()
+            self.expect(")")
+            return self.maybe_inverted(e)
+        self.error("expected 'h', '[' or '('")
+
+    def maybe_inverted(self, e):
+        self.skip_ws()
+        if self.peek() != "^":
+            return e
+        self.pos += 1
+        self.skip_ws()
+        if not self.src.startswith("-1", self.pos):
+            self.error("expected '-1' after '^'")
+        self.pos += 2
+        return InvE(e)
+
+    def atom(self):
+        self.pos += 1
+        start = self.pos
+        while self.peek().isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected a factor level after 'h'")
+        n = int(self.src[start:self.pos])
+        self.expect("(")
+        lit_start, depth = self.pos, 1
+        while self.pos < len(self.src):
+            c = self.src[self.pos]
+            depth += (c == "(") - (c == ")")
+            if depth == 0:
+                break
+            self.pos += 1
+        else:
+            self.error("unterminated value literal")
+        literal = self.src[lit_start:self.pos]
+        self.pos += 1
+        return AtomE(n, self.sys.parse_value(literal))
+
+
+def parse_outcome(parse, text, sys):
+    try:
+        return "ok", repr(parse(text, sys))
+    except (ExprSyntaxError, LiteralError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def recursive_parse(text, sys):
+    return RecursiveParser(text, sys).parse()
+
+
+def random_ast(sys, rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        n = rng.randint(0, 4)
+        return AtomE(n, sys.sample(n, rng))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return InvE(random_ast(sys, rng, depth - 1))
+    if kind == 1:
+        return CommE(random_ast(sys, rng, depth - 1),
+                     random_ast(sys, rng, depth - 1))
+    return ProdE([random_ast(sys, rng, depth - 1)
+                  for _ in range(rng.randint(2, 3))])
+
+
+INSTANCES = [("dense", 5, None), ("heisenberg", 3, None),
+             ("cyclic", 2, {"L": 3})]
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_parser_matches_recursive_reference(name, p, params):
+    # texts of random trees, then the same texts with characters deleted,
+    # duplicated or swapped for grammar characters: the one-pass parser
+    # builds the same tree or raises the same error at the same position
+    sysx = make_instance(name, p, params)
+    rng = random.Random(11)
+    noise = "h[](),^-1 0/5x"
+    for _ in range(300):
+        text = expr_str(sysx, random_ast(sysx, rng, rng.randint(0, 4)))
+        variants = [text]
+        for _ in range(3):
+            i = rng.randrange(len(text) + 1)
+            j = i + rng.randint(0, 2)
+            variants.append(text[:i] + rng.choice(noise) + text[j:])
+            variants.append(text[:i] + text[j:])
+            variants.append(text[:i] + text[i:j] * 2 + text[j:])
+        for v in variants:
+            assert parse_outcome(parse_expr, v, sysx) == \
+                parse_outcome(recursive_parse, v, sysx), v
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_structural_eval_matches_lowered_word(name, p, params):
+    sysx = make_instance(name, p, params)
+    rng = random.Random(12)
+    for _ in range(150):
+        e = random_ast(sysx, rng, rng.randint(0, 5))
+        want = reduce_word(sysx, expr_to_word(sysx, e))
+        assert eval_expr(sysx, e) == want
+        text = expr_str(sysx, e)
+        assert expr_str(sysx, parse_expr(text, sysx)) == text
+        assert form_expr_str(sysx, want) == expr_str(
+            sysx, form_to_expr(sysx, want))
+
+
+def test_deep_expressions_need_no_stack(dense):
+    # 5,000 nested inversions, products and commutators parse, lower,
+    # evaluate and print
+    depth = 5000
+    inverted = "(" * depth + "h1(1/5)" + ")^-1" * depth
+    e = parse_expr(inverted, dense)
+    assert expr_to_word(dense, e) == [(1, PAdicRational(1, 1, 5))]
+    assert eval_expr(dense, e) == reduce_word(dense, [(1, PAdicRational(1, 1, 5))])
+    text = expr_str(dense, e)
+    assert expr_str(dense, parse_expr(text, dense)) == text
+    nested = "[" * depth + "h1(1/5)" + ", h0(5)]" * depth
+    e = parse_expr(nested, dense)
+    assert eval_expr(dense, e) == identity(dense)
+    assert expr_str(dense, e) == nested
+    products = "(" * depth + "h0(1) " + "h1(2)) " * depth
+    e = parse_expr(products, dense)
+    assert len(expr_to_word(dense, e)) == depth + 1
+    text = expr_str(dense, e)
+    assert expr_str(dense, parse_expr(text, dense)) == text
+
+
+def test_deep_form_round_trip(dense):
+    # a 5,000-level word reduces, prints as an expression and reduces back
+    word = [(n, PAdicRational(1, 0, 5)) for n in range(5000, 1, -1)]
+    form = reduce_word(dense, word + [(1, PAdicRational(1, 1, 5)),
+                                      (0, PAdicRational(1, 1, 5))])
+    text = form_expr_str(dense, form)
+    assert eval_expr(dense, parse_expr(text, dense)) == form
+    assert format_form(dense, form).count("Alt(") == 5000
