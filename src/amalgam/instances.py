@@ -15,16 +15,7 @@
 from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError
 from amalgam.factors import FactorSystem
-from amalgam.padic import PAdicRational, check_prime, parse_padic
-
-
-def _value(num, k, p):
-    """The PAdicRational num / p**k of a pair the caller has normalized."""
-    x = object.__new__(PAdicRational)
-    x.num = num
-    x.den_exp = k
-    x.p = p
-    return x
+from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
 
 class DenseInstance(FactorSystem):
@@ -65,12 +56,12 @@ class DenseInstance(FactorSystem):
         while k and num % p == 0:
             num //= p
             k -= 1
-        return _value(num, k, p)
+        return from_normalized(num, k, p)
 
     def factor_inv(self, n, x):
         if x.num == 0:
             return x
-        return _value(-x.num, x.den_exp, self.p)
+        return from_normalized(-x.num, x.den_exp, self.p)
 
     def in_base(self, n, x):
         num = x.num
@@ -86,13 +77,13 @@ class DenseInstance(FactorSystem):
         if rep == num:
             return h, self._zero
         base = (num - rep) // p ** k
-        base = _value(base, 0, p) if base else self._zero
+        base = from_normalized(base, 0, p) if base else self._zero
         if rep == 0:
             return self._zero, base
         while k and rep % p == 0:
             rep //= p
             k -= 1
-        return _value(rep, k, p), base
+        return from_normalized(rep, k, p), base
 
     def escape_elem(self, n):
         return self._invp if n == 0 else self._one

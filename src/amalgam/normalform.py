@@ -257,10 +257,10 @@ def inv(sys, form):
     """Inverse of a canonical form.
 
     Letters are inverted in reverse order and re-canonicalized, each
-    residue moving into the central tail; an inverted L-letter's form is
-    split like ``_left_canonical`` does.  A nested Alt is inverted first:
-    the outer inversion is suspended as ``(level, letters left, letters
-    out, tail)`` on an explicit stack.
+    residue moving into the central tail; an L-letter's inverted form goes
+    through ``_left_canonical``.  A nested Alt is inverted first: the outer
+    inversion is suspended as ``(level, letters left, letters out, tail)``
+    on an explicit stack.
     """
     if type(form) is Base:
         return Base(sys.factor_inv(0, form.value))
@@ -274,8 +274,9 @@ def inv(sys, form):
                 rep, b = split(n, finv(n, letter.value))
                 out.append(RLetter(rep))
             elif type(letter.form) is Base:
-                rep, b = split(n, finv(0, letter.form.value))
-                out.append(LLetter(Base(rep)))
+                newl, b = _left_canonical(
+                    sys, Base(finv(0, letter.form.value)), n)
+                out.append(newl)
             else:
                 suspended.append((n, letters, out, tail))
                 sub = letter.form
@@ -284,12 +285,12 @@ def inv(sys, form):
                 break
             tail = fmul(n, tail, b)
         else:
+            inverse = Alt(n, tuple(out), tail)
             if not suspended:
-                return Alt(n, tuple(out), tail)
-            m, inner, inner_tail = n, tuple(out), tail
+                return inverse
             n, letters, out, tail = suspended.pop()
-            rep, b = split(n, inner_tail)
-            out.append(LLetter(Alt(m, inner, rep)))
+            newl, b = _left_canonical(sys, inverse, n)
+            out.append(newl)
             tail = fmul(n, tail, b)
 
 

@@ -4,7 +4,8 @@ Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
 overflow.  The operators run on the integer-pair kernels in
 ``amalgam._kernels``; the dense instance does its own arithmetic on the
-pairs.  ``check_prime`` validates the prime every instance is built on.
+pairs and wraps each result with ``from_normalized``.  ``check_prime``
+validates the prime every instance is built on.
 """
 
 import math
@@ -74,21 +75,12 @@ class PAdicRational:
         self.p = p
 
     @classmethod
-    def _raw(cls, num, den_exp, p):
-        # Internal fast path: caller guarantees the pair is already normalized.
-        self = object.__new__(cls)
-        self.num = num
-        self.den_exp = den_exp
-        self.p = p
-        return self
-
-    @classmethod
     def zero(cls, p):
-        return cls._raw(0, 0, p)
+        return from_normalized(0, 0, p)
 
     @classmethod
     def one(cls, p):
-        return cls._raw(1, 0, p)
+        return from_normalized(1, 0, p)
 
     def _check_same(self, other):
         if not isinstance(other, PAdicRational):
@@ -102,24 +94,24 @@ class PAdicRational:
         if o is NotImplemented:
             return NotImplemented
         n, k = K.add(self.num, self.den_exp, o.num, o.den_exp, self.p)
-        return PAdicRational._raw(n, k, self.p)
+        return from_normalized(n, k, self.p)
 
     def __neg__(self):
-        return PAdicRational._raw(-self.num, self.den_exp, self.p)
+        return from_normalized(-self.num, self.den_exp, self.p)
 
     def __sub__(self, other):
         o = self._check_same(other)
         if o is NotImplemented:
             return NotImplemented
         n, k = K.add(self.num, self.den_exp, -o.num, o.den_exp, self.p)
-        return PAdicRational._raw(n, k, self.p)
+        return from_normalized(n, k, self.p)
 
     def __mul__(self, other):
         o = self._check_same(other)
         if o is NotImplemented:
             return NotImplemented
         n, k = K.mul(self.num, self.den_exp, o.num, o.den_exp, self.p)
-        return PAdicRational._raw(n, k, self.p)
+        return from_normalized(n, k, self.p)
 
     def __eq__(self, other):
         if not isinstance(other, PAdicRational):
@@ -155,6 +147,19 @@ class PAdicRational:
         return f"PAdicRational({self.num}, {self.den_exp}, p={self.p})"
 
 
+def from_normalized(num, den_exp, p):
+    """The PAdicRational num / p**den_exp of a pair that is already normalized.
+
+    Skips ``__init__``'s normalization; the operators above and the dense
+    instance's inline arithmetic build their results with it.
+    """
+    x = object.__new__(PAdicRational)
+    x.num = num
+    x.den_exp = den_exp
+    x.p = p
+    return x
+
+
 def parse_padic(text, p):
     """Parse `m` or `m/d` with d a positive power of the configured prime."""
     s = text.strip()
@@ -164,7 +169,7 @@ def parse_padic(text, p):
     except ValueError:
         raise LiteralError(f"bad integer numerator in {text!r}") from None
     if not slash:
-        return PAdicRational._raw(num, 0, p)
+        return from_normalized(num, 0, p)
     try:
         den = int(den_s.strip())
     except ValueError:

@@ -13,9 +13,9 @@ commutators as nodes (certificate verification needs the tree shape).
 No function here recurses once per nesting level, so the depth of an
 expression or form is bounded by memory, not by Python's stack:
 
-* ``parse_expr`` makes one left-to-right pass.  Compiled patterns match a
+* ``parse_expr`` makes one left-to-right pass.  A compiled pattern reads a
   whole atom (with its inversion suffix and the whitespace after it) in one
-  step, and each open ``(`` or ``[`` is a frame on an explicit stack.
+  match, and each open ``(`` or ``[`` is a frame on an explicit stack.
 * ``eval_expr`` evaluates on the tree's structure.  A subtree without
   commutators is lowered to flat syllables (``expr_to_word``) and reduced in
   one ``reduce_word`` pass; a commutator [a, b] evaluates a and b once and
@@ -81,8 +81,7 @@ _WS = re.compile(r"\s*")
 # whitespace after it.
 _SUFFIX = r"\s*(?:(?P<caret>\^)\s*(?P<minus>-1)?\s*)?"
 _INVERSE = re.compile(_SUFFIX)
-# An atom whose literal nests parentheses at most one deep (the literals of
-# every shipped instance) with its suffix, in one match.
+# An atom whose literal nests parentheses at most one deep, with its suffix.
 _ATOM = re.compile(r"h(\d+)\s*\(([^()]*(?:\([^()]*\)[^()]*)*)\)" + _SUFFIX)
 _DIGITS = re.compile(r"\d*")
 _PAREN = re.compile(r"[()]")
@@ -97,8 +96,16 @@ def _inverted(m, e):
     return InvE(e)
 
 
-def _general_atom(src, pos, sys):
-    """(atom, match after it) for the atom at src[pos] == 'h', any literal."""
+def _atom(src, pos, sys):
+    """(atom, suffix match after it) for the atom at src[pos] == 'h'.
+
+    One ``_ATOM`` match reads the literals of every shipped instance.  Any
+    other atom, a malformed one included, is read piece by piece, which
+    balances deeper parentheses and finds the position of an error.
+    """
+    m = _ATOM.match(src, pos)
+    if m is not None:
+        return AtomE(int(m.group(1)), sys.parse_value(m.group(2))), m
     start = pos + 1
     digits = _DIGITS.match(src, start)
     if digits.end() == start:
@@ -134,14 +141,8 @@ def parse_expr(src, sys):
         # a term starts here
         c = src[pos:pos + 1]
         if c == "h":
-            m = _ATOM.match(src, pos)
-            if m is None:
-                atom, m = _general_atom(src, pos, sys)
-                terms.append(_inverted(m, atom))
-            else:
-                level, literal, caret, _ = m.groups()
-                atom = AtomE(int(level), sys.parse_value(literal))
-                terms.append(atom if caret is None else _inverted(m, atom))
+            atom, m = _atom(src, pos, sys)
+            terms.append(_inverted(m, atom))
             pos = m.end()
         elif c == "(" or c == "[":
             groups.append([c, terms, None])
@@ -374,46 +375,7 @@ def form_to_expr(sys, form):
 
 
 def form_expr_str(sys, form):
-    """The text of ``form_to_expr(sys, form)``, rendered from the form.
-
-    No AST is built.  A nested form of more than one term is written in
-    parentheses; its parent's letter iterator waits on an explicit stack
-    of ``(level, letters left, tail)``.
-    """
-    vs = sys.value_str
-    if type(form) is Base:
-        return f"h0({vs(form.value)})"
-    out = []
-    pending = []
-    n, letters, tail = form.level, iter(form.letters), form.tail
-    sep = ""
-    while True:
-        for letter in letters:
-            if type(letter) is RLetter:
-                out.append(f"{sep}h{n}({vs(letter.value)})")
-            elif type(letter.form) is Base:
-                out.append(f"{sep}h0({vs(letter.form.value)})")
-            else:
-                sub = letter.form
-                if (len(sub.letters) == 1
-                        and sub.tail == sys.factor_id(sub.level)):
-                    # one R-letter: a lone atom, without parentheses
-                    out.append(f"{sep}h{sub.level}({vs(sub.letters[0].value)})")
-                else:
-                    out.append(sep + "(")
-                    pending.append((n, letters, tail))
-                    n, letters, tail = sub.level, iter(sub.letters), sub.tail
-                    sep = ""
-                    break
-            sep = " "
-        else:
-            if tail != sys.factor_id(n):
-                out.append(f"{sep}h0({vs(tail)})")
-            if not pending:
-                return "".join(out)
-            out.append(")")
-            n, letters, tail = pending.pop()
-            sep = " "
+    return expr_str(sys, form_to_expr(sys, form))
 
 
 def format_form(sys, form):

@@ -259,7 +259,7 @@ DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
 
 @pytest.mark.parametrize("argv", [
     ("reduce", "h0(1)", "--prime", "1"),
-    ("witness", "derived", str(10**30), "0"),
+    ("phi", deep_flat(1000)),
     ("witness", "derived", "12", "0"),
     ("reduce", "h0(1)", "--prime", str(2**64 + 13)),
     ("reduce", "h0(1)", "--prime", str(1000003 * 1000033)),

@@ -373,8 +373,8 @@ def test_structural_eval_matches_lowered_word(name, p, params):
         assert eval_expr(sysx, e) == want
         text = expr_str(sysx, e)
         assert expr_str(sysx, parse_expr(text, sysx)) == text
-        assert form_expr_str(sysx, want) == expr_str(
-            sysx, form_to_expr(sysx, want))
+        assert eval_expr(sysx, parse_expr(form_expr_str(sysx, want),
+                                          sysx)) == want
 
 
 def test_deep_expressions_need_no_stack(dense):
