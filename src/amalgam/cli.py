@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 a computed answer is negative (eq false, a check
 suite found failures), 2 malformed input (expressions, literals, certificate
 files, including certificate fields of the wrong JSON type), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
-negative witness argument, a derived depth above 8, and ``phi`` or ``psi`` of
-a form nested about a thousand levels deep), 4 a certificate failed
-verification.
+negative witness argument, a derived depth above 8, a factor level above
+10,000, and a level or value too long for Python to read or print as a
+decimal), 4 a certificate failed verification (among them one whose cyclic
+``L`` is above 10,000).
 """
 
 import argparse
@@ -239,9 +240,6 @@ def main(argv=None):
         return _EXIT_PARSE
     except AmalgamError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return _EXIT_PRECONDITION
-    except RecursionError:
-        print("error: expression nests too deeply", file=_sys.stderr)
         return _EXIT_PRECONDITION
 
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all amalgam modules."""
+"""Exception hierarchy shared by all amalgam modules, and ``int_text``."""
+
+import sys
 
 
 class AmalgamError(Exception):
@@ -38,3 +40,15 @@ class ExprSyntaxError(AmalgamError):
 
 class LiteralError(AmalgamError):
     """A value literal inside an atom is malformed for the instance."""
+
+
+def int_text(convert, x):
+    """convert(x): ``int`` of decimal digits or ``str`` of an int, where
+    Python's int-string limit (a ValueError) becomes PreconditionViolated."""
+    try:
+        return convert(x)
+    except ValueError:
+        raise PreconditionViolated(
+            f"number too long: more than {sys.get_int_max_str_digits()} "
+            "decimal digits"
+        ) from None

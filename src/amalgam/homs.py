@@ -9,7 +9,7 @@ than letting an ill-defined family produce garbage images.
 
 import random
 
-from amalgam.errors import IncompatibleHom, PreconditionViolated
+from amalgam.errors import IncompatibleHom, PreconditionViolated, int_text
 from amalgam.normalform import Base, RLetter
 from amalgam.padic import unipotent
 
@@ -34,16 +34,15 @@ class Target:
 class LevelwiseHom:
     """A compatible family phi_n: H_n -> target, checked by sampling."""
 
-    def __init__(self, sys, target, phi, probe_levels=6, samples=25):
-        self.sys = sys
+    def __init__(self, sys, target, phi):
         self.target = target
         self.phi = phi
         rng = random.Random(_CHECK_SEED)
-        for n in range(probe_levels):
-            for _ in range(samples):
+        for n in range(6):
+            for _ in range(25):
                 x = sys.sample(n, rng)
                 y = sys.sample(n, rng)
-                lhs = phi(n, sys.factor_mul(n, x, y))
+                lhs = phi(n, sys.factor_mul(x, y))
                 rhs = target.add(phi(n, x), phi(n, y))
                 if lhs != rhs:
                     raise IncompatibleHom(
@@ -57,17 +56,22 @@ class LevelwiseHom:
 
 
 def phi_eval(g, hom):
-    """Image of g under the extension of hom's level maps."""
-    sys, target, phi = hom.sys, hom.target, hom.phi
-    if type(g) is Base:
-        return phi(0, g.value)
-    n = g.level
-    acc = phi(n, g.tail)
-    for letter in g.letters:
-        if type(letter) is RLetter:
-            acc = target.add(acc, phi(n, letter.value))
-        else:
-            acc = target.add(acc, phi_eval(letter.form, hom))
+    """Image of g under hom's level maps, summed in any order (abelian target)."""
+    add, phi = hom.target.add, hom.phi
+    acc = hom.target.zero
+    forms = [g]
+    while forms:
+        f = forms.pop()
+        if type(f) is Base:
+            acc = add(acc, phi(0, f.value))
+            continue
+        n = f.level
+        acc = add(acc, phi(n, f.tail))
+        for letter in f.letters:
+            if type(letter) is RLetter:
+                acc = add(acc, phi(n, letter.value))
+            else:
+                forms.append(letter.form)
     return acc
 
 
@@ -88,15 +92,15 @@ def standard_hom(sys):
     """The canonical levelwise family for each shipped instance.
 
     dense: every phi_n is the identity on Z[1/p], whose sums are the
-    instance's own level-0 group law.  heisenberg: drop the central z
+    instance's own group law.  heisenberg: drop the central z
     coordinate, landing in (Z^2, +).  cyclic: identity on Z/p**L.
     """
     kind = sys.kind
     if kind == "dense":
         target = Target(
             name="Z[1/p]",
-            zero=sys.factor_id(0),
-            add=lambda a, b: sys.factor_mul(0, a, b),
+            zero=sys.factor_id(),
+            add=lambda a, b: sys.factor_mul(a, b),
             value_str=str,
             embeds=True,
         )
@@ -106,7 +110,8 @@ def standard_hom(sys):
             name="Z^2",
             zero=(0, 0),
             add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            value_str=lambda a: f"({a[0]},{a[1]})",
+            value_str=lambda a: (
+                f"({int_text(str, a[0])},{int_text(str, a[1])})"),
         )
         return LevelwiseHom(sys, target, lambda n, x: (x[0], x[1]))
     if kind == "cyclic":
@@ -115,7 +120,7 @@ def standard_hom(sys):
             name=f"Z/{modulus}",
             zero=0,
             add=lambda a, b: (a + b) % modulus,
-            value_str=str,
+            value_str=lambda a: int_text(str, a),
         )
         return LevelwiseHom(sys, target, lambda n, x: x)
     raise PreconditionViolated(f"no standard hom for instance kind {kind!r}")

@@ -13,8 +13,8 @@
 """
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError
-from amalgam.factors import FactorSystem
+from amalgam.errors import InvalidParams, LiteralError, int_text
+from amalgam.factors import LEVEL_BOUND, FactorSystem
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
 
@@ -35,10 +35,10 @@ class DenseInstance(FactorSystem):
         self._invp = PAdicRational(1, 1, self.p)
         self._check_contract()
 
-    def factor_id(self, n):
+    def factor_id(self):
         return self._zero
 
-    def factor_mul(self, n, x, y):
+    def factor_mul(self, x, y):
         num, k, bn, bk = x.num, x.den_exp, y.num, y.den_exp
         if bn == 0:
             return x
@@ -58,7 +58,7 @@ class DenseInstance(FactorSystem):
             k -= 1
         return from_normalized(num, k, p)
 
-    def factor_inv(self, n, x):
+    def factor_inv(self, x):
         if x.num == 0:
             return x
         return from_normalized(-x.num, x.den_exp, self.p)
@@ -120,13 +120,13 @@ class HeisenbergInstance(FactorSystem):
         self._id = (0, 0, 0)
         self._check_contract()
 
-    def factor_id(self, n):
+    def factor_id(self):
         return self._id
 
-    def factor_mul(self, n, a, b):
+    def factor_mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
-    def factor_inv(self, n, a):
+    def factor_inv(self, a):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
 
     def in_base(self, n, a):
@@ -165,7 +165,8 @@ class HeisenbergInstance(FactorSystem):
         return (x, y, z)
 
     def value_str(self, a):
-        return f"({a[0]},{a[1]},{a[2]})"
+        x, y, z = (int_text(str, c) for c in a)
+        return f"({x},{y},{z})"
 
 
 class FiniteCyclicInstance(FactorSystem):
@@ -181,28 +182,30 @@ class FiniteCyclicInstance(FactorSystem):
 
     def __init__(self, p, L, chain_shift=1, max_level=None):
         self.p = check_prime(p)
-        if not isinstance(L, int) or isinstance(L, bool) or L < 2:
-            raise InvalidParams(f"cyclic instance needs integer L >= 2, got {L!r}")
+        if not isinstance(L, int) or isinstance(L, bool) or not 2 <= L <= LEVEL_BOUND:
+            raise InvalidParams(
+                f"cyclic instance needs integer 2 <= L <= {LEVEL_BOUND}, got {L!r}")
         if not isinstance(chain_shift, int) or chain_shift < 0:
             raise InvalidParams(f"chain_shift must be a natural, got {chain_shift!r}")
         if max_level is not None and (not isinstance(max_level, int) or max_level < 0):
             raise InvalidParams(f"max_level must be a natural or None, got {max_level!r}")
         self.L = L
         self.chain_shift = chain_shift
-        self.max_level = max_level
+        if max_level is not None:
+            self.max_level = min(max_level, LEVEL_BOUND)
         self.modulus = self.p**L
         self._check_contract()
 
     def _exp(self, n):
         return min(n + self.chain_shift, self.L)
 
-    def factor_id(self, n):
+    def factor_id(self):
         return 0
 
-    def factor_mul(self, n, x, y):
+    def factor_mul(self, x, y):
         return (x + y) % self.modulus
 
-    def factor_inv(self, n, x):
+    def factor_inv(self, x):
         return (-x) % self.modulus
 
     def in_base(self, n, x):
@@ -234,11 +237,11 @@ class FiniteCyclicInstance(FactorSystem):
             raise LiteralError(f"expected an integer residue, got {text!r}") from None
 
     def value_str(self, x):
-        return str(x)
+        return int_text(str, x)
 
     def params(self):
         out = {"L": self.L, "chain_shift": self.chain_shift}
-        if self.max_level is not None:
+        if self.max_level < LEVEL_BOUND:
             out["max_level"] = self.max_level
         return out
 

@@ -142,11 +142,11 @@ class Alt:
 
 
 def identity(sys):
-    return Base(sys.factor_id(0))
+    return Base(sys.factor_id())
 
 
 def is_identity(sys, form):
-    return type(form) is Base and form.value == sys.factor_id(0)
+    return type(form) is Base and form.value == sys.factor_id()
 
 
 def inject(sys, n, x):
@@ -185,12 +185,12 @@ def _push(sys, stack, n, letter, tail):
     are multiplied one level down.
     """
     if stack and type(letter) is RLetter and type(stack[-1]) is RLetter:
-        prod = sys.factor_mul(n, stack.pop().value, letter.value)
+        prod = sys.factor_mul(stack.pop().value, letter.value)
         if sys.in_base(n - 1, prod):
-            return sys.factor_mul(n, tail, prod)
+            return sys.factor_mul(tail, prod)
         rep, b = sys.split(n, prod)
         stack.append(RLetter(rep))
-        return sys.factor_mul(n, tail, b)
+        return sys.factor_mul(tail, b)
     stack.append(letter)
     return tail
 
@@ -220,12 +220,12 @@ def mul(sys, f, g):
         if f is not None:
             lf, lg = f.level, g.level
             if lf == 0 and lg == 0:
-                prod = Base(sys.factor_mul(0, f.value, g.value))
+                prod = Base(sys.factor_mul(f.value, g.value))
             else:
                 n = lf if lf > lg else lg
                 stack, ft = _lift(sys, f, n)
                 gletters, gt = _lift(sys, g, n)
-                frames.append([n, stack, sys.factor_mul(n, ft, gt),
+                frames.append([n, stack, sys.factor_mul(ft, gt),
                                iter(gletters)])
             f = None
         if not frames:
@@ -235,11 +235,11 @@ def mul(sys, f, g):
         if prod is not None:
             # the product of the two L-letters this frame was waiting on
             if type(prod) is Base and sys.in_base(n - 1, prod.value):
-                tail = sys.factor_mul(n, tail, prod.value)
+                tail = sys.factor_mul(tail, prod.value)
             else:
                 newl, b = _left_canonical(sys, prod, n)
                 stack.append(newl)
-                tail = sys.factor_mul(n, tail, b)
+                tail = sys.factor_mul(tail, b)
             prod = None
         for letter in gletters:
             if (type(letter) is LLetter and stack
@@ -263,27 +263,27 @@ def inv(sys, form):
     on an explicit stack.
     """
     if type(form) is Base:
-        return Base(sys.factor_inv(0, form.value))
+        return Base(sys.factor_inv(form.value))
     split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
     suspended = []
     n, letters = form.level, reversed(form.letters)
-    out, tail = [], finv(n, form.tail)
+    out, tail = [], finv(form.tail)
     while True:
         for letter in letters:
             if type(letter) is RLetter:
-                rep, b = split(n, finv(n, letter.value))
+                rep, b = split(n, finv(letter.value))
                 out.append(RLetter(rep))
             elif type(letter.form) is Base:
                 newl, b = _left_canonical(
-                    sys, Base(finv(0, letter.form.value)), n)
+                    sys, Base(finv(letter.form.value)), n)
                 out.append(newl)
             else:
                 suspended.append((n, letters, out, tail))
                 sub = letter.form
                 n, letters = sub.level, reversed(sub.letters)
-                out, tail = [], finv(n, sub.tail)
+                out, tail = [], finv(sub.tail)
                 break
-            tail = fmul(n, tail, b)
+            tail = fmul(tail, b)
         else:
             inverse = Alt(n, tuple(out), tail)
             if not suspended:
@@ -291,7 +291,7 @@ def inv(sys, form):
             n, letters, out, tail = suspended.pop()
             newl, b = _left_canonical(sys, inverse, n)
             out.append(newl)
-            tail = fmul(n, tail, b)
+            tail = fmul(tail, b)
 
 
 def forms_equal(sys, f, g):
@@ -306,7 +306,7 @@ def _close(sys, frames):
     p = parent[0]
     lifted, b = _lift(sys, _assemble(sys, m, letters, tail), p)
     parent[1] += lifted
-    parent[2] = sys.factor_mul(p, parent[2], b)
+    parent[2] = sys.factor_mul(parent[2], b)
 
 
 def reduce_word(sys, word):
@@ -335,7 +335,7 @@ def reduce_word(sys, word):
     subgroup holds it (a level-0 frame holds any).  At the end of the word
     every frame is closed into its parent and the root is assembled.
     """
-    frames = [[0, [], sys.factor_id(0)]]
+    frames = [[0, [], sys.factor_id()]]
     top = frames[0]
     for n, x in word:
         sys.check_level(n)
@@ -362,13 +362,13 @@ def reduce_word(sys, word):
                 else:
                     top = [form.level, list(form.letters), form.tail]
             else:
-                top = [n, [], sys.factor_id(n)]
+                top = [n, [], sys.factor_id()]
             frames.append(top)
         if n == 0:
-            top[2] = sys.factor_mul(top[0], top[2], x)
+            top[2] = sys.factor_mul(top[2], x)
         else:
             rep, b = sys.split(n, x)
-            tail = sys.factor_mul(n, top[2], b)
+            tail = sys.factor_mul(top[2], b)
             top[2] = _push(sys, top[1], n, RLetter(rep), tail)
     while len(frames) > 1:
         _close(sys, frames)
@@ -387,6 +387,6 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    zi = Base(sys.factor_inv(0, z))
+    zi = Base(sys.factor_inv(z))
     comm = mul(sys, mul(sys, g, Base(z)), mul(sys, inv(sys, g), zi))
     return is_identity(sys, comm)

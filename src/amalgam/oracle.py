@@ -22,7 +22,7 @@ def _rewrite(sys, sylls):
     while changed:
         changed = False
         for i, (n, x) in enumerate(sylls):
-            if x == sys.factor_id(n):
+            if x == sys.factor_id():
                 del sylls[i]
                 changed = True
                 break
@@ -33,13 +33,13 @@ def _rewrite(sys, sylls):
             if i + 1 < len(sylls):
                 m, y = sylls[i + 1]
                 if m == n:
-                    sylls[i] = (n, sys.factor_mul(n, x, y))
+                    sylls[i] = (n, sys.factor_mul(x, y))
                     del sylls[i + 1]
                     changed = True
                     break
                 if m > n and sys.in_base(m - 1, x):
                     # x is identified into the level-m factor and merges there
-                    sylls[i + 1] = (m, sys.factor_mul(m, x, y))
+                    sylls[i + 1] = (m, sys.factor_mul(x, y))
                     del sylls[i]
                     changed = True
                     break
@@ -49,14 +49,14 @@ def _rewrite(sys, sylls):
 def _build(sys, sylls):
     """Assemble an irreducible syllable list into its canonical form."""
     if not sylls:
-        return Base(sys.factor_id(0))
+        return Base(sys.factor_id())
     n = max(s[0] for s in sylls)
     if n == 0:
         # adjacent same-level merges leave exactly one level-0 syllable
         assert len(sylls) == 1
         return Base(sylls[0][1])
     letters = []
-    tail = sys.factor_id(n)
+    tail = sys.factor_id()
     seg = []
 
     def flush_segment():
@@ -68,21 +68,21 @@ def _build(sys, sylls):
         if type(sub) is Base:
             if sys.in_base(n - 1, sub.value):
                 # only a trailing base-member segment can reach this
-                tail = sys.factor_mul(n, tail, sub.value)
+                tail = sys.factor_mul(tail, sub.value)
                 return
             rep, b = sys.split(n, sub.value)
             letters.append(LLetter(Base(rep)))
         else:
             rep_t, b = sys.split(n, sub.tail)
             letters.append(LLetter(Alt(sub.level, sub.letters, rep_t)))
-        tail = sys.factor_mul(n, tail, b)
+        tail = sys.factor_mul(tail, b)
 
     for m, x in sylls:
         if m == n:
             flush_segment()
             rep, b = sys.split(n, x)
             letters.append(RLetter(rep))
-            tail = sys.factor_mul(n, tail, b)
+            tail = sys.factor_mul(tail, b)
         else:
             seg.append((m, x))
     flush_segment()

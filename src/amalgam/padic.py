@@ -8,10 +8,8 @@ pairs and wraps each result with ``from_normalized``.  ``check_prime``
 validates the prime every instance is built on.
 """
 
-import math
-
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError
+from amalgam.errors import InvalidParams, LiteralError, int_text
 
 
 # Trial divisors, and the Miller-Rabin bases that decide primality for every
@@ -64,9 +62,7 @@ class PAdicRational:
 
     __slots__ = ("num", "den_exp", "p")
 
-    def __init__(self, num, den_exp=0, p=None):
-        if p is None:
-            raise InvalidParams("PAdicRational needs a prime")
+    def __init__(self, num, den_exp, p):
         if den_exp < 0:
             raise InvalidParams(f"den_exp must be a natural, got {den_exp}")
         n, k = K.norm(num, den_exp, p)
@@ -96,16 +92,6 @@ class PAdicRational:
         n, k = K.add(self.num, self.den_exp, o.num, o.den_exp, self.p)
         return from_normalized(n, k, self.p)
 
-    def __neg__(self):
-        return from_normalized(-self.num, self.den_exp, self.p)
-
-    def __sub__(self, other):
-        o = self._check_same(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n, k = K.add(self.num, self.den_exp, -o.num, o.den_exp, self.p)
-        return from_normalized(n, k, self.p)
-
     def __mul__(self, other):
         o = self._check_same(other)
         if o is NotImplemented:
@@ -128,20 +114,11 @@ class PAdicRational:
     def __bool__(self):
         return self.num != 0
 
-    def valuation(self):
-        """p-adic valuation; +infinity (math.inf) for zero."""
-        if self.num == 0:
-            return math.inf
-        return K.val(self.num, self.den_exp, self.p)
-
-    def in_pn(self, n):
-        """True iff the value lies in p**n Z."""
-        return K.in_subgroup(self.num, self.den_exp, self.p, n)
-
     def __str__(self):
+        num = int_text(str, self.num)
         if self.den_exp == 0:
-            return str(self.num)
-        return f"{self.num}/{self.p ** self.den_exp}"
+            return num
+        return f"{num}/{int_text(str, self.p ** self.den_exp)}"
 
     def __repr__(self):
         return f"PAdicRational({self.num}, {self.den_exp}, p={self.p})"

@@ -11,7 +11,7 @@ imported here so that every suite can be reached through this module.
 import random
 
 from amalgam.errors import InvalidParams
-from amalgam.factors import _cap, _report, check_instance
+from amalgam.factors import _report, check_instance
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.normalform import (
     centrality_check,
@@ -28,8 +28,8 @@ from amalgam.padic import mat_mul
 from amalgam.witnesses import lemma21_check
 
 
-def random_word(sys, rng, max_len=12, max_level=6):
-    max_level = _cap(sys, max_level)
+def random_word(sys, rng, max_len, max_level):
+    max_level = min(max_level, sys.max_level)
     out = []
     for _ in range(rng.randint(0, max_len)):
         n = rng.randint(0, max_level)
@@ -37,19 +37,19 @@ def random_word(sys, rng, max_len=12, max_level=6):
     return out
 
 
-def random_form(sys, rng, max_len=12, max_level=6):
+def random_form(sys, rng, max_len, max_level):
     return reduce_word(sys, random_word(sys, rng, max_len, max_level))
 
 
-def check_axioms(sys, samples, seed, max_level=6, max_len=8):
+def check_axioms(sys, samples, seed):
     """Group laws on reduced forms: associativity, identity, inverses."""
     rng = random.Random(seed)
     checks = {"assoc": 0, "identity": 0, "inverse": 0, "level_bound": 0}
     e = identity(sys)
     for _ in range(samples):
-        a = random_form(sys, rng, max_len, max_level)
-        b = random_form(sys, rng, max_len, max_level)
-        c = random_form(sys, rng, max_len, max_level)
+        a = random_form(sys, rng, 8, 6)
+        b = random_form(sys, rng, 8, 6)
+        c = random_form(sys, rng, 8, 6)
         ab = mul(sys, a, b)
         if not forms_equal(sys, mul(sys, ab, c), mul(sys, a, mul(sys, b, c))):
             checks["assoc"] += 1
@@ -63,13 +63,13 @@ def check_axioms(sys, samples, seed, max_level=6, max_len=8):
     return _report("axioms", sys, samples, seed, checks)
 
 
-def check_oracle(sys, samples, seed, max_len=10, max_level=4):
+def check_oracle(sys, samples, seed):
     """Engine against the word-rewriting oracle, plus eq vs quotient equality."""
     rng = random.Random(seed)
     checks = {"oracle_match": 0, "eq_quotient": 0}
     for _ in range(samples):
-        w1 = random_word(sys, rng, max_len, max_level)
-        w2 = random_word(sys, rng, max_len, max_level)
+        w1 = random_word(sys, rng, 10, 4)
+        w2 = random_word(sys, rng, 10, 4)
         f1 = reduce_word(sys, w1)
         f2 = reduce_word(sys, w2)
         if not (forms_equal(sys, f1, naive_reduce(sys, w1))
@@ -116,10 +116,9 @@ def sample_lemma21_inputs(sys, rng, max_m=5):
     return h, g, m
 
 
-def check_lemma21(sys, samples, seed, max_m=5):
+def check_lemma21(sys, samples, seed):
     """Conjugation by a fresh level-(m+1) element lands at level m+1."""
-    if sys.max_level is not None:
-        max_m = min(max_m, sys.max_level - 1)
+    max_m = min(5, sys.max_level - 1)
     if max_m < 0:
         raise InvalidParams("instance has no level to conjugate into")
     rng = random.Random(seed)
@@ -131,10 +130,9 @@ def check_lemma21(sys, samples, seed, max_m=5):
     return _report("lemma21", sys, samples, seed, checks)
 
 
-def check_centrality(sys, samples, seed, max_n=5):
+def check_centrality(sys, samples, seed):
     """Sampled B_n <= Z(G_{n+1}): every base value commutes with every g."""
-    if sys.max_level is not None:
-        max_n = min(max_n, max(0, sys.max_level - 1))
+    max_n = min(5, max(0, sys.max_level - 1))
     rng = random.Random(seed)
     checks = {"central": 0}
     for _ in range(samples):
@@ -146,13 +144,12 @@ def check_centrality(sys, samples, seed, max_n=5):
     return _report("centrality", sys, samples, seed, checks)
 
 
-def check_homs(sys, samples, seed, max_level=6, incl_samples=None):
+def check_homs(sys, samples, seed):
     """standard_hom respects products, factor inclusions, and the matrix lift."""
     hom = standard_hom(sys)
     t = hom.target
-    max_level = _cap(sys, max_level)
-    if incl_samples is None:
-        incl_samples = max(1, samples // 10)
+    max_level = min(6, sys.max_level)
+    incl_samples = max(1, samples // 10)
     rng = random.Random(seed)
     checks = {"hom_mul": 0, "factor_incl": 0, "psi_mul": 0}
     for _ in range(samples):

@@ -279,7 +279,8 @@ def certificate_from_json(text):
     """Load a certificate; text that is not one raises ``InvalidParams``."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or a number past Python's int-string limit
         raise InvalidParams(f"certificate is not valid JSON: {exc}") from None
     except RecursionError:
         # the decoder recurses once per nested array or object

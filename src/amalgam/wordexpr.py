@@ -29,7 +29,7 @@ expression or form is bounded by memory, not by Python's stack:
 
 import re
 
-from amalgam.errors import ExprSyntaxError
+from amalgam.errors import ExprSyntaxError, int_text
 from amalgam.normalform import Base, RLetter, inv, mul, reduce_word
 
 
@@ -105,7 +105,8 @@ def _atom(src, pos, sys):
     """
     m = _ATOM.match(src, pos)
     if m is not None:
-        return AtomE(int(m.group(1)), sys.parse_value(m.group(2))), m
+        atom = AtomE(int_text(int, m.group(1)), sys.parse_value(m.group(2)))
+        return atom, m
     start = pos + 1
     digits = _DIGITS.match(src, start)
     if digits.end() == start:
@@ -121,7 +122,8 @@ def _atom(src, pos, sys):
             raise ExprSyntaxError("unterminated value literal", len(src))
         pos = paren.end()
         depth += 1 if paren.group() == "(" else -1
-    atom = AtomE(int(digits.group()), sys.parse_value(src[lit_start:pos - 1]))
+    atom = AtomE(int_text(int, digits.group()),
+                 sys.parse_value(src[lit_start:pos - 1]))
     return atom, _INVERSE.match(src, pos)
 
 
@@ -240,7 +242,7 @@ def expr_to_word(sys, e):
             t = type(node)
             if t is AtomE:
                 n = node.level
-                out.append((n, sys.factor_inv(n, node.value)) if inverted
+                out.append((n, sys.factor_inv(node.value)) if inverted
                            else (n, node.value))
                 continue
             if t is ProdE:
@@ -365,7 +367,7 @@ def form_to_expr(sys, form):
                 n, letters, terms, tail = sub.level, iter(sub.letters), [], sub.tail
                 break
         else:
-            if tail != sys.factor_id(n):
+            if tail != sys.factor_id():
                 terms.append(AtomE(0, tail))
             e = terms[0] if len(terms) == 1 else ProdE(terms)
             if not pending:

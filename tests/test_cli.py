@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from amalgam.cli import main
+from amalgam.factors import LEVEL_BOUND
 
 GOLDEN_TEXT = "Alt(1; R:2/5; tail 1), level=1"
 
@@ -257,14 +258,31 @@ DEEP_FLAT = deep_flat(500)
 DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int-string limit, whatever the interpreter's setting."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.parametrize("argv", [
     ("reduce", "h0(1)", "--prime", "1"),
-    ("phi", deep_flat(1000)),
+    ("witness", "derived", "2", str(10**30)),
     ("witness", "derived", "12", "0"),
     ("reduce", "h0(1)", "--prime", str(2**64 + 13)),
     ("reduce", "h0(1)", "--prime", str(1000003 * 1000033)),
+    # levels above the bound are refused before any work
+    ("witness", "escape", "h0(1/5)", str(10**30)),
+    ("level", "h10000000(1)"),
+    # numbers past the int-string limit: values to print, a level to read
+    ("reduce", "h7000(-1)"),
+    ("reduce", "h300(-1)", "--prime", "18446744073709551557"),
+    ("witness", "derived", "1", "6200"),
+    ("level", "h" + "9" * 5000 + "(1)"),
 ])
-def test_hostile_input_is_precondition_error(capsys, argv):
+def test_hostile_input_is_precondition_error(capsys, int_digit_limit, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -288,6 +306,26 @@ def test_deep_parens_level_is_answered(capsys):
     code, out, err = run(capsys, "level", DEEP_PARENS)
     assert code == 0 and err == ""
     assert out == "level=0\n"
+
+
+@pytest.mark.parametrize("command, image", [
+    ("phi", "4997/5"),
+    ("psi", "[[1, 4997/5], [0, 1]]"),
+])
+def test_deep_flat_word_image_is_answered(capsys, command, image):
+    # phi_eval sums the 1000 nested left letters without recursing
+    code, out, err = run(capsys, command, deep_flat(1000))
+    assert code == 0 and err == ""
+    assert out == image + "\n"
+
+
+def test_level_bound_is_inclusive(capsys):
+    code, out, err = run(capsys, "level", f"h{LEVEL_BOUND}(1)")
+    assert code == 0 and err == ""
+    assert out == f"level={LEVEL_BOUND}\n"
+    code, out, err = run(capsys, "level", f"h{LEVEL_BOUND + 1}(1)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_deep_commutator_level_is_answered(capsys):
@@ -364,6 +402,28 @@ def test_verify_deeply_nested_expression_is_invalid(capsys, tmp_path, field):
     code, out, err = run(capsys, "verify", str(cert_file))
     assert code == 4 and err == ""
     assert out == "certificate INVALID\n"
+
+
+def test_verify_cyclic_modulus_above_bound_is_invalid(capsys, tmp_path):
+    _, out, _ = run(capsys, "witness", "derived", "1", "0",
+                    "--instance", "cyclic", "--prime", "2")
+    data = json.loads(out)
+    data["params"]["L"] = 10**10
+    cert_file = tmp_path / "huge_L.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 4 and err == ""
+    assert out == "certificate INVALID\n"
+
+
+def test_verify_overlong_number_is_malformed(capsys, tmp_path,
+                                             int_digit_limit):
+    cert_file = tmp_path / "long_k.json"
+    cert_file.write_text('{"type": "escape", "k": ' + "9" * 5000 + "}")
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: certificate is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_deeply_nested_json_is_malformed(capsys, tmp_path):

@@ -1,6 +1,9 @@
-"""Value-level arithmetic: normalization, valuation, coset splitting, matrices."""
+"""Value-level arithmetic: normalization, valuation, coset splitting, matrices.
 
-import math
+The valuation and p**n Z membership are the dense instance's
+``base_escape_level`` and ``in_base``.
+"""
+
 import time
 
 import pytest
@@ -30,6 +33,15 @@ def coset_split(x, n):
     return DENSE[x.p].split(n + 1, x)
 
 
+def valuation(x):
+    """p-adic valuation of a nonzero value, by trial division."""
+    num, v = x.num, -x.den_exp
+    while num % x.p == 0:
+        num //= x.p
+        v += 1
+    return v
+
+
 # --- fixed examples -------------------------------------------------------
 
 
@@ -47,9 +59,12 @@ def test_add_mixed_denominators():
 
 
 def test_valuation_examples():
-    assert R(25).valuation() == 2
-    assert R(1, 1).valuation() == -1
-    assert R(0).valuation() == math.inf
+    # the least n with x outside p**n Z: valuation + 1, or 0 off Z
+    dense = DENSE[5]
+    assert dense.base_escape_level(R(25)) == 3
+    assert dense.base_escape_level(R(-7)) == 1
+    assert dense.base_escape_level(R(1, 1)) == 0
+    assert all(dense.in_base(n, R(0)) for n in range(10))
 
 
 def test_coset_rep_examples():
@@ -163,7 +178,7 @@ def test_abelian_group_axioms(t):
     x, y, z = t
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert x + (-x) == PAdicRational.zero(x.p)
+    assert x + DENSE[x.p].factor_inv(x) == PAdicRational.zero(x.p)
     assert x + PAdicRational.zero(x.p) == x
 
 
@@ -180,7 +195,7 @@ def test_normalized_invariant(x):
 def test_coset_rep_properties(x, n):
     rep, b = coset_split(x, n)
     assert rep + b == x
-    assert b.in_pn(n)
+    assert DENSE[x.p].in_base(n, b)
     # rep lies in [0, p**n)
     scaled = rep.num * 1 if rep.den_exp == 0 else rep.num
     assert rep.num >= 0
@@ -203,9 +218,15 @@ def test_coset_rep_is_coset_function(x, y, n):
 
 @given(value_triples())
 def test_valuation_ultrametric(t):
+    # base_escape_level is monotone in the valuation, so it inherits the
+    # ultrametric inequality
     x, y, _ = t
-    vx, vy = x.valuation(), y.valuation()
-    vs = (x + y).valuation()
+    dense = DENSE[x.p]
+    s = dense.factor_mul(x, y)
+    if not (x and y and s):
+        return
+    vx, vy = dense.base_escape_level(x), dense.base_escape_level(y)
+    vs = dense.base_escape_level(s)
     assert vs >= min(vx, vy)
     if vx != vy:
         assert vs == min(vx, vy)
@@ -226,4 +247,8 @@ def test_str_parse_round_trip(x):
 
 @given(values(), st.integers(min_value=0, max_value=6))
 def test_in_pn_matches_valuation(x, n):
-    assert x.in_pn(n) == (x.valuation() >= n)
+    dense = DENSE[x.p]
+    in_pn = x.num == 0 or valuation(x) >= n
+    assert dense.in_base(n, x) == in_pn
+    if x:
+        assert in_pn == (n < dense.base_escape_level(x))

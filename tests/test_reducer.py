@@ -50,7 +50,7 @@ def rand_word(sys, rng, length, max_level=6):
 
 
 def inverse_word(sys, word):
-    return [(n, sys.factor_inv(n, x)) for n, x in reversed(word)]
+    return [(n, sys.factor_inv(x)) for n, x in reversed(word)]
 
 
 def assert_agrees(sys, word):
