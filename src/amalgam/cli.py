@@ -15,8 +15,10 @@ files, including certificate fields of the wrong JSON type), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
 negative witness argument, a derived depth above 8, a factor level above
 10,000, and a level or value too long for Python to read or print as a
-decimal), 4 a certificate failed verification (among them one whose cyclic
-``L`` is above 10,000).
+decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
+100,000), 4 a certificate failed verification (among them one whose cyclic
+``L`` is above 10,000), 5 an internal error: any other exception, reported
+as one ``internal error: <type>: <message>`` line, never as a traceback.
 """
 
 import argparse
@@ -44,6 +46,11 @@ _EXIT_NEGATIVE = 1
 _EXIT_PARSE = 2
 _EXIT_PRECONDITION = 3
 _EXIT_VERIFY = 4
+_EXIT_INTERNAL = 5
+
+# Above every acceptance sample size (10,000 at most); a larger count would
+# only make one command run for hours.
+SAMPLES_BOUND = 100_000
 
 
 def _common_flags():
@@ -210,6 +217,11 @@ def _dispatch(args, t0):
         return _EXIT_OK
 
     if cmd == "check":
+        if not 1 <= args.samples <= SAMPLES_BOUND:
+            raise InvalidParams(
+                f"--samples must be between 1 and {SAMPLES_BOUND}, "
+                f"got {args.samples}"
+            )
         runner = {
             "lemma21": check_lemma21,
             "axioms": check_axioms,
@@ -241,6 +253,11 @@ def main(argv=None):
     except AmalgamError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return _EXIT_PRECONDITION
+    except Exception as exc:
+        # a fault in the package, not in the input: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=_sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

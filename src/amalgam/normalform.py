@@ -17,9 +17,9 @@ result is reassembled at a lower level when all level-n letters cancel.
 Nothing here recurses once per nesting level.  When two L-letters meet,
 ``mul`` suspends the product as a frame on an explicit stack while it
 multiplies their forms one level down; ``inv`` likewise suspends an
-inversion while it inverts a nested L-letter's form, and ``==`` walks nested
-letters with a stack.  A form nested a thousand levels deep needs no more
-Python stack than a flat one.
+inversion while it inverts a nested L-letter's form, and ``==`` and
+``repr`` walk nested letters with a stack.  A form nested a thousand levels
+deep needs no more Python stack than a flat one.
 
 Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
 one pass and keeps the partial product as a chain of open frames, one
@@ -138,7 +138,29 @@ class Alt:
             for letter in self.letters)))
 
     def __repr__(self):
-        return f"Alt({self.level}; {list(self.letters)!r}; tail={self.tail!r})"
+        """``Alt(n; [letters]; tail=t)``, walking nested letters with a stack."""
+        out = [f"Alt({self.level}; ["]
+        pending = []
+        letters, tail, sep = iter(self.letters), self.tail, ""
+        while True:
+            for letter in letters:
+                out.append(sep)
+                sep = ", "
+                if type(letter) is RLetter or type(letter.form) is Base:
+                    out.append(repr(letter))
+                else:
+                    pending.append((letters, tail))
+                    sub = letter.form
+                    out.append(f"L(Alt({sub.level}; [")
+                    letters, tail, sep = iter(sub.letters), sub.tail, ""
+                    break
+            else:
+                out.append(f"]; tail={tail!r})")
+                if not pending:
+                    return "".join(out)
+                out.append(")")
+                letters, tail = pending.pop()
+                sep = ", "
 
 
 def identity(sys):
@@ -294,6 +316,17 @@ def inv(sys, form):
             tail = fmul(tail, b)
 
 
+def commutator(sys, a, a_inv, b, b_inv):
+    """[a, b] = (ab)(a^-1 b^-1), from both operands and their inverses.
+
+    Nothing is inverted here, and the inverse [b, a] is the same call with
+    the operands swapped, so a caller that carries each operand's inverse
+    never inverts a commutator-sized form: ``inv`` rebuilds every nested
+    level of its argument, ``mul`` copies only the top-level letter list.
+    """
+    return mul(sys, mul(sys, a, b), mul(sys, a_inv, b_inv))
+
+
 def forms_equal(sys, f, g):
     """True iff two canonical forms denote the same element."""
     return f == g
@@ -387,6 +420,5 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    zi = Base(sys.factor_inv(z))
-    comm = mul(sys, mul(sys, g, Base(z)), mul(sys, inv(sys, g), zi))
+    comm = commutator(sys, g, inv(sys, g), Base(z), Base(sys.factor_inv(z)))
     return is_identity(sys, comm)

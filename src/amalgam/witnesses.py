@@ -28,7 +28,14 @@ from amalgam.errors import (
     PreconditionViolated,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import forms_equal, inject, inv, is_identity, mul
+from amalgam.normalform import (
+    commutator,
+    forms_equal,
+    inject,
+    inv,
+    is_identity,
+    mul,
+)
 from amalgam.wordexpr import (
     AtomE,
     CommE,
@@ -52,8 +59,8 @@ def _not_in_base(sys, form, m):
     return not sys.in_base(m, form.value)
 
 
-def _conj_comm(sys, h, g, m):
-    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses.
+def _check_hypotheses(sys, h, g, m):
+    """Raise unless h and g meet lemma21's hypotheses at stage m.
 
     The levels are checked first: they bound m by the size of the forms, so
     the B_m test, which can cost time in m, never sees an arbitrary m.
@@ -70,6 +77,11 @@ def _conj_comm(sys, h, g, m):
         raise PreconditionViolated(
             f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
         )
+
+
+def _conj_comm(sys, h, g, m):
+    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses."""
+    _check_hypotheses(sys, h, g, m)
     conj = mul(sys, mul(sys, g, h), inv(sys, g))
     return conj, mul(sys, conj, inv(sys, h))
 
@@ -196,11 +208,16 @@ def escape_witness(sys, h, k, seed=None):
     )
 
 
-def _build_tree(sys, j, L):
+def _build_tree(sys, j, L, with_inverse):
     """Perfect commutator tree of depth j topped at level L+1.
 
-    Returns (expr, form).  Leaves are fresh escape letters; each internal node
-    is [deeper, shallower], kept at full level by the conjugation-level fact.
+    Returns (expr, form, inverse), the inverse None unless ``with_inverse``.
+    Leaves are fresh escape letters; each internal node is [deeper,
+    shallower], kept at full level by the conjugation-level fact.  Every
+    subtree is a commutator operand, so it comes back with its inverse: a
+    leaf's is ``inv`` of one atom, and a node's, [shallower, deeper], is
+    built from its operands' forms and inverses like the node itself, so
+    no commutator-sized form is ever inverted.
     """
     if j == 0:
         x = sys.escape_elem(L)
@@ -209,15 +226,18 @@ def _build_tree(sys, j, L):
             raise PreconditionViolated(
                 f"escape_elem({L}) failed to reach level {L + 1}"
             )
-        return AtomE(L + 1, x), form
-    left_expr, left_form = _build_tree(sys, j - 1, L)
-    right_expr, right_form = _build_tree(sys, j - 1, L - 1)
-    _, form = _conj_comm(sys, right_form, left_form, L)
+        return AtomE(L + 1, x), form, inv(sys, form) if with_inverse else None
+    left_expr, left, left_inv = _build_tree(sys, j - 1, L, True)
+    right_expr, right, right_inv = _build_tree(sys, j - 1, L - 1, True)
+    _check_hypotheses(sys, right, left, L)
+    form = commutator(sys, left, left_inv, right, right_inv)
     if form.level != L + 1:
         raise PreconditionViolated(
             f"commutator dropped to level {form.level}, expected {L + 1}"
         )
-    return CommE(left_expr, right_expr), form
+    inverse = (commutator(sys, right, right_inv, left, left_inv)
+               if with_inverse else None)
+    return CommE(left_expr, right_expr), form, inverse
 
 
 def derived_escape(sys, d, k, seed=None):
@@ -233,7 +253,7 @@ def derived_escape(sys, d, k, seed=None):
         raise InvalidParams(
             f"derived_escape supports depth d <= {_MAX_DEPTH}, got {d}"
         )
-    tree_expr, form = _build_tree(sys, d, max(k, d))
+    tree_expr, form, _ = _build_tree(sys, d, max(k, d), False)
     return DerivedCertificate(
         **sys.descriptor(),
         tree_expr=expr_str(sys, tree_expr),

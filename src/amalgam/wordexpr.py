@@ -18,10 +18,14 @@ expression or form is bounded by memory, not by Python's stack:
   match, and each open ``(`` or ``[`` is a frame on an explicit stack.
 * ``eval_expr`` evaluates on the tree's structure.  A subtree without
   commutators is lowered to flat syllables (``expr_to_word``) and reduced in
-  one ``reduce_word`` pass; a commutator [a, b] evaluates a and b once and
-  returns (ab)(ba)^-1, and inversions and products above a commutator
-  combine their children's forms with ``inv`` and ``mul``.  A depth-d
-  commutator tree therefore never expands into its 4**d syllables.
+  one ``reduce_word`` pass.  Above it, each node carries its form together
+  with its inverse, where a parent needs that: a commutator [a, b]
+  evaluates a and b once and is (ab)(a^-1 b^-1), its inverse
+  (ba)(b^-1 a^-1); an inversion swaps its child's pair; a product
+  multiplies the forms in order and the inverses in reverse.  Only a
+  commutator-free subtree's form goes through ``inv`` (in a derived tree, a
+  one-atom leaf), so no commutator-sized form is inverted, and a depth-d
+  commutator tree never expands into its 4**d syllables.
 * ``expr_to_word``, ``commutator_depths`` and the printers (``expr_str``,
   ``form_to_expr``, ``format_form``) walk with explicit stacks, and the
   printers join one list of pieces once.
@@ -30,7 +34,7 @@ expression or form is bounded by memory, not by Python's stack:
 import re
 
 from amalgam.errors import ExprSyntaxError, int_text
-from amalgam.normalform import Base, RLetter, inv, mul, reduce_word
+from amalgam.normalform import Base, RLetter, commutator, inv, mul, reduce_word
 
 
 class AtomE:
@@ -260,48 +264,65 @@ def expr_to_word(sys, e):
     return out
 
 
-def _combine(sys, node, forms):
-    """Form of an inversion, commutator or product from its children's forms."""
+def _combine(sys, node, pairs, want_inverse):
+    """(form, inverse) of an inversion, commutator or product node.
+
+    ``pairs`` holds its children's (form, inverse) pairs.  A commutator or
+    product leaves its inverse None unless ``want_inverse``.
+    """
     t = type(node)
     if t is InvE:
-        return inv(sys, forms[0])
+        form, inverse = pairs[0]
+        return inverse, form
     if t is CommE:
-        a, b = forms
-        return mul(sys, mul(sys, a, b), inv(sys, mul(sys, b, a)))
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = mul(sys, acc, f)
-    return acc
+        (a, a_inv), (b, b_inv) = pairs
+        return (commutator(sys, a, a_inv, b, b_inv),
+                commutator(sys, b, b_inv, a, a_inv) if want_inverse else None)
+    form = pairs[0][0]
+    for f, _ in pairs[1:]:
+        form = mul(sys, form, f)
+    if not want_inverse:
+        return form, None
+    inverse = pairs[-1][1]
+    for _, f_inv in reversed(pairs[:-1]):
+        inverse = mul(sys, inverse, f_inv)
+    return form, inverse
 
 
 def eval_expr(sys, e):
     """Canonical form of an AST, evaluated on its structure.
 
     Each maximal commutator-free subtree is reduced in one ``reduce_word``
-    pass; the nodes above them combine forms (see the module docstring).
-    Subtrees are visited left to right on an explicit stack of
-    ``(node, forms of its children so far)``.
+    pass; the nodes above them combine (form, inverse) pairs (see the module
+    docstring).  Subtrees are visited left to right on an explicit stack of
+    ``(node, whether its inverse is wanted, its children's pairs so far)``.
+    The operands of a commutator or an inversion need their inverses, a
+    product's terms need theirs when the product's is wanted, and the
+    root's is never wanted.
     """
     depths = commutator_depths(e)
     pending = []
-    node = e
+    node, want = e, False
     while True:
         if id(node) in depths:
-            pending.append((node, []))
+            pending.append((node, want, []))
+            want = want or type(node) is not ProdE
             node = _children(node)[0]
             continue
         form = reduce_word(sys, expr_to_word(sys, node))
+        pair = form, inv(sys, form) if want else None
         while pending:
-            parent, forms = pending[-1]
-            forms.append(form)
+            parent, parent_want, pairs = pending[-1]
+            pairs.append(pair)
             kids = _children(parent)
-            if len(forms) < len(kids):
-                node = kids[len(forms)]
+            if len(pairs) < len(kids):
+                node = kids[len(pairs)]
+                want = parent_want or type(parent) is not ProdE
                 break
             pending.pop()
-            form = _combine(sys, parent, forms)
+            pair = _combine(sys, parent, pairs, parent_want)
         else:
-            return form
+            return pair[0]
 
 
 def expr_str(sys, e):

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from amalgam.cli import main
+from amalgam import cli, witnesses
+from amalgam.cli import SAMPLES_BOUND, main
 from amalgam.factors import LEVEL_BOUND
 
 GOLDEN_TEXT = "Alt(1; R:2/5; tail 1), level=1"
@@ -281,6 +282,9 @@ def int_digit_limit():
     ("reduce", "h300(-1)", "--prime", "18446744073709551557"),
     ("witness", "derived", "1", "6200"),
     ("level", "h" + "9" * 5000 + "(1)"),
+    # sample counts outside 1..SAMPLES_BOUND
+    ("check", "axioms", "--samples", "-5"),
+    ("check", "axioms", "--samples", str(SAMPLES_BOUND + 1)),
 ])
 def test_hostile_input_is_precondition_error(capsys, int_digit_limit, argv):
     code, out, err = run(capsys, *argv)
@@ -333,6 +337,24 @@ def test_deep_commutator_level_is_answered(capsys):
     code, out, err = run(capsys, "level", f"[{deep_flat(1000)}, h1(1)]")
     assert code == 0 and err == ""
     assert out == "level=1000\n"
+
+
+def test_internal_error_is_one_line_exit_5(capsys, monkeypatch, tmp_path):
+    # a fault raised inside the package, in a plain command and in verify
+    code, text, _ = run(capsys, "witness", "escape", "h0(1/5)", "3")
+    assert code == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+
+    def broken(sys, expr):
+        raise RuntimeError("internal fault\non two lines")
+
+    monkeypatch.setattr(cli, "eval_expr", broken)
+    monkeypatch.setattr(witnesses, "eval_expr", broken)
+    for argv in (("reduce", "h0(1)"), ("verify", str(cert))):
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err == "internal error: RuntimeError: internal fault on two lines\n"
 
 
 def test_huge_prime_is_accepted(capsys):

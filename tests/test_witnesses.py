@@ -6,14 +6,22 @@ import time
 
 import pytest
 
-from amalgam import wordexpr
+from amalgam import witnesses, wordexpr
 from amalgam.errors import (
     IdentityInput,
     InvalidParams,
     PreconditionViolated,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import inject, is_identity, reduce_word
+from amalgam.normalform import (
+    Base,
+    RLetter,
+    inject,
+    inv,
+    is_identity,
+    mul,
+    reduce_word,
+)
 from amalgam.padic import PAdicRational
 from amalgam.suites import check_lemma21, sample_lemma21_inputs
 from amalgam.witnesses import (
@@ -307,6 +315,51 @@ def test_verify_does_not_expand_commutators(dense, monkeypatch):
     assert sum(counts) < 4**6
 
 
+def reference_tree(sys, j, L):
+    """_build_tree's (expr, form) with [a, b] computed as (ab)(ba)^-1."""
+    if j == 0:
+        x = sys.escape_elem(L)
+        return wordexpr.AtomE(L + 1, x), inject(sys, L + 1, x)
+    left_expr, a = reference_tree(sys, j - 1, L)
+    right_expr, b = reference_tree(sys, j - 1, L - 1)
+    form = mul(sys, mul(sys, a, b), inv(sys, mul(sys, b, a)))
+    return wordexpr.CommE(left_expr, right_expr), form
+
+
+@pytest.mark.parametrize("name,p,params", [
+    ("dense", 5, None), ("heisenberg", 3, None), ("cyclic", 2, {"L": 3})])
+def test_derived_certificate_matches_inverting_reference(name, p, params):
+    sys = make_instance(name, p, params)
+    for d in range(1, 7):
+        tree, form = reference_tree(sys, d, d)
+        want = DerivedCertificate(
+            **sys.descriptor(), tree_expr=wordexpr.expr_str(sys, tree), d=d,
+            k=0, result_expr=wordexpr.form_expr_str(sys, form),
+            result_level=form.level)
+        assert certificate_to_json(derived_escape(sys, d, 0)) == \
+            certificate_to_json(want)
+
+
+def test_derived_escape_inverts_only_leaves(dense, monkeypatch):
+    # generating and replaying a depth-6 tree inverts one-atom forms only:
+    # every commutator is built from its operands' carried inverses
+    inverted = []
+
+    def recording(sys, form):
+        inverted.append(form)
+        return inv(sys, form)
+
+    monkeypatch.setattr(witnesses, "inv", recording)
+    monkeypatch.setattr(wordexpr, "inv", recording)
+    cert = derived_escape(dense, 6, 0)
+    generated = len(inverted)
+    assert verify(cert)
+    assert generated and len(inverted) > generated
+    for form in inverted:
+        assert type(form) is Base or (
+            len(form.letters) == 1 and type(form.letters[0]) is RLetter)
+
+
 def test_identity_valued_tree_fails(dense):
     cert = derived_escape(dense, 1, 0)
     data = cert.to_json_dict()
@@ -361,8 +414,6 @@ def test_certificate_top_level_must_be_object(top):
 
 
 def test_verify_lets_internal_errors_propagate(dense, monkeypatch):
-    import amalgam.witnesses as witnesses
-
     cert = escape_witness(dense, inject(dense, 0, P(1, 1)), 3)
 
     def broken(sys, expr):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from amalgam import wordexpr
 from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import make_instance
 from amalgam.normalform import (
@@ -375,6 +376,30 @@ def test_structural_eval_matches_lowered_word(name, p, params):
         assert expr_str(sysx, parse_expr(text, sysx)) == text
         assert eval_expr(sysx, parse_expr(form_expr_str(sysx, want),
                                           sysx)) == want
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_carried_inverses_are_inverses(name, p, params, monkeypatch):
+    # every (form, inverse) pair that evaluation carries up a tree, into
+    # and out of each node above a commutator, multiplies to the identity
+    sysx = make_instance(name, p, params)
+    combine = wordexpr._combine
+    checked = []
+
+    def checking(sys, node, pairs, want_inverse):
+        pair = combine(sys, node, pairs, want_inverse)
+        for form, inverse in pairs + [pair]:
+            if inverse is not None:
+                assert is_identity(sys, mul(sys, form, inverse))
+                checked.append(form)
+        return pair
+
+    monkeypatch.setattr(wordexpr, "_combine", checking)
+    rng = random.Random(13)
+    for _ in range(150):
+        e = random_ast(sysx, rng, rng.randint(1, 5))
+        assert eval_expr(sysx, e) == reduce_word(sysx, expr_to_word(sysx, e))
+    assert len(checked) > 300
 
 
 def test_deep_expressions_need_no_stack(dense):
