@@ -11,13 +11,16 @@ after the subcommand:
 
 Exit codes: 0 success, 1 a computed answer is negative (eq false, a check
 suite found failures), 2 malformed input (expressions, literals, certificate
-files, including certificate fields of the wrong JSON type), 3 violated
+files, including certificate fields of the wrong JSON type, such as a
+``seed`` that is neither an integer nor null), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
 negative witness argument, a derived depth above 8, a factor level above
 10,000, and a level or value too long for Python to read or print as a
 decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
 100,000), 4 a certificate failed verification (among them one whose cyclic
-``L`` is above 10,000), 5 an internal error: any other exception, reported
+``L`` is above 10,000 or whose cyclic ``chain_shift`` or ``max_level`` is a
+bool, and one whose ``k`` is negative or whose ``d`` is outside 0..8, which
+the generators refuse too), 5 an internal error: any other exception, reported
 as one ``internal error: <type>: <message>`` line, never as a traceback.
 """
 

@@ -182,12 +182,12 @@ class FiniteCyclicInstance(FactorSystem):
 
     def __init__(self, p, L, chain_shift=1, max_level=None):
         self.p = check_prime(p)
-        if not isinstance(L, int) or isinstance(L, bool) or not 2 <= L <= LEVEL_BOUND:
+        if type(L) is not int or not 2 <= L <= LEVEL_BOUND:
             raise InvalidParams(
                 f"cyclic instance needs integer 2 <= L <= {LEVEL_BOUND}, got {L!r}")
-        if not isinstance(chain_shift, int) or chain_shift < 0:
+        if type(chain_shift) is not int or chain_shift < 0:
             raise InvalidParams(f"chain_shift must be a natural, got {chain_shift!r}")
-        if max_level is not None and (not isinstance(max_level, int) or max_level < 0):
+        if max_level is not None and (type(max_level) is not int or max_level < 0):
             raise InvalidParams(f"max_level must be a natural or None, got {max_level!r}")
         self.L = L
         self.chain_shift = chain_shift

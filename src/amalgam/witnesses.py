@@ -16,7 +16,9 @@ iterate the fact into replayable evidence:
 
 Certificates store their inputs as word-expression strings plus the instance
 descriptor, nothing else; ``verify`` reconstructs the instance, reparses,
-recomputes and rechecks every claimed invariant from that data alone.
+recomputes and rechecks every claimed invariant from that data alone.  It
+runs the generators' own checks (``_check_bounds``, and ``_conjugate`` for
+an escape), so replay refuses what generation would.
 """
 
 import json
@@ -39,7 +41,6 @@ from amalgam.normalform import (
 from amalgam.wordexpr import (
     AtomE,
     CommE,
-    commutator_depths,
     eval_expr,
     expr_str,
     form_expr_str,
@@ -50,13 +51,6 @@ from amalgam.wordexpr import (
 # Xeon VM, depth 8 on dense p=5 takes about 1.7 s to generate and verify
 # (315 KB), depth 9 about 10 s (1.1 MB).
 _MAX_DEPTH = 8
-
-
-def _not_in_base(sys, form, m):
-    # base values all sit at level 0, so positive level escapes every B_m
-    if form.level >= 1:
-        return True
-    return not sys.in_base(m, form.value)
 
 
 def _check_hypotheses(sys, h, g, m):
@@ -73,17 +67,30 @@ def _check_hypotheses(sys, h, g, m):
         raise PreconditionViolated(
             f"hypothesis level(g) = m+1 fails: level {g.level} != {m + 1}"
         )
-    if not _not_in_base(sys, h, m):
+    # base values all sit at level 0, so positive level escapes every B_m
+    if h.level == 0 and sys.in_base(m, h.value):
         raise PreconditionViolated(
             f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
         )
 
 
-def _conj_comm(sys, h, g, m):
-    """Forms of (g h g^-1, g h g^-1 h^-1) after checking lemma21's hypotheses."""
+def _conjugate(sys, h, g, m):
+    """The form of g h g^-1, after checking lemma21's hypotheses."""
     _check_hypotheses(sys, h, g, m)
-    conj = mul(sys, mul(sys, g, h), inv(sys, g))
-    return conj, mul(sys, conj, inv(sys, h))
+    return mul(sys, mul(sys, g, h), inv(sys, g))
+
+
+def _check_bounds(k, d=None):
+    """Raise unless k >= 0 and, for a tree (d not None), 0 <= d <= 8."""
+    if d is None:
+        if k < 0:
+            raise InvalidParams(f"escape_witness needs a bound k >= 0, got {k}")
+    elif d < 0 or k < 0:
+        raise InvalidParams(f"derived_escape needs d >= 0 and k >= 0, got {d}, {k}")
+    elif d > _MAX_DEPTH:
+        raise InvalidParams(
+            f"derived_escape supports depth d <= {_MAX_DEPTH}, got {d}"
+        )
 
 
 def lemma21_check(sys, h, g, m):
@@ -92,8 +99,8 @@ def lemma21_check(sys, h, g, m):
     Preconditions mirror the hypotheses that make the fact true: level(h) <= m
     with h outside B_m, and level(g) exactly m+1.
     """
-    conj, comm = _conj_comm(sys, h, g, m)
-    return conj.level, comm.level
+    conj = _conjugate(sys, h, g, m)
+    return conj.level, mul(sys, conj, inv(sys, h)).level
 
 
 class _Certificate:
@@ -136,6 +143,7 @@ class _Certificate:
     @classmethod
     def _from_json_dict(cls, data):
         """The certificate in data; KeyError or TypeError if a field is missing."""
+        seed = data.get("seed")
         return cls(
             instance=_typed(data["instance"], str, "instance"),
             prime=_typed(data["prime"], int, "prime"),
@@ -143,7 +151,7 @@ class _Certificate:
             k=_typed(data["k"], int, "k"),
             result_expr=_typed(data["result"]["expr"], str, "result.expr"),
             result_level=_typed(data["result"]["level"], int, "result.level"),
-            seed=data.get("seed"),
+            seed=None if seed is None else _typed(seed, int, "seed"),
             **{
                 key + "_expr": _typed(data["inputs"][key], str, f"inputs.{key}")
                 for key in cls._inputs
@@ -187,15 +195,14 @@ def escape_witness(sys, h, k, seed=None):
     m is pushed high enough that h has level at most m and lies outside B_m;
     then g = h_{m+1}(escape_elem(m)) conjugates h out of the level-m stage.
     """
-    if k < 0:
-        raise InvalidParams(f"escape_witness needs a bound k >= 0, got {k}")
+    _check_bounds(k)
     if is_identity(sys, h):
         raise IdentityInput("escape_witness needs a non-identity element")
     m = max(k, h.level)
     if h.level == 0:
         m = max(m, sys.base_escape_level(h.value))
     g = inject(sys, m + 1, sys.escape_elem(m))
-    result, _ = _conj_comm(sys, h, g, m)
+    result = _conjugate(sys, h, g, m)
     return EscapeCertificate(
         **sys.descriptor(),
         h_expr=form_expr_str(sys, h),
@@ -247,12 +254,7 @@ def derived_escape(sys, d, k, seed=None):
     needs.  Depths above 8 are refused, since the work grows exponentially
     with d.
     """
-    if d < 0 or k < 0:
-        raise InvalidParams(f"derived_escape needs d >= 0 and k >= 0, got {d}, {k}")
-    if d > _MAX_DEPTH:
-        raise InvalidParams(
-            f"derived_escape supports depth d <= {_MAX_DEPTH}, got {d}"
-        )
+    _check_bounds(k, d)
     tree_expr, form, _ = _build_tree(sys, d, max(k, d), False)
     return DerivedCertificate(
         **sys.descriptor(),
@@ -311,40 +313,32 @@ def certificate_from_json(text):
 def verify(cert):
     """Recompute a certificate from its serialized inputs; True iff it holds.
 
-    A certificate the package rejects (bad instance, unparsable expression,
-    violated precondition) is False; any other exception propagates.
+    A certificate the package rejects (a bound the generators refuse, bad
+    instance, unparsable expression, violated precondition) is False; any
+    other exception propagates.
     """
+    escape = type(cert) is EscapeCertificate
     try:
+        _check_bounds(cert.k, None if escape else cert.d)
         sys = make_instance(cert.instance, cert.prime, cert.params)
         claimed = eval_expr(sys, parse_expr(cert.result_expr, sys))
         if claimed.level != cert.result_level:
             return False
-        if type(cert) is EscapeCertificate:
+        if escape:
             h = eval_expr(sys, parse_expr(cert.h_expr, sys))
             g = eval_expr(sys, parse_expr(cert.g_expr, sys))
-            if is_identity(sys, h):
+            # the identity lies in every B_m, so it fails the hypotheses
+            result = _conjugate(sys, h, g, cert.m)
+            if result.level != cert.m + 1:
                 return False
-            # the levels bound m by the size of the expressions, so the
-            # B_m test below cannot be made arbitrarily expensive
-            if g.level != cert.m + 1 or h.level > cert.m:
-                return False
-            if not _not_in_base(sys, h, cert.m):
-                return False
-            result = mul(sys, mul(sys, g, h), inv(sys, g))
-            if not forms_equal(sys, result, claimed):
-                return False
-            return result.level == cert.m + 1 > cert.k
-        if type(cert) is DerivedCertificate:
+        else:
             tree = parse_expr(cert.tree_expr, sys)
             # a perfect commutator tree of depth d with commutator-free leaves
-            if commutator_depths(tree).get(id(tree), 0) != cert.d:
+            if tree.depth != cert.d:
                 return False
             result = eval_expr(sys, tree)
             if is_identity(sys, result):
                 return False
-            if not forms_equal(sys, result, claimed):
-                return False
-            return result.level > cert.k
-        return False
+        return forms_equal(sys, result, claimed) and result.level > cert.k
     except AmalgamError:
         return False

@@ -8,7 +8,11 @@ Grammar (whitespace-insensitive)::
 
 The literal between an atom's parentheses is instance-specific and parsed by
 the factor system; a commutator [a,b] denotes a b a^-1 b^-1.  The AST keeps
-commutators as nodes (certificate verification needs the tree shape).
+commutators as nodes, and each node's constructor sets its ``depth`` from
+its children's: 0 for a subtree without commutators, d for a perfect binary
+commutator tree of depth d whose leaves have none, None for any other
+subtree.  Certificate verification reads the tree shape from it, and
+evaluation finds the commutator-free subtrees by it.
 
 No function here recurses once per nesting level, so the depth of an
 expression or form is bounded by memory, not by Python's stack:
@@ -26,9 +30,9 @@ expression or form is bounded by memory, not by Python's stack:
   commutator-free subtree's form goes through ``inv`` (in a derived tree, a
   one-atom leaf), so no commutator-sized form is inverted, and a depth-d
   commutator tree never expands into its 4**d syllables.
-* ``expr_to_word``, ``commutator_depths`` and the printers (``expr_str``,
-  ``form_to_expr``, ``format_form``) walk with explicit stacks, and the
-  printers join one list of pieces once.
+* ``expr_to_word`` and the printers (``expr_str``, ``form_to_expr``,
+  ``format_form``) walk with explicit stacks, and the printers join one
+  list of pieces once.
 """
 
 import re
@@ -39,6 +43,7 @@ from amalgam.normalform import Base, RLetter, commutator, inv, mul, reduce_word
 
 class AtomE:
     __slots__ = ("level", "value")
+    depth = 0
 
     def __init__(self, level, value):
         self.level = level
@@ -49,31 +54,35 @@ class AtomE:
 
 
 class InvE:
-    __slots__ = ("child",)
+    __slots__ = ("child", "depth")
 
     def __init__(self, child):
         self.child = child
+        self.depth = 0 if child.depth == 0 else None
 
     def __repr__(self):
         return f"InvE({self.child!r})"
 
 
 class CommE:
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "depth")
 
     def __init__(self, a, b):
         self.a = a
         self.b = b
+        d = a.depth
+        self.depth = d + 1 if d is not None and d == b.depth else None
 
     def __repr__(self):
         return f"CommE({self.a!r}, {self.b!r})"
 
 
 class ProdE:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "depth")
 
     def __init__(self, terms):
         self.terms = tuple(terms)
+        self.depth = 0 if all(t.depth == 0 for t in self.terms) else None
 
     def __repr__(self):
         return f"ProdE({self.terms!r})"
@@ -202,35 +211,6 @@ def _children(e):
     return ()
 
 
-def commutator_depths(e):
-    """Commutator depth of the subtrees of an AST, without recursion.
-
-    The depth is 0 for a subtree with no commutator, d for a perfect binary
-    commutator tree of depth d whose leaves have no commutator, and None for
-    any other subtree.  Returns ``{id(node): depth}`` for the nodes whose
-    depth is not 0, so a commutator-free AST maps to ``{}``.
-    """
-    order = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if type(node) is not AtomE:
-            order.append(node)
-            stack += _children(node)
-    depth = {}
-    if not any(type(node) is CommE for node in order):
-        return depth
-    get = depth.get
-    for node in reversed(order):
-        t = type(node)
-        if t is CommE:
-            da, db = get(id(node.a), 0), get(id(node.b), 0)
-            depth[id(node)] = da + 1 if da is not None and da == db else None
-        elif any(id(c) in depth for c in _children(node)):
-            depth[id(node)] = None
-    return depth
-
-
 def expr_to_word(sys, e):
     """Lower an AST to flat (level, value) syllables, without recursion.
 
@@ -292,19 +272,19 @@ def _combine(sys, node, pairs, want_inverse):
 def eval_expr(sys, e):
     """Canonical form of an AST, evaluated on its structure.
 
-    Each maximal commutator-free subtree is reduced in one ``reduce_word``
-    pass; the nodes above them combine (form, inverse) pairs (see the module
-    docstring).  Subtrees are visited left to right on an explicit stack of
-    ``(node, whether its inverse is wanted, its children's pairs so far)``.
+    Each maximal commutator-free subtree (``depth`` 0) is reduced in one
+    ``reduce_word`` pass; the nodes above them combine (form, inverse) pairs
+    (see the module docstring).  Subtrees are visited left to right on an
+    explicit stack of ``(node, whether its inverse is wanted, its children's
+    pairs so far)``.
     The operands of a commutator or an inversion need their inverses, a
     product's terms need theirs when the product's is wanted, and the
     root's is never wanted.
     """
-    depths = commutator_depths(e)
     pending = []
     node, want = e, False
     while True:
-        if id(node) in depths:
+        if node.depth != 0:
             pending.append((node, want, []))
             want = want or type(node) is not ProdE
             node = _children(node)[0]

@@ -438,6 +438,31 @@ def test_verify_cyclic_modulus_above_bound_is_invalid(capsys, tmp_path):
     assert out == "certificate INVALID\n"
 
 
+@pytest.mark.parametrize("param", ["chain_shift", "max_level"])
+def test_verify_cyclic_bool_param_is_invalid(capsys, tmp_path, param):
+    # True would build as 1, which makes this certificate valid
+    _, out, _ = run(capsys, "witness", "escape", "h0(1)", "0",
+                    "--instance", "cyclic", "--prime", "2")
+    data = json.loads(out)
+    data["params"][param] = True
+    cert_file = tmp_path / "bool_param.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 4 and err == ""
+    assert out == "certificate INVALID\n"
+
+
+def test_verify_ill_typed_seed_is_malformed(capsys, tmp_path):
+    _, out, _ = run(capsys, "witness", "escape", "h0(1/5)", "2")
+    data = json.loads(out)
+    data["seed"] = {"n": 1}
+    cert_file = tmp_path / "seed.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 2 and out == ""
+    assert err == "error: malformed certificate: seed must be int, got dict\n"
+
+
 def test_verify_overlong_number_is_malformed(capsys, tmp_path,
                                              int_digit_limit):
     cert_file = tmp_path / "long_k.json"

@@ -360,6 +360,76 @@ def test_derived_escape_inverts_only_leaves(dense, monkeypatch):
             len(form.letters) == 1 and type(form.letters[0]) is RLetter)
 
 
+def test_escape_inverts_only_the_conjugator(dense, monkeypatch):
+    # generating and replaying an escape certificate inverts the one-atom g
+    # once each; the multi-letter h is never inverted
+    inverted = []
+
+    def recording(sys, form):
+        inverted.append(form)
+        return inv(sys, form)
+
+    monkeypatch.setattr(witnesses, "inv", recording)
+    monkeypatch.setattr(wordexpr, "inv", recording)
+    h = reduce_word(dense, [(2, P(1, 1)), (1, P(3, 1)), (0, P(2))])
+    cert = escape_witness(dense, h, 1)
+    assert verify(cert)
+    g = inject(dense, cert.m + 1, dense.escape_elem(cert.m))
+    assert inverted == [g, g]
+    # lemma21_check, which shares the conjugation step, keeps its contract
+    for sysx in (dense, make_instance("cyclic", 2, {"L": 3})):
+        rng = random.Random(8)
+        for _ in range(50):
+            h, g, m = sample_lemma21_inputs(sysx, rng)
+            assert lemma21_check(sysx, h, g, m) == (m + 1, m + 1)
+
+
+def _refuse_parsing(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("expression parsed")
+
+    monkeypatch.setattr(witnesses, "parse_expr", refuse)
+    monkeypatch.setattr(witnesses, "eval_expr", refuse)
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("escape", "k", -1),
+    ("derived", "k", -1),
+    ("derived", "d", -1),
+    ("derived", "d", 9),
+])
+def test_verify_refuses_what_generators_refuse(dense, monkeypatch, kind,
+                                               field, value):
+    if kind == "escape":
+        cert = escape_witness(dense, inject(dense, 0, P(1, 1)), 0)
+    else:
+        cert = derived_escape(dense, 2, 0)
+    bad = _tamper(cert, **{field: value})
+    _refuse_parsing(monkeypatch)
+    assert not verify(bad)
+
+
+def perfect_tree(sys, j, L):
+    """The AST of derived_escape's depth-j tree topped at level L+1."""
+    if j == 0:
+        return wordexpr.AtomE(L + 1, sys.escape_elem(L))
+    return wordexpr.CommE(perfect_tree(sys, j - 1, L),
+                          perfect_tree(sys, j - 1, L - 1))
+
+
+def test_verify_refuses_depth_above_cap_unevaluated(dense, monkeypatch):
+    # a well-formed depth-12 tree (37 KB) would take seconds to evaluate;
+    # it is refused on its claimed depth alone
+    tree = perfect_tree(dense, 12, 12)
+    assert tree.depth == 12
+    cert = DerivedCertificate(
+        **dense.descriptor(), tree_expr=wordexpr.expr_str(dense, tree), d=12,
+        k=0, result_expr="h13(1)", result_level=13)
+    cert = certificate_from_json(certificate_to_json(cert))
+    _refuse_parsing(monkeypatch)
+    assert not verify(cert)
+
+
 def test_identity_valued_tree_fails(dense):
     cert = derived_escape(dense, 1, 0)
     data = cert.to_json_dict()
@@ -397,6 +467,9 @@ def test_malformed_certificate_rejected():
     ("escape", "inputs.g", {"h": 4}),
     ("derived", "d", "2"),
     ("derived", "inputs.tree", None),
+    ("escape", "seed", {"n": 1}),
+    ("derived", "seed", "7"),
+    ("escape", "seed", True),
 ])
 def test_ill_typed_certificate_field_rejected(dense, kind, field, value):
     if kind == "escape":

@@ -364,6 +364,42 @@ def test_parser_matches_recursive_reference(name, p, params):
                 parse_outcome(recursive_parse, v, sysx), v
 
 
+def reference_depth(e):
+    """Commutator depth of an AST, by recursion: 0 without commutators, d for
+    a perfect depth-d commutator tree over commutator-free leaves, else None.
+    """
+    if type(e) is AtomE:
+        return 0
+    if type(e) is CommE:
+        a, b = reference_depth(e.a), reference_depth(e.b)
+        return a + 1 if a is not None and a == b else None
+    kids = e.terms if type(e) is ProdE else (e.child,)
+    return 0 if all(reference_depth(c) == 0 for c in kids) else None
+
+
+def perfect_ast(sys, rng, depth):
+    if depth == 0:
+        return random_ast(sys, rng, 0) if rng.random() < 0.5 else \
+            ProdE([random_ast(sys, rng, 0) for _ in range(2)])
+    return CommE(perfect_ast(sys, rng, depth - 1),
+                 perfect_ast(sys, rng, depth - 1))
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_depth_matches_recursive_reference(name, p, params):
+    sysx = make_instance(name, p, params)
+    rng = random.Random(14)
+    trees = [random_ast(sysx, rng, rng.randint(0, 5)) for _ in range(300)]
+    trees += [perfect_ast(sysx, rng, d) for d in range(5)]
+    seen = set()
+    for e in trees:
+        want = reference_depth(e)
+        seen.add(want)
+        assert e.depth == want
+        assert parse_expr(expr_str(sysx, e), sysx).depth == want
+    assert seen >= {None, 0, 1, 2, 3, 4}
+
+
 @pytest.mark.parametrize("name,p,params", INSTANCES)
 def test_structural_eval_matches_lowered_word(name, p, params):
     sysx = make_instance(name, p, params)
@@ -414,6 +450,12 @@ def test_deep_expressions_need_no_stack(dense):
     assert expr_str(dense, parse_expr(text, dense)) == text
     nested = "[" * depth + "h1(1/5)" + ", h0(5)]" * depth
     e = parse_expr(nested, dense)
+    # only the innermost commutator is a perfect tree
+    assert e.depth is None
+    inner = e
+    while type(inner.a) is CommE:
+        inner = inner.a
+    assert inner.depth == 1
     assert eval_expr(dense, e) == identity(dense)
     assert expr_str(dense, e) == nested
     products = "(" * depth + "h0(1) " + "h1(2)) " * depth
