@@ -19,9 +19,9 @@ negative witness argument, a derived depth above 8, a factor level above
 decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
 100,000), 4 a certificate failed verification (among them one whose cyclic
 ``L`` is above 10,000 or whose cyclic ``chain_shift`` or ``max_level`` is a
-bool, and one whose ``k`` is negative or whose ``d`` is outside 0..8, which
-the generators refuse too), 5 an internal error: any other exception, reported
-as one ``internal error: <type>: <message>`` line, never as a traceback.
+bool, one whose ``k`` is negative or ``d`` outside 0..8, as the generators
+refuse, and a result not in canonical text), 5 an internal error: any other
+exception, one ``internal error: <type>: <message>`` line, never a traceback.
 """
 
 import argparse

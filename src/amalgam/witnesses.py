@@ -15,10 +15,9 @@ iterate the fact into replayable evidence:
   elements of arbitrarily high level.
 
 Certificates store their inputs as word-expression strings plus the instance
-descriptor, nothing else; ``verify`` reconstructs the instance, reparses,
-recomputes and rechecks every claimed invariant from that data alone.  It
-runs the generators' own checks (``_check_bounds``, and ``_conjugate`` for
-an escape), so replay refuses what generation would.
+descriptor; ``verify`` recomputes the result from them alone, compares its
+canonical text with the claim byte for byte, and runs the generators' own
+checks (``_check_bounds``, ``_conjugate``), so replay refuses what they would.
 """
 
 import json
@@ -32,7 +31,6 @@ from amalgam.errors import (
 from amalgam.instances import make_instance
 from amalgam.normalform import (
     commutator,
-    forms_equal,
     inject,
     inv,
     is_identity,
@@ -47,9 +45,9 @@ from amalgam.wordexpr import (
     parse_expr,
 )
 
-# The tree has 2**d leaves and its cost grows 4-6x per level.  On a 2-vCPU
-# Xeon VM, depth 8 on dense p=5 takes about 1.7 s to generate and verify
-# (315 KB), depth 9 about 10 s (1.1 MB).
+# The tree has 2**d leaves and its cost grows about 4x per level.  On a
+# 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 0.2 s to generate and
+# verify (315 KB), depth 9 about 0.7 s (1.1 MB).
 _MAX_DEPTH = 8
 
 
@@ -313,17 +311,15 @@ def certificate_from_json(text):
 def verify(cert):
     """Recompute a certificate from its serialized inputs; True iff it holds.
 
-    A certificate the package rejects (a bound the generators refuse, bad
-    instance, unparsable expression, violated precondition) is False; any
-    other exception propagates.
+    The claim must be the recomputed form's canonical text, compared after
+    the cheaper level checks.  A certificate the package rejects (a bound
+    the generators refuse, bad instance, unparsable expression, violated
+    precondition) is False; any other exception propagates.
     """
     escape = type(cert) is EscapeCertificate
     try:
         _check_bounds(cert.k, None if escape else cert.d)
         sys = make_instance(cert.instance, cert.prime, cert.params)
-        claimed = eval_expr(sys, parse_expr(cert.result_expr, sys))
-        if claimed.level != cert.result_level:
-            return False
         if escape:
             h = eval_expr(sys, parse_expr(cert.h_expr, sys))
             g = eval_expr(sys, parse_expr(cert.g_expr, sys))
@@ -339,6 +335,7 @@ def verify(cert):
             result = eval_expr(sys, tree)
             if is_identity(sys, result):
                 return False
-        return forms_equal(sys, result, claimed) and result.level > cert.k
+        return (result.level == cert.result_level > cert.k
+                and form_expr_str(sys, result) == cert.result_expr)
     except AmalgamError:
         return False

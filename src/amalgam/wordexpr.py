@@ -30,7 +30,7 @@ expression or form is bounded by memory, not by Python's stack:
   commutator-free subtree's form goes through ``inv`` (in a derived tree, a
   one-atom leaf), so no commutator-sized form is inverted, and a depth-d
   commutator tree never expands into its 4**d syllables.
-* ``expr_to_word`` and the printers (``expr_str``, ``form_to_expr``,
+* ``expr_to_word`` and the printers (``expr_str``, ``form_expr_str``,
   ``format_form``) walk with explicit stacks, and the printers join one
   list of pieces once.
 """
@@ -346,46 +346,49 @@ def expr_str(sys, e):
     return "".join(out)
 
 
-def form_to_expr(sys, form):
-    """A word expression denoting the element of a canonical form.
+def form_expr_str(sys, form):
+    """The canonical text of a form: its one spelling as a word expression.
 
-    Nested left letters suspend their parent's letter iterator on an
-    explicit stack of ``(level, letters left, terms so far, tail)``.
+    Letters, then a non-identity tail, print as atoms, each followed by a
+    space that the end of its group drops.  A nested left letter's form is
+    walked on an explicit stack, in parentheses unless it is one R-letter
+    with the identity tail (one term, as every ``Alt`` holds an R-letter).
     """
+    vs = sys.value_str
     if type(form) is Base:
-        return AtomE(0, form.value)
-    pending = []
-    n, letters, terms, tail = form.level, iter(form.letters), [], form.tail
+        return f"h0({vs(form.value)})"
+    one = sys.factor_id()
+    out, pending = [], []
+    n, letters, tail = form.level, iter(form.letters), form.tail
     while True:
         for letter in letters:
             if type(letter) is RLetter:
-                terms.append(AtomE(n, letter.value))
+                out.append(f"h{n}({vs(letter.value)}) ")
             elif type(letter.form) is Base:
-                terms.append(AtomE(0, letter.form.value))
+                out.append(f"h0({vs(letter.form.value)}) ")
             else:
-                pending.append((n, letters, terms, tail))
                 sub = letter.form
-                n, letters, terms, tail = sub.level, iter(sub.letters), [], sub.tail
+                bare = len(sub.letters) == 1 and sub.tail == one
+                if not bare:
+                    out.append("(")
+                pending.append((n, letters, tail, bare))
+                n, letters, tail = sub.level, iter(sub.letters), sub.tail
                 break
         else:
-            if tail != sys.factor_id():
-                terms.append(AtomE(0, tail))
-            e = terms[0] if len(terms) == 1 else ProdE(terms)
+            if tail != one:
+                out.append(f"h0({vs(tail)}) ")
+            out[-1] = out[-1][:-1]
             if not pending:
-                return e
-            n, letters, terms, tail = pending.pop()
-            terms.append(e)
-
-
-def form_expr_str(sys, form):
-    return expr_str(sys, form_to_expr(sys, form))
+                return "".join(out)
+            n, letters, tail, bare = pending.pop()
+            out.append(" " if bare else ") ")
 
 
 def format_form(sys, form):
     """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t).
 
     Nested left letters suspend their parent's letter iterator on an
-    explicit stack, as in ``form_to_expr``.
+    explicit stack, as in ``form_expr_str``.
     """
     vs = sys.value_str
     if type(form) is Base:

@@ -400,6 +400,27 @@ def test_verify_tampered_certificate(capsys, tmp_path):
     assert out.strip() == "certificate INVALID"
 
 
+@pytest.mark.parametrize("spelling", [
+    "identity-atom", "parenthesized", "double-spaced", "cancelling-pair"])
+def test_verify_non_canonical_claim_is_invalid(capsys, tmp_path, spelling):
+    # the claim names the certified element, but not in its canonical text
+    _, out, _ = run(capsys, "witness", "escape", "h0(1/5)", "0")
+    data = json.loads(out)
+    claim = data["result"]["expr"]
+    assert claim == "h1(1/5) h0(1/5) h1(4/5) h0(-1)"
+    data["result"]["expr"] = {
+        "identity-atom": claim + " h0(0)",
+        "parenthesized": "(" + claim + ")",
+        "double-spaced": claim.replace(" ", "  "),
+        "cancelling-pair": claim + " h1(1) h1(1)^-1",
+    }[spelling]
+    cert_file = tmp_path / "spelled.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 4 and err == ""
+    assert out == "certificate INVALID\n"
+
+
 def test_verify_huge_tampered_stage_is_invalid(capsys, tmp_path):
     _, out, _ = run(capsys, "witness", "escape", "h0(25)", "1")
     data = json.loads(out)

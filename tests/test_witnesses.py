@@ -298,21 +298,63 @@ def test_commutator_hidden_in_leaf_fails(dense):
 
 def test_verify_does_not_expand_commutators(dense, monkeypatch):
     cert = derived_escape(dense, 6, 0)
-    result_word = wordexpr.expr_to_word(
-        dense, wordexpr.parse_expr(cert.result_expr, dense))
     counts = []
     reduce = wordexpr.reduce_word
+    parsed = []
+    parse = witnesses.parse_expr
 
     def counting(sys, word):
         counts.append(len(word))
         return reduce(sys, word)
 
+    def recording(src, sys):
+        parsed.append(src)
+        return parse(src, sys)
+
     monkeypatch.setattr(wordexpr, "reduce_word", counting)
+    monkeypatch.setattr(witnesses, "parse_expr", recording)
     assert verify(cert)
     # lowered, the tree alone is 4**6 syllables; evaluated on its structure
-    # only the commutator-free result and the 2**6 one-atom leaves are
-    assert counts == [len(result_word)] + [1] * 2**6
+    # only the 2**6 one-atom leaves are, and the claim is compared as text
+    assert counts == [1] * 2**6
     assert sum(counts) < 4**6
+    assert parsed == [cert.tree_expr]
+    assert cert.result_expr not in parsed
+
+
+CANONICAL_CLAIM = "h1(1/5) h0(1/5) h1(4/5) h0(-1)"
+# spellings of the same element as CANONICAL_CLAIM, none of them canonical
+OTHER_SPELLINGS = {
+    "identity-atom": CANONICAL_CLAIM + " h0(0)",
+    "parenthesized": "(" + CANONICAL_CLAIM + ")",
+    "double-spaced": CANONICAL_CLAIM.replace(" ", "  "),
+    "cancelling-pair": CANONICAL_CLAIM + " h1(1) h1(1)^-1",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(OTHER_SPELLINGS))
+def test_verify_refuses_non_canonical_claim(dense, spelling):
+    cert = escape_witness(dense, inject(dense, 0, P(1, 1)), 0)
+    assert cert.result_expr == CANONICAL_CLAIM
+    assert verify(cert)
+    claim = OTHER_SPELLINGS[spelling]
+    # the claim denotes the certified element, in other text
+    parsed = wordexpr.eval_expr(dense, wordexpr.parse_expr(claim, dense))
+    assert parsed == wordexpr.eval_expr(
+        dense, wordexpr.parse_expr(CANONICAL_CLAIM, dense))
+    assert not verify(_tamper(cert, **{"result.expr": claim}))
+
+
+def test_verify_checks_levels_before_rendering(dense, monkeypatch):
+    cert = derived_escape(dense, 6, 0)
+    level = cert.result_level
+
+    def refuse(sys, form):
+        raise RuntimeError("result rendered")
+
+    monkeypatch.setattr(witnesses, "form_expr_str", refuse)
+    for tampered in (level - 1, level + 1, 0):
+        assert not verify(_tamper(cert, **{"result.level": tampered}))
 
 
 def reference_tree(sys, j, L):

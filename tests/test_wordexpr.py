@@ -8,6 +8,8 @@ from amalgam import wordexpr
 from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import make_instance
 from amalgam.normalform import (
+    Base,
+    RLetter,
     forms_equal,
     identity,
     inv,
@@ -16,6 +18,7 @@ from amalgam.normalform import (
     reduce_word,
 )
 from amalgam.padic import PAdicRational
+from amalgam.witnesses import _build_tree
 from amalgam.wordexpr import (
     AtomE,
     CommE,
@@ -25,7 +28,6 @@ from amalgam.wordexpr import (
     expr_str,
     expr_to_word,
     form_expr_str,
-    form_to_expr,
     format_form,
     parse_expr,
 )
@@ -161,7 +163,8 @@ def test_structured_expr_round_trip(dense):
     assert forms_equal(dense, eval_expr(dense, e), eval_expr(dense, again))
 
 
-@pytest.mark.parametrize("name,p", [("dense", 5), ("heisenberg", 3)])
+@pytest.mark.parametrize("name,p", [("dense", 5), ("heisenberg", 3),
+                                    ("cyclic", 2)])
 def test_form_to_expr_round_trip(name, p):
     sysx = make_instance(name, p)
     rng = random.Random(77)
@@ -473,3 +476,65 @@ def test_deep_form_round_trip(dense):
     text = form_expr_str(dense, form)
     assert eval_expr(dense, parse_expr(text, dense)) == form
     assert format_form(dense, form).count("Alt(") == 5000
+
+
+# -- the one-pass form renderer against the AST composition ------------------
+
+
+def form_to_expr(sys, form):
+    """The AST of a form's canonical text: one term per letter, and a
+    non-identity tail as a last level-0 atom; a nested form with one term is
+    that term, else a product.  Explicit stack, as the 5,000-level form
+    needs.
+    """
+    if type(form) is Base:
+        return AtomE(0, form.value)
+    pending = []
+    n, letters, terms, tail = form.level, iter(form.letters), [], form.tail
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                terms.append(AtomE(n, letter.value))
+            elif type(letter.form) is Base:
+                terms.append(AtomE(0, letter.form.value))
+            else:
+                pending.append((n, letters, terms, tail))
+                sub = letter.form
+                n, letters, terms, tail = sub.level, iter(sub.letters), [], sub.tail
+                break
+        else:
+            if tail != sys.factor_id():
+                terms.append(AtomE(0, tail))
+            e = terms[0] if len(terms) == 1 else ProdE(terms)
+            if not pending:
+                return e
+            n, letters, terms, tail = pending.pop()
+            terms.append(e)
+
+
+def reference_form_expr_str(sys, form):
+    return expr_str(sys, form_to_expr(sys, form))
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_form_expr_str_matches_reference(name, p, params):
+    sysx = make_instance(name, p, params)
+    rng = random.Random(15)
+    forms = [identity(sysx)]
+    for _ in range(300):
+        w = [(rng.randint(0, 6), sysx.sample(rng.randint(0, 6), rng))
+             for _ in range(rng.randint(0, 30))]
+        forms.append(reduce_word(sysx, w))
+    # derived_escape's results at d = 0..6, with nested left letters
+    forms += [_build_tree(sysx, d, d, False)[1] for d in range(7)]
+    assert max(f.level for f in forms) == 7
+    for form in forms:
+        assert form_expr_str(sysx, form) == reference_form_expr_str(sysx, form)
+
+
+def test_deep_form_matches_reference(dense):
+    # the 5,000-level form of test_deep_form_round_trip
+    word = [(n, PAdicRational(1, 0, 5)) for n in range(5000, 1, -1)]
+    form = reduce_word(dense, word + [(1, PAdicRational(1, 1, 5)),
+                                      (0, PAdicRational(1, 1, 5))])
+    assert form_expr_str(dense, form) == reference_form_expr_str(dense, form)
