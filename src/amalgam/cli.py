@@ -11,8 +11,9 @@ after the subcommand:
 
 Exit codes: 0 success, 1 a computed answer is negative (eq false, a check
 suite found failures), 2 malformed input (expressions, literals, certificate
-files, including certificate fields of the wrong JSON type, such as a
-``seed`` that is neither an integer nor null), 3 violated
+files, including a file that is not UTF-8 text and certificate fields of
+the wrong JSON type, such as a ``seed`` that is neither an integer nor
+null), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
 negative witness argument, a derived depth above 8, a factor level above
 10,000, and a level or value too long for Python to read or print as a
@@ -22,9 +23,14 @@ decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
 bool, one whose ``k`` is negative or ``d`` outside 0..8, as the generators
 refuse, and a result not in canonical text), 5 an internal error: any other
 exception, one ``internal error: <type>: <message>`` line, never a traceback.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the same process; each call still parses into a fresh
+namespace, and help text is wrapped to ``COLUMNS`` as it is when printed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -70,7 +76,13 @@ def _common_flags():
     return common
 
 
+@functools.cache
 def build_parser():
+    """The ``amalgam`` argument parser, built once per process.
+
+    Every call returns the same parser, so callers must not modify it (add
+    arguments, change defaults); ``parse_args`` on it leaves it unchanged.
+    """
     common = _common_flags()
     ap = argparse.ArgumentParser(
         prog="amalgam",
@@ -154,7 +166,7 @@ def _dispatch(args, t0):
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 cert = certificate_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.file}: {exc}", file=_sys.stderr)
             return _EXIT_PARSE
         except InvalidParams as exc:

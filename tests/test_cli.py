@@ -369,6 +369,38 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc_info.value.code == 2
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_state_carries_between_calls(capsys):
+    # flags, defaults and a usage error on the shared parser do not leak
+    code, out, _ = run(capsys, "reduce", "h0((1,0,0))", "--instance",
+                       "heisenberg", "--prime", "3", "--seed", "7", "--json")
+    assert code == 0 and json.loads(out)["instance"] == "heisenberg"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["frobnicate"])
+    assert exc_info.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "reduce", "h1(7/5)")
+    assert code == 0 and err == ""
+    assert out == GOLDEN_TEXT + "\n"
+
+
+def test_help_follows_columns_at_call_time(capsys, monkeypatch):
+    cli.build_parser()
+    pages = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["reduce", "--help"])
+        assert exc_info.value.code == 0
+        pages[columns] = capsys.readouterr().out
+    narrow, wide = pages["40"].splitlines(), pages["200"].splitlines()
+    assert wide[0].startswith("usage: amalgam reduce") and wide[0].endswith("expr")
+    assert len(narrow) > len(wide)
+
+
 def test_witness_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "witness", "escape", "h0(25)", "1")
     assert code == 0
@@ -521,6 +553,16 @@ def test_verify_ill_typed_field_is_malformed(capsys, tmp_path):
     assert out == ""
     assert "k must be int" in err
     assert "Traceback" not in err
+
+
+def test_verify_non_utf8_file_is_malformed(capsys, tmp_path):
+    cert_file = tmp_path / "utf16.json"
+    cert_file.write_bytes(b"\xff\xfe" + '{"type": "escape"}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {cert_file}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "internal error" not in err
 
 
 def test_verify_missing_file(capsys, tmp_path):
