@@ -11,7 +11,7 @@ import random
 
 from amalgam.errors import IncompatibleHom, PreconditionViolated, int_text
 from amalgam.normalform import Base, RLetter
-from amalgam.padic import unipotent
+from amalgam.padic import PAdicRational, unipotent
 
 _CHECK_SEED = 0x5E7
 
@@ -21,14 +21,14 @@ class Target:
 
     __slots__ = ("name", "zero", "add", "value_str", "embeds")
 
-    def __init__(self, name, zero, add, value_str, embeds=False):
+    def __init__(self, name, zero, add, value_str):
         self.name = name
         self.zero = zero
         self.add = add
         self.value_str = value_str
-        # True when target values are PAdicRational, so they can sit in the
-        # upper-right entry of a unipotent matrix
-        self.embeds = embeds
+        # PAdicRational values can sit in the upper-right entry of a
+        # unipotent matrix
+        self.embeds = isinstance(zero, PAdicRational)
 
 
 class LevelwiseHom:
@@ -102,7 +102,6 @@ def standard_hom(sys):
             zero=sys.factor_id(),
             add=lambda a, b: sys.factor_mul(a, b),
             value_str=str,
-            embeds=True,
         )
         return LevelwiseHom(sys, target, lambda n, x: x)
     if kind == "heisenberg":

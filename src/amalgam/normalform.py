@@ -18,7 +18,7 @@ Nothing here recurses once per nesting level.  When two L-letters meet,
 ``mul`` suspends the product as a frame on an explicit stack while it
 multiplies their forms one level down; ``inv`` likewise suspends an
 inversion while it inverts a nested L-letter's form, and ``==`` and
-``repr`` walk nested letters with a stack.  A form nested a thousand levels
+``layout`` walk nested letters with a stack.  A form nested a thousand levels
 deep needs no more Python stack than a flat one.
 
 Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
@@ -138,29 +138,39 @@ class Alt:
             for letter in self.letters)))
 
     def __repr__(self):
-        """``Alt(n; [letters]; tail=t)``, walking nested letters with a stack."""
-        out = [f"Alt({self.level}; ["]
-        pending = []
-        letters, tail, sep = iter(self.letters), self.tail, ""
-        while True:
-            for letter in letters:
-                out.append(sep)
-                sep = ", "
-                if type(letter) is RLetter or type(letter.form) is Base:
-                    out.append(repr(letter))
-                else:
-                    pending.append((letters, tail))
-                    sub = letter.form
-                    out.append(f"L(Alt({sub.level}; [")
-                    letters, tail, sep = iter(sub.letters), sub.tail, ""
-                    break
+        return layout(self, repr)
+
+
+def layout(form, value_str):
+    """``Base(x)`` or ``Alt(n; R:x; L:(...); tail t)``, values by value_str.
+
+    The one walk of a form's structure that ``repr`` and
+    ``wordexpr.format_form`` share: a nested left letter suspends its
+    parent's letter iterator on an explicit stack.
+    """
+    if type(form) is Base:
+        return f"Base({value_str(form.value)})"
+    out = [f"Alt({form.level}; "]
+    pending = []
+    letters, tail = iter(form.letters), form.tail
+    while True:
+        for letter in letters:
+            if type(letter) is RLetter:
+                out.append(f"R:{value_str(letter.value)}; ")
+            elif type(letter.form) is Base:
+                out.append(f"L:(Base({value_str(letter.form.value)})); ")
             else:
-                out.append(f"]; tail={tail!r})")
-                if not pending:
-                    return "".join(out)
-                out.append(")")
-                letters, tail = pending.pop()
-                sep = ", "
+                pending.append((letters, tail))
+                sub = letter.form
+                out.append(f"L:(Alt({sub.level}; ")
+                letters, tail = iter(sub.letters), sub.tail
+                break
+        else:
+            out.append(f"tail {value_str(tail)})")
+            if not pending:
+                return "".join(out)
+            out.append("); ")
+            letters, tail = pending.pop()
 
 
 def identity(sys):

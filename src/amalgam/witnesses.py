@@ -18,6 +18,9 @@ Certificates store their inputs as word-expression strings plus the instance
 descriptor; ``verify`` recomputes the result from them alone, compares its
 canonical text with the claim byte for byte, and runs the generators' own
 checks (``_check_bounds``, ``_conjugate``), so replay refuses what they would.
+Generation and replay evaluate a derived tree with the same ``eval_expr``:
+``_build_tree`` builds only the expression, so a change to evaluation
+reaches both.
 """
 
 import json
@@ -29,13 +32,7 @@ from amalgam.errors import (
     PreconditionViolated,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import (
-    commutator,
-    inject,
-    inv,
-    is_identity,
-    mul,
-)
+from amalgam.normalform import inject, inv, is_identity, mul
 from amalgam.wordexpr import (
     AtomE,
     CommE,
@@ -51,8 +48,8 @@ from amalgam.wordexpr import (
 _MAX_DEPTH = 8
 
 
-def _check_hypotheses(sys, h, g, m):
-    """Raise unless h and g meet lemma21's hypotheses at stage m.
+def _conjugate(sys, h, g, m):
+    """The form of g h g^-1, after checking lemma21's hypotheses.
 
     The levels are checked first: they bound m by the size of the forms, so
     the B_m test, which can cost time in m, never sees an arbitrary m.
@@ -70,11 +67,6 @@ def _check_hypotheses(sys, h, g, m):
         raise PreconditionViolated(
             f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
         )
-
-
-def _conjugate(sys, h, g, m):
-    """The form of g h g^-1, after checking lemma21's hypotheses."""
-    _check_hypotheses(sys, h, g, m)
     return mul(sys, mul(sys, g, h), inv(sys, g))
 
 
@@ -213,50 +205,44 @@ def escape_witness(sys, h, k, seed=None):
     )
 
 
-def _build_tree(sys, j, L, with_inverse):
-    """Perfect commutator tree of depth j topped at level L+1.
+def _build_tree(sys, j, L):
+    """Perfect commutator tree of depth j topped at level L+1, as an AST.
 
-    Returns (expr, form, inverse), the inverse None unless ``with_inverse``.
-    Leaves are fresh escape letters; each internal node is [deeper,
-    shallower], kept at full level by the conjugation-level fact.  Every
-    subtree is a commutator operand, so it comes back with its inverse: a
-    leaf's is ``inv`` of one atom, and a node's, [shallower, deeper], is
-    built from its operands' forms and inverses like the node itself, so
-    no commutator-sized form is ever inverted.
+    Leaves are fresh escape letters h_{L+1}(escape_elem(L)); each internal
+    node is [deeper, shallower], kept at full level by the
+    conjugation-level fact.
     """
     if j == 0:
-        x = sys.escape_elem(L)
-        form = inject(sys, L + 1, x)
-        if form.level != L + 1:
-            raise PreconditionViolated(
-                f"escape_elem({L}) failed to reach level {L + 1}"
-            )
-        return AtomE(L + 1, x), form, inv(sys, form) if with_inverse else None
-    left_expr, left, left_inv = _build_tree(sys, j - 1, L, True)
-    right_expr, right, right_inv = _build_tree(sys, j - 1, L - 1, True)
-    _check_hypotheses(sys, right, left, L)
-    form = commutator(sys, left, left_inv, right, right_inv)
-    if form.level != L + 1:
-        raise PreconditionViolated(
-            f"commutator dropped to level {form.level}, expected {L + 1}"
-        )
-    inverse = (commutator(sys, right, right_inv, left, left_inv)
-               if with_inverse else None)
-    return CommE(left_expr, right_expr), form, inverse
+        return AtomE(L + 1, sys.escape_elem(L))
+    return CommE(_build_tree(sys, j - 1, L), _build_tree(sys, j - 1, L - 1))
 
 
 def derived_escape(sys, d, k, seed=None):
     """A depth-d derived-series element of level above k.
 
     The tree is topped at level max(k, d) + 1, the least start the recursion
-    needs.  Depths above 8 are refused, since the work grows exponentially
-    with d.
+    needs, and evaluated by ``eval_expr``, as ``verify`` replays it.  Each
+    leaf level is checked once before evaluation (``inject`` bounds the
+    level before any B_L test), and the root's level after it: the
+    certificate claims only that the root has level max(k, d) + 1 > k.
+    Depths above 8 are refused, since the work grows exponentially with d.
     """
     _check_bounds(k, d)
-    tree_expr, form, _ = _build_tree(sys, d, max(k, d), False)
+    top = max(k, d)
+    for L in range(top - d, top + 1):
+        if inject(sys, L + 1, sys.escape_elem(L)).level != L + 1:
+            raise PreconditionViolated(
+                f"escape_elem({L}) failed to reach level {L + 1}"
+            )
+    tree = _build_tree(sys, d, top)
+    form = eval_expr(sys, tree)
+    if form.level != top + 1:
+        raise PreconditionViolated(
+            f"commutator dropped to level {form.level}, expected {top + 1}"
+        )
     return DerivedCertificate(
         **sys.descriptor(),
-        tree_expr=expr_str(sys, tree_expr),
+        tree_expr=expr_str(sys, tree),
         d=d,
         k=k,
         result_expr=form_expr_str(sys, form),

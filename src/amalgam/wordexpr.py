@@ -30,15 +30,18 @@ expression or form is bounded by memory, not by Python's stack:
   commutator-free subtree's form goes through ``inv`` (in a derived tree, a
   one-atom leaf), so no commutator-sized form is inverted, and a depth-d
   commutator tree never expands into its 4**d syllables.
-* ``expr_to_word`` and the printers (``expr_str``, ``form_expr_str``,
-  ``format_form``) walk with explicit stacks, and the printers join one
-  list of pieces once.
+  ``witnesses.derived_escape`` generates with it and ``verify`` replays
+  with it, so both evaluate a certificate's tree the same way.
+* ``expr_to_word`` and the printers (``expr_str``, ``form_expr_str``)
+  walk with explicit stacks, and the printers join one list of pieces
+  once.  ``format_form`` is ``normalform.layout``, the one walk of a
+  form's structure, with the instance's value printer.
 """
 
 import re
 
 from amalgam.errors import ExprSyntaxError, int_text
-from amalgam.normalform import Base, RLetter, commutator, inv, mul, reduce_word
+from amalgam.normalform import Base, RLetter, commutator, inv, layout, mul, reduce_word
 
 
 class AtomE:
@@ -385,32 +388,5 @@ def form_expr_str(sys, form):
 
 
 def format_form(sys, form):
-    """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t).
-
-    Nested left letters suspend their parent's letter iterator on an
-    explicit stack, as in ``form_expr_str``.
-    """
-    vs = sys.value_str
-    if type(form) is Base:
-        return f"Base({vs(form.value)})"
-    out = [f"Alt({form.level}; "]
-    pending = []
-    letters, tail = iter(form.letters), form.tail
-    while True:
-        for letter in letters:
-            if type(letter) is RLetter:
-                out.append(f"R:{vs(letter.value)}; ")
-            elif type(letter.form) is Base:
-                out.append(f"L:(Base({vs(letter.form.value)})); ")
-            else:
-                pending.append((letters, tail))
-                sub = letter.form
-                out.append(f"L:(Alt({sub.level}; ")
-                letters, tail = iter(sub.letters), sub.tail
-                break
-        else:
-            out.append(f"tail {vs(tail)})")
-            if not pending:
-                return "".join(out)
-            out.append("); ")
-            letters, tail = pending.pop()
+    """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t)."""
+    return layout(form, sys.value_str)

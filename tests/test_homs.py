@@ -127,7 +127,6 @@ def test_incompatible_per_level_maps_rejected(dense):
         zero=PAdicRational.zero(5),
         add=lambda a, b: a + b,
         value_str=str,
-        embeds=True,
     )
 
     def doubler_on_odd_levels(n, x):
@@ -143,7 +142,6 @@ def test_non_homomorphic_map_rejected(dense):
         zero=PAdicRational.zero(5),
         add=lambda a, b: a + b,
         value_str=str,
-        embeds=True,
     )
 
     def squarer(n, x):

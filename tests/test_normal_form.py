@@ -159,11 +159,11 @@ def recursive_repr(form):
     """The text of repr(form), one call per nesting level."""
     if type(form) is Base:
         return f"Base({form.value!r})"
-    letters = ", ".join(
-        f"R({letter.value!r})" if type(letter) is RLetter
-        else f"L({recursive_repr(letter.form)})"
+    letters = "".join(
+        f"R:{letter.value!r}; " if type(letter) is RLetter
+        else f"L:({recursive_repr(letter.form)}); "
         for letter in form.letters)
-    return f"Alt({form.level}; [{letters}]; tail={form.tail!r})"
+    return f"Alt({form.level}; {letters}tail {form.tail!r})"
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -174,7 +174,7 @@ def test_repr_matches_recursive_reference(name, request):
     for _ in range(60):
         g = reduce_word(sys, rand_word(sys, rng, 12, 6))
         assert repr(g) == recursive_repr(g)
-        nested += repr(g).count("L(Alt(")
+        nested += repr(g).count("L:(Alt(")
     assert nested  # some of the forms nest an Alt in a left letter
 
 
@@ -182,8 +182,8 @@ def test_repr_of_deep_form_needs_no_stack(dense):
     word = [(n, R(1)) for n in range(5000, 1, -1)]
     form = reduce_word(dense, word + [(1, R(1, 1)), (0, R(1, 1))])
     text = repr(form)
-    assert text.startswith("Alt(5000; [R(") and text.endswith(")")
-    assert text.count("L(Alt(") == 4999
+    assert text.startswith("Alt(5000; R:") and text.endswith(")")
+    assert text.count("L:(Alt(") == 4999
 
 
 # --- level ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from amalgam.instances import make_instance
 from amalgam.normalform import (
     Base,
     RLetter,
+    identity,
     inject,
     inv,
     is_identity,
@@ -204,6 +205,28 @@ def test_broken_system_exhausts_retries(dense):
     broken.escape_elem = lambda n: PAdicRational.zero(5)
     with pytest.raises(PreconditionViolated, match="escape_elem"):
         derived_escape(broken, 1, 1)
+
+
+@pytest.mark.parametrize("d,k", [(1, 0), (3, 0), (2, 5)])
+@pytest.mark.parametrize("which", ["deepest", "top"])
+def test_every_leaf_level_is_checked(d, k, which):
+    # escape_elem fails at one leaf level only: the deepest leaves' (top - d)
+    # or the leftmost leaf's (top)
+    top = max(k, d)
+    bad = top - d if which == "deepest" else top
+    broken = make_instance("dense", 5)
+    escape_elem = broken.escape_elem
+    broken.escape_elem = lambda n: (PAdicRational.zero(5) if n == bad
+                                    else escape_elem(n))
+    message = rf"escape_elem\({bad}\) failed to reach level {bad + 1}"
+    with pytest.raises(PreconditionViolated, match=message):
+        derived_escape(broken, d, k)
+
+
+def test_root_level_is_checked_after_evaluation(dense, monkeypatch):
+    monkeypatch.setattr(witnesses, "eval_expr", lambda sys, e: identity(sys))
+    with pytest.raises(PreconditionViolated, match="dropped to level 0"):
+        derived_escape(dense, 2, 0)
 
 
 def test_json_round_trip_preserves_everything(dense):
@@ -451,18 +474,10 @@ def test_verify_refuses_what_generators_refuse(dense, monkeypatch, kind,
     assert not verify(bad)
 
 
-def perfect_tree(sys, j, L):
-    """The AST of derived_escape's depth-j tree topped at level L+1."""
-    if j == 0:
-        return wordexpr.AtomE(L + 1, sys.escape_elem(L))
-    return wordexpr.CommE(perfect_tree(sys, j - 1, L),
-                          perfect_tree(sys, j - 1, L - 1))
-
-
 def test_verify_refuses_depth_above_cap_unevaluated(dense, monkeypatch):
     # a well-formed depth-12 tree (37 KB) would take seconds to evaluate;
     # it is refused on its claimed depth alone
-    tree = perfect_tree(dense, 12, 12)
+    tree = witnesses._build_tree(dense, 12, 12)
     assert tree.depth == 12
     cert = DerivedCertificate(
         **dense.descriptor(), tree_expr=wordexpr.expr_str(dense, tree), d=12,

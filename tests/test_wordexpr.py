@@ -526,7 +526,7 @@ def test_form_expr_str_matches_reference(name, p, params):
              for _ in range(rng.randint(0, 30))]
         forms.append(reduce_word(sysx, w))
     # derived_escape's results at d = 0..6, with nested left letters
-    forms += [_build_tree(sysx, d, d, False)[1] for d in range(7)]
+    forms += [eval_expr(sysx, _build_tree(sysx, d, d)) for d in range(7)]
     assert max(f.level for f in forms) == 7
     for form in forms:
         assert form_expr_str(sysx, form) == reference_form_expr_str(sysx, form)
