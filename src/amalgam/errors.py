@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all amalgam modules, and ``int_text``."""
+"""Exception hierarchy shared by all amalgam modules, and the int readers."""
 
+import re
 import sys
 
 
@@ -52,3 +53,20 @@ def int_text(convert, x):
             f"number too long: more than {sys.get_int_max_str_digits()} "
             "decimal digits"
         ) from None
+
+
+_DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def int_literal(text, message):
+    """``int`` of a value literal's stripped text: decimal digits past
+    Python's int-string limit raise as in ``int_text``, any other text
+    ``int`` refuses LiteralError(message()), the message built only then."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        if not _DECIMAL.fullmatch(text):
+            raise LiteralError(message()) from None
+    # well-formed decimal text is refused only for its length
+    return int_text(int, text)

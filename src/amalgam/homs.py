@@ -10,7 +10,7 @@ than letting an ill-defined family produce garbage images.
 import random
 
 from amalgam.errors import IncompatibleHom, PreconditionViolated, int_text
-from amalgam.normalform import Base, RLetter
+from amalgam.normalform import RLetter
 from amalgam.padic import PAdicRational, unipotent
 
 _CHECK_SEED = 0x5E7
@@ -62,9 +62,6 @@ def phi_eval(g, hom):
     forms = [g]
     while forms:
         f = forms.pop()
-        if type(f) is Base:
-            acc = add(acc, phi(0, f.value))
-            continue
         n = f.level
         acc = add(acc, phi(n, f.tail))
         for letter in f.letters:

@@ -13,7 +13,7 @@
 """
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError, int_text
+from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
 from amalgam.factors import LEVEL_BOUND, FactorSystem
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
@@ -158,11 +158,9 @@ class HeisenbergInstance(FactorSystem):
         parts = s[1:-1].split(",")
         if len(parts) != 3:
             raise LiteralError(f"expected 3 components in {text!r}")
-        try:
-            x, y, z = (int(q.strip()) for q in parts)
-        except ValueError:
-            raise LiteralError(f"non-integer component in {text!r}") from None
-        return (x, y, z)
+        return tuple(
+            int_literal(q, lambda: f"non-integer component in {text!r}")
+            for q in parts)
 
     def value_str(self, a):
         x, y, z = (int_text(str, c) for c in a)
@@ -231,10 +229,9 @@ class FiniteCyclicInstance(FactorSystem):
         return q * rng.randrange(self.modulus // q)
 
     def parse_value(self, text):
-        try:
-            return int(text.strip()) % self.modulus
-        except ValueError:
-            raise LiteralError(f"expected an integer residue, got {text!r}") from None
+        residue = int_literal(
+            text, lambda: f"expected an integer residue, got {text!r}")
+        return residue % self.modulus
 
     def value_str(self, x):
         return int_text(str, x)

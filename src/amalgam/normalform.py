@@ -1,12 +1,14 @@
 """Canonical normal forms and exact arithmetic for the iterated amalgam.
 
-An element is either ``Base(h)``, a level-0 value, or ``Alt(n, letters, tail)``
-with n >= 1: a strictly alternating tuple of letters containing at least one
-``RLetter`` (a transversal representative of a nonidentity coset of the level-n
-factor modulo B_{n-1}) and possibly ``LLetter``s (canonical forms of level < n
-elements, themselves reduced modulo B_{n-1}), followed by one tail in B_{n-1}.
-Every B_k with k <= n-1 is central in the level-n stage, which is what lets a
-single right-placed tail absorb all split residues.
+Every element is ``Alt(n, letters, tail)``, the normal form of the theorem
+for amalgams (Serre, *Trees*, 1.2): a strictly alternating tuple of letters,
+then one tail in B_{n-1}.  The letters are ``RLetter``s (transversal
+representatives of nonidentity cosets of the level-n factor modulo B_{n-1}),
+at least one when n >= 1, and ``LLetter``s (forms of level < n elements,
+themselves reduced modulo B_{n-1}).  Level 0 has no letters: ``Alt(0, (), x)``
+is the value x, which ``layout`` prints as ``Base(x)``.  Every B_k with
+k <= n-1 is central in the level-n stage, which is what lets a single
+right-placed tail absorb all split residues.
 
 Multiplication lifts both operands to the higher level and pushes the right
 operand's letters one at a time onto the left operand's, merging at the
@@ -31,32 +33,13 @@ parent only when a letter at the parent's level arrives, or at the end.  The
 junction merge (``_push``), reassembly (``_assemble``) and left-letter
 canonicalization (``_left_canonical``) are the ones ``mul`` uses.
 
-The empty word is ``Base(identity)`` and all representatives are fixed by the
-factor system, so forms are structurally unique per element and ``==`` on
-forms is equality in the group; ``oracle`` checks that claim against an
+The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
+by the factor system, so forms are structurally unique per element and ``==``
+on forms is equality in the group; ``oracle`` checks that claim against an
 independent rewriting strategy.
 """
 
 from amalgam.errors import PreconditionViolated
-
-
-class Base:
-    """A level-0 element, stored as a bare factor value."""
-
-    __slots__ = ("value",)
-    level = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return type(other) is Base and self.value == other.value
-
-    def __hash__(self):
-        return hash(("B", self.value))
-
-    def __repr__(self):
-        return f"Base({self.value!r})"
 
 
 class RLetter:
@@ -96,7 +79,7 @@ class LLetter:
 
 
 class Alt:
-    """Alternating normal form at level n >= 1 with a central tail."""
+    """Normal form: level n >= 0, letters (none at level 0), central tail."""
 
     __slots__ = ("level", "letters", "tail")
 
@@ -110,12 +93,8 @@ class Alt:
         stack = [(self, other)]
         while stack:
             f, g = stack.pop()
-            if type(f) is not type(g):
+            if type(g) is not Alt:
                 return False
-            if type(f) is Base:
-                if f.value != g.value:
-                    return False
-                continue
             if (f.level != g.level or f.tail != g.tail
                     or len(f.letters) != len(g.letters)):
                 return False
@@ -146,10 +125,11 @@ def layout(form, value_str):
 
     The one walk of a form's structure that ``repr`` and
     ``wordexpr.format_form`` share: a nested left letter suspends its
-    parent's letter iterator on an explicit stack.
+    parent's letter iterator on an explicit stack.  A level-0 form prints
+    as ``Base(x)``, x its tail.
     """
-    if type(form) is Base:
-        return f"Base({value_str(form.value)})"
+    if form.level == 0:
+        return f"Base({value_str(form.tail)})"
     out = [f"Alt({form.level}; "]
     pending = []
     letters, tail = iter(form.letters), form.tail
@@ -157,8 +137,8 @@ def layout(form, value_str):
         for letter in letters:
             if type(letter) is RLetter:
                 out.append(f"R:{value_str(letter.value)}; ")
-            elif type(letter.form) is Base:
-                out.append(f"L:(Base({value_str(letter.form.value)})); ")
+            elif letter.form.level == 0:
+                out.append(f"L:(Base({value_str(letter.form.tail)})); ")
             else:
                 pending.append((letters, tail))
                 sub = letter.form
@@ -174,11 +154,11 @@ def layout(form, value_str):
 
 
 def identity(sys):
-    return Base(sys.factor_id())
+    return Alt(0, (), sys.factor_id())
 
 
 def is_identity(sys, form):
-    return type(form) is Base and form.value == sys.factor_id()
+    return form.level == 0 and form.tail == sys.factor_id()
 
 
 def inject(sys, n, x):
@@ -186,16 +166,13 @@ def inject(sys, n, x):
     sys.check_level(n)
     if n == 0 or sys.in_base(n - 1, x):
         # values in B_{n-1} are identified down the chain to level 0
-        return Base(x)
+        return Alt(0, (), x)
     rep, b = sys.split(n, x)
     return Alt(n, (RLetter(rep),), b)
 
 
 def _left_canonical(sys, form, n):
     """Reduce a level < n form, not in B_{n-1}, to a left letter plus residue."""
-    if type(form) is Base:
-        rep, b = sys.split(n, form.value)
-        return LLetter(Base(rep)), b
     rep_t, b2 = sys.split(n, form.tail)
     return LLetter(Alt(form.level, form.letters, rep_t)), b2
 
@@ -204,8 +181,8 @@ def _lift(sys, form, n):
     """View a level <= n form as (letter list, tail value) at level n."""
     if form.level == n:
         return list(form.letters), form.tail
-    if type(form) is Base and sys.in_base(n - 1, form.value):
-        return [], form.value
+    if form.level == 0 and sys.in_base(n - 1, form.tail):
+        return [], form.tail
     letter, b = _left_canonical(sys, form, n)
     return [letter], b
 
@@ -229,11 +206,11 @@ def _push(sys, stack, n, letter, tail):
 
 def _assemble(sys, n, letters, tail):
     if not letters:
-        return Base(tail)
+        return Alt(0, (), tail)
     if len(letters) == 1 and type(letters[0]) is LLetter:
         # no level-n letter survived: the element lives below level n (the
         # tail, in B_{n-1}, joins the letter's tail: no letters are pushed)
-        return mul(sys, letters[0].form, Base(tail))
+        return mul(sys, letters[0].form, Alt(0, (), tail))
     return Alt(n, tuple(letters), tail)
 
 
@@ -252,7 +229,7 @@ def mul(sys, f, g):
         if f is not None:
             lf, lg = f.level, g.level
             if lf == 0 and lg == 0:
-                prod = Base(sys.factor_mul(f.value, g.value))
+                prod = Alt(0, (), sys.factor_mul(f.tail, g.tail))
             else:
                 n = lf if lf > lg else lg
                 stack, ft = _lift(sys, f, n)
@@ -266,8 +243,8 @@ def mul(sys, f, g):
         n, stack, tail, gletters = frame
         if prod is not None:
             # the product of the two L-letters this frame was waiting on
-            if type(prod) is Base and sys.in_base(n - 1, prod.value):
-                tail = sys.factor_mul(tail, prod.value)
+            if prod.level == 0 and sys.in_base(n - 1, prod.tail):
+                tail = sys.factor_mul(tail, prod.tail)
             else:
                 newl, b = _left_canonical(sys, prod, n)
                 stack.append(newl)
@@ -294,8 +271,6 @@ def inv(sys, form):
     inversion is suspended as ``(level, letters left, letters out, tail)``
     on an explicit stack.
     """
-    if type(form) is Base:
-        return Base(sys.factor_inv(form.value))
     split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
     suspended = []
     n, letters = form.level, reversed(form.letters)
@@ -305,10 +280,6 @@ def inv(sys, form):
             if type(letter) is RLetter:
                 rep, b = split(n, finv(letter.value))
                 out.append(RLetter(rep))
-            elif type(letter.form) is Base:
-                newl, b = _left_canonical(
-                    sys, Base(finv(letter.form.value)), n)
-                out.append(newl)
             else:
                 suspended.append((n, letters, out, tail))
                 sub = letter.form
@@ -400,8 +371,6 @@ def reduce_word(sys, word):
                 form = letters.pop().form
                 if form.level < n:
                     top = [n, *_lift(sys, form, n)]
-                elif type(form) is Base:
-                    top = [0, [], form.value]
                 else:
                     top = [form.level, list(form.letters), form.tail]
             else:
@@ -430,5 +399,6 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    comm = commutator(sys, g, inv(sys, g), Base(z), Base(sys.factor_inv(z)))
+    comm = commutator(sys, g, inv(sys, g), Alt(0, (), z),
+                      Alt(0, (), sys.factor_inv(z)))
     return is_identity(sys, comm)

@@ -6,14 +6,14 @@ to a fixpoint with four local rules (drop identities, re-tag base members one
 level down, merge adjacent same-level syllables, absorb base members rightward
 into higher-level neighbors), then assembles the canonical form structurally
 in one recursive pass over the irreducible list.  Only the factor-system
-contract (split/in_base/group ops) is shared with the engine; no reduction
-code is.
+contract (split/in_base/group ops) and the form type ``Alt`` (level 0: no
+letters, the value as tail) are shared with the engine; no reduction code is.
 
 The termination measure is (length, sum of levels), lexicographic: every rule
 strictly decreases it.
 """
 
-from amalgam.normalform import Alt, Base, LLetter, RLetter
+from amalgam.normalform import Alt, LLetter, RLetter
 
 
 def _rewrite(sys, sylls):
@@ -49,12 +49,12 @@ def _rewrite(sys, sylls):
 def _build(sys, sylls):
     """Assemble an irreducible syllable list into its canonical form."""
     if not sylls:
-        return Base(sys.factor_id())
+        return Alt(0, (), sys.factor_id())
     n = max(s[0] for s in sylls)
     if n == 0:
         # adjacent same-level merges leave exactly one level-0 syllable
         assert len(sylls) == 1
-        return Base(sylls[0][1])
+        return Alt(0, (), sylls[0][1])
     letters = []
     tail = sys.factor_id()
     seg = []
@@ -65,16 +65,12 @@ def _build(sys, sylls):
             return
         sub = _build(sys, seg[:])
         seg.clear()
-        if type(sub) is Base:
-            if sys.in_base(n - 1, sub.value):
-                # only a trailing base-member segment can reach this
-                tail = sys.factor_mul(tail, sub.value)
-                return
-            rep, b = sys.split(n, sub.value)
-            letters.append(LLetter(Base(rep)))
-        else:
-            rep_t, b = sys.split(n, sub.tail)
-            letters.append(LLetter(Alt(sub.level, sub.letters, rep_t)))
+        if sub.level == 0 and sys.in_base(n - 1, sub.tail):
+            # only a trailing base-member segment can reach this
+            tail = sys.factor_mul(tail, sub.tail)
+            return
+        rep_t, b = sys.split(n, sub.tail)
+        letters.append(LLetter(Alt(sub.level, sub.letters, rep_t)))
         tail = sys.factor_mul(tail, b)
 
     for m, x in sylls:

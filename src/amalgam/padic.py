@@ -9,7 +9,7 @@ validates the prime every instance is built on.
 """
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError, int_text
+from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
 
 
 # Trial divisors, and the Miller-Rabin bases that decide primality for every
@@ -141,16 +141,10 @@ def parse_padic(text, p):
     """Parse `m` or `m/d` with d a positive power of the configured prime."""
     s = text.strip()
     num_s, slash, den_s = s.partition("/")
-    try:
-        num = int(num_s.strip())
-    except ValueError:
-        raise LiteralError(f"bad integer numerator in {text!r}") from None
+    num = int_literal(num_s, lambda: f"bad integer numerator in {text!r}")
     if not slash:
         return from_normalized(num, 0, p)
-    try:
-        den = int(den_s.strip())
-    except ValueError:
-        raise LiteralError(f"bad integer denominator in {text!r}") from None
+    den = int_literal(den_s, lambda: f"bad integer denominator in {text!r}")
     if den < 1:
         raise LiteralError(f"denominator must be positive in {text!r}")
     k = 0

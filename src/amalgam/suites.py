@@ -109,7 +109,7 @@ def sample_lemma21_inputs(sys, rng, max_m=5):
     """
     m = rng.randint(0, max_m)
     h = random_form(sys, rng, 6, m)
-    if h.level == 0 and sys.in_base(m, h.value):
+    if h.level == 0 and sys.in_base(m, h.tail):
         h = mul(sys, h, inject(sys, m, sys.escape_elem(m)))
     w = random_form(sys, rng, 4, m)
     g = mul(sys, w, inject(sys, m + 1, sys.escape_elem(m)))

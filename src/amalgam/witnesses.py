@@ -63,9 +63,9 @@ def _conjugate(sys, h, g, m):
             f"hypothesis level(g) = m+1 fails: level {g.level} != {m + 1}"
         )
     # base values all sit at level 0, so positive level escapes every B_m
-    if h.level == 0 and sys.in_base(m, h.value):
+    if h.level == 0 and sys.in_base(m, h.tail):
         raise PreconditionViolated(
-            f"hypothesis h not in B_{m} fails: {sys.value_str(h.value)} lies in it"
+            f"hypothesis h not in B_{m} fails: {sys.value_str(h.tail)} lies in it"
         )
     return mul(sys, mul(sys, g, h), inv(sys, g))
 
@@ -190,7 +190,7 @@ def escape_witness(sys, h, k, seed=None):
         raise IdentityInput("escape_witness needs a non-identity element")
     m = max(k, h.level)
     if h.level == 0:
-        m = max(m, sys.base_escape_level(h.value))
+        m = max(m, sys.base_escape_level(h.tail))
     g = inject(sys, m + 1, sys.escape_elem(m))
     result = _conjugate(sys, h, g, m)
     return EscapeCertificate(

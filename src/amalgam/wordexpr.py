@@ -20,9 +20,10 @@ expression or form is bounded by memory, not by Python's stack:
 * ``parse_expr`` makes one left-to-right pass.  A compiled pattern reads a
   whole atom (with its inversion suffix and the whitespace after it) in one
   match, and each open ``(`` or ``[`` is a frame on an explicit stack.
-* ``eval_expr`` evaluates on the tree's structure.  A subtree without
-  commutators is lowered to flat syllables (``expr_to_word``) and reduced in
-  one ``reduce_word`` pass.  Above it, each node carries its form together
+* ``eval_expr`` evaluates on the tree's structure.  A bare atom goes
+  through ``normalform.inject``; any other subtree without commutators is
+  lowered to flat syllables (``expr_to_word``) and reduced in one
+  ``reduce_word`` pass.  Above them, each node carries its form together
   with its inverse, where a parent needs that: a commutator [a, b]
   evaluates a and b once and is (ab)(a^-1 b^-1), its inverse
   (ba)(b^-1 a^-1); an inversion swaps its child's pair; a product
@@ -41,7 +42,7 @@ expression or form is bounded by memory, not by Python's stack:
 import re
 
 from amalgam.errors import ExprSyntaxError, int_text
-from amalgam.normalform import Base, RLetter, commutator, inv, layout, mul, reduce_word
+from amalgam.normalform import RLetter, commutator, inject, inv, layout, mul, reduce_word
 
 
 class AtomE:
@@ -275,12 +276,12 @@ def _combine(sys, node, pairs, want_inverse):
 def eval_expr(sys, e):
     """Canonical form of an AST, evaluated on its structure.
 
-    Each maximal commutator-free subtree (``depth`` 0) is reduced in one
-    ``reduce_word`` pass; the nodes above them combine (form, inverse) pairs
-    (see the module docstring).  Subtrees are visited left to right on an
-    explicit stack of ``(node, whether its inverse is wanted, its children's
-    pairs so far)``.
-    The operands of a commutator or an inversion need their inverses, a
+    Each maximal commutator-free subtree (``depth`` 0) is one ``inject``
+    call if it is a bare atom, else one ``reduce_word`` pass; the nodes
+    above them combine (form, inverse) pairs (see the module docstring).
+    Subtrees are visited left to right on an explicit stack of ``(node,
+    whether its inverse is wanted, its children's pairs so far)``.  The
+    operands of a commutator or an inversion need their inverses, a
     product's terms need theirs when the product's is wanted, and the
     root's is never wanted.
     """
@@ -292,7 +293,8 @@ def eval_expr(sys, e):
             want = want or type(node) is not ProdE
             node = _children(node)[0]
             continue
-        form = reduce_word(sys, expr_to_word(sys, node))
+        form = (inject(sys, node.level, node.value) if type(node) is AtomE
+                else reduce_word(sys, expr_to_word(sys, node)))
         pair = form, inv(sys, form) if want else None
         while pending:
             parent, parent_want, pairs = pending[-1]
@@ -353,13 +355,14 @@ def form_expr_str(sys, form):
     """The canonical text of a form: its one spelling as a word expression.
 
     Letters, then a non-identity tail, print as atoms, each followed by a
-    space that the end of its group drops.  A nested left letter's form is
-    walked on an explicit stack, in parentheses unless it is one R-letter
-    with the identity tail (one term, as every ``Alt`` holds an R-letter).
+    space that the end of its group drops; a level-0 form is the one atom
+    of its tail.  A nested left letter's form is walked on an explicit
+    stack, in parentheses unless it is one R-letter with the identity tail
+    (one term, as every form above level 0 holds an R-letter).
     """
     vs = sys.value_str
-    if type(form) is Base:
-        return f"h0({vs(form.value)})"
+    if form.level == 0:
+        return f"h0({vs(form.tail)})"
     one = sys.factor_id()
     out, pending = [], []
     n, letters, tail = form.level, iter(form.letters), form.tail
@@ -367,8 +370,8 @@ def form_expr_str(sys, form):
         for letter in letters:
             if type(letter) is RLetter:
                 out.append(f"h{n}({vs(letter.value)}) ")
-            elif type(letter.form) is Base:
-                out.append(f"h0({vs(letter.form.value)}) ")
+            elif letter.form.level == 0:
+                out.append(f"h0({vs(letter.form.tail)}) ")
             else:
                 sub = letter.form
                 bare = len(sub.letters) == 1 and sub.tail == one
@@ -388,5 +391,5 @@ def form_expr_str(sys, form):
 
 
 def format_form(sys, form):
-    """Human-oriented rendering: Base(x) or Alt(n; letters...; tail t)."""
+    """Human-oriented text: Alt(n; letters...; tail t), or Base(x) at level 0."""
     return layout(form, sys.value_str)

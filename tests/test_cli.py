@@ -285,6 +285,13 @@ def int_digit_limit():
     # sample counts outside 1..SAMPLES_BOUND
     ("check", "axioms", "--samples", "-5"),
     ("check", "axioms", "--samples", str(SAMPLES_BOUND + 1)),
+    # value literals past the int-string limit, on each instance's reader
+    ("reduce", "h0(" + "9" * 5000 + ")"),
+    ("reduce", "h0(1/" + "9" * 5000 + ")"),
+    ("reduce", "h0((" + "9" * 5000 + ",0,0))", "--instance", "heisenberg",
+     "--prime", "3"),
+    ("reduce", "h0(" + "9" * 5000 + ")", "--instance", "cyclic",
+     "--prime", "2"),
 ])
 def test_hostile_input_is_precondition_error(capsys, int_digit_limit, argv):
     code, out, err = run(capsys, *argv)

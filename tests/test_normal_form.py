@@ -8,7 +8,6 @@ from amalgam.errors import PreconditionViolated, UnsupportedLevel
 from amalgam.instances import make_instance
 from amalgam.normalform import (
     Alt,
-    Base,
     RLetter,
     centrality_check,
     forms_equal,
@@ -19,7 +18,9 @@ from amalgam.normalform import (
     mul,
     reduce_word,
 )
+from amalgam.oracle import naive_reduce
 from amalgam.padic import PAdicRational
+from amalgam.wordexpr import AtomE, CommE, InvE, ProdE, eval_expr
 
 
 def R(num, k=0, p=5):
@@ -56,7 +57,7 @@ def rand_word(sys, rng, max_len=16, max_level=6):
 
 def test_reduce_level0_sum(dense):
     got = reduce_word(dense, [(0, R(2, 1)), (0, R(3, 1))])
-    assert got == Base(R(1))
+    assert got == Alt(0, (), R(1))
     assert got.level == 0
 
 
@@ -68,7 +69,7 @@ def test_reduce_single_level1_syllable(dense):
 
 def test_reduce_base_identification(dense):
     got = reduce_word(dense, [(1, R(2)), (0, R(3))])
-    assert got == Base(R(5))
+    assert got == Alt(0, (), R(5))
     assert got.level == 0
 
 
@@ -157,8 +158,8 @@ def test_inv_of_product(dense):
 
 def recursive_repr(form):
     """The text of repr(form), one call per nesting level."""
-    if type(form) is Base:
-        return f"Base({form.value!r})"
+    if form.level == 0:
+        return f"Base({form.tail!r})"
     letters = "".join(
         f"R:{letter.value!r}; " if type(letter) is RLetter
         else f"L:({recursive_repr(letter.form)}); "
@@ -258,7 +259,7 @@ def test_beyond_level_cap_raises():
 
 def test_heisenberg_factor_commutator_collapses(heis):
     w = [(1, (1, 0, 0)), (1, (0, 1, 0)), (1, (-1, 0, 0)), (1, (0, -1, 0))]
-    assert reduce_word(heis, w) == Base((0, 0, 1))
+    assert reduce_word(heis, w) == Alt(0, (), (0, 0, 1))
 
 
 def test_noncommutative_letters_do_not_collapse(heis):
@@ -267,3 +268,36 @@ def test_noncommutative_letters_do_not_collapse(heis):
     got = reduce_word(heis, w)
     assert not is_identity(heis, got)
     assert got.level == 2
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_every_form_is_an_alt(name, request):
+    # one form type: a level-0 element, top-level or nested in a left
+    # letter, is an Alt with no letters, and only level 0 has none
+    sys = request.getfixturevalue(name)
+    rng = random.Random(14)
+    forms = [identity(sys)]
+    for _ in range(40):
+        word = rand_word(sys, rng, 10, 4)
+        a = reduce_word(sys, word)
+        b = reduce_word(sys, rand_word(sys, rng, 10, 4))
+        n = rng.randint(0, 4)
+        x, y = sys.sample(n, rng), sys.sample(0, rng)
+        forms += [
+            a, b, mul(sys, a, b), inv(sys, a), inject(sys, n, x),
+            inject(sys, n, y), naive_reduce(sys, word),
+            eval_expr(sys, AtomE(n, y)),
+            eval_expr(sys, CommE(AtomE(n, x), InvE(AtomE(0, y)))),
+        ]
+        if word:
+            forms.append(eval_expr(sys, ProdE(AtomE(*s) for s in word)))
+    nested_level0 = 0
+    while forms:
+        form = forms.pop()
+        assert type(form) is Alt
+        assert (form.level == 0) == (form.letters == ())
+        for letter in form.letters:
+            if type(letter) is not RLetter:
+                nested_level0 += letter.form.level == 0
+                forms.append(letter.form)
+    assert nested_level0

@@ -7,7 +7,7 @@ import pytest
 
 from amalgam.instances import make_instance
 from amalgam.normalform import (
-    Base,
+    Alt,
     forms_equal,
     identity,
     inv,
@@ -127,4 +127,4 @@ def test_oracle_level_claims(dense):
     R = lambda n, k=0: PAdicRational(n, k, 5)
     assert naive_reduce(dense, [(3, R(1, 1))]).level == 3
     assert naive_reduce(dense, [(2, R(25))]).level == 0
-    assert naive_reduce(dense, [(1, R(2)), (0, R(3))]) == Base(R(5))
+    assert naive_reduce(dense, [(1, R(2)), (0, R(3))]) == Alt(0, (), R(5))

@@ -14,7 +14,6 @@ from amalgam.errors import (
 )
 from amalgam.instances import make_instance
 from amalgam.normalform import (
-    Base,
     RLetter,
     identity,
     inject,
@@ -323,6 +322,8 @@ def test_verify_does_not_expand_commutators(dense, monkeypatch):
     cert = derived_escape(dense, 6, 0)
     counts = []
     reduce = wordexpr.reduce_word
+    injected = []
+    inject_atom = wordexpr.inject
     parsed = []
     parse = witnesses.parse_expr
 
@@ -330,17 +331,23 @@ def test_verify_does_not_expand_commutators(dense, monkeypatch):
         counts.append(len(word))
         return reduce(sys, word)
 
+    def injecting(sys, n, x):
+        injected.append(n)
+        return inject_atom(sys, n, x)
+
     def recording(src, sys):
         parsed.append(src)
         return parse(src, sys)
 
     monkeypatch.setattr(wordexpr, "reduce_word", counting)
+    monkeypatch.setattr(wordexpr, "inject", injecting)
     monkeypatch.setattr(witnesses, "parse_expr", recording)
     assert verify(cert)
     # lowered, the tree alone is 4**6 syllables; evaluated on its structure
-    # only the 2**6 one-atom leaves are, and the claim is compared as text
-    assert counts == [1] * 2**6
-    assert sum(counts) < 4**6
+    # only the 2**6 one-atom leaves are, each by one inject, no word is
+    # reduced, and the claim is compared as text
+    assert counts == []
+    assert len(injected) == 2**6
     assert parsed == [cert.tree_expr]
     assert cert.result_expr not in parsed
 
@@ -421,7 +428,7 @@ def test_derived_escape_inverts_only_leaves(dense, monkeypatch):
     assert verify(cert)
     assert generated and len(inverted) > generated
     for form in inverted:
-        assert type(form) is Base or (
+        assert form.level == 0 or (
             len(form.letters) == 1 and type(form.letters[0]) is RLetter)
 
 

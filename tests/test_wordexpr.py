@@ -8,7 +8,6 @@ from amalgam import wordexpr
 from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import make_instance
 from amalgam.normalform import (
-    Base,
     RLetter,
     forms_equal,
     identity,
@@ -487,16 +486,16 @@ def form_to_expr(sys, form):
     that term, else a product.  Explicit stack, as the 5,000-level form
     needs.
     """
-    if type(form) is Base:
-        return AtomE(0, form.value)
+    if form.level == 0:
+        return AtomE(0, form.tail)
     pending = []
     n, letters, terms, tail = form.level, iter(form.letters), [], form.tail
     while True:
         for letter in letters:
             if type(letter) is RLetter:
                 terms.append(AtomE(n, letter.value))
-            elif type(letter.form) is Base:
-                terms.append(AtomE(0, letter.form.value))
+            elif letter.form.level == 0:
+                terms.append(AtomE(0, letter.form.tail))
             else:
                 pending.append((n, letters, terms, tail))
                 sub = letter.form
