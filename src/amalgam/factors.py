@@ -46,8 +46,11 @@ class FactorSystem(ABC):
       own representative.  The one map serves H_n modulo B_{n-1} and, on
       base values, each B_m modulo B_{n-1}.
 
-    Each constructor ends with ``_check_contract``, so an instance that
-    breaks the contract is refused with ``InvalidParams``.
+    Values are also hashable, equal values hashing equally, since
+    ``wordexpr.eval_expr`` keys atoms by ``(level, value)``; the shipped
+    values (ints, int tuples, ``PAdicRational``) are.  Each constructor
+    ends with ``_check_contract``, so an instance that breaks the sampled
+    contract is refused with ``InvalidParams``.
     """
 
     kind = "abstract"

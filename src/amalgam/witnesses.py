@@ -42,9 +42,10 @@ from amalgam.wordexpr import (
     parse_expr,
 )
 
-# The tree has 2**d leaves and its cost grows about 4x per level.  On a
-# 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 0.2 s to generate and
-# verify (315 KB), depth 9 about 0.7 s (1.1 MB).
+# The tree has 2**d leaves but (d+1)(d+2)/2 distinct subtrees, each
+# evaluated once; the result's text grows about 3.6x per level and the cost
+# about 3x.  On a 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 35 ms to
+# generate and as long to verify (315 KB), depth 9 about 0.1 s each (1.1 MB).
 _MAX_DEPTH = 8
 
 

@@ -160,6 +160,35 @@ def test_dense_split_rep_range(dense):
             assert rep.num < 5 ** (n - 1 + rep.den_exp)
 
 
+@pytest.mark.parametrize("kind,p,params", [
+    ("dense", 5, None), ("dense", 18446744073709551557, None),
+    ("heisenberg", 3, None), ("cyclic", 2, {"L": 60})])
+def test_base_and_split_across_power_table(kind, p, params):
+    # exponents below 16 come from each instance's table, larger ones from
+    # the shared memo: chain membership and splits agree with p ** e
+    sys = make_instance(kind, p, params)
+    modulus = getattr(sys, "modulus", None)
+
+    def value(z):
+        if kind == "dense":
+            return PAdicRational(z, 0, p)
+        return (0, 0, z) if kind == "heisenberg" else z % modulus
+
+    for n in range(1, 40):
+        e = min(n + 1, 60) if kind == "cyclic" else n
+        assert sys.in_base(n, value(p ** e))
+        assert not sys.in_base(n, value(p ** (e - 1)))
+        h = value(3 * p ** (e - 1) + 2)
+        rep, b = sys.split(n, h)
+        assert sys.factor_mul(rep, b) == h and sys.in_base(n - 1, b)
+        assert sys.split(n, rep) == (rep, sys.factor_id())
+    if kind == "dense":
+        for k in range(12, 20):
+            h = PAdicRational(7 * p ** 30 + 1, k, p)
+            rep, b = sys.split(3, h)
+            assert sys.factor_mul(rep, b) == h and sys.in_base(2, b)
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_dense_inline_arithmetic_matches_kernels(p):
     # the instance computes on num/den_exp itself; the integer-pair kernels

@@ -1,5 +1,6 @@
 """Certificates: generation, frozen examples, replay, and tamper detection."""
 
+import hashlib
 import json
 import random
 import time
@@ -344,10 +345,11 @@ def test_verify_does_not_expand_commutators(dense, monkeypatch):
     monkeypatch.setattr(witnesses, "parse_expr", recording)
     assert verify(cert)
     # lowered, the tree alone is 4**6 syllables; evaluated on its structure
-    # only the 2**6 one-atom leaves are, each by one inject, no word is
-    # reduced, and the claim is compared as text
+    # only its leaves are, each distinct one by one inject (the 2**6 leaves
+    # hold 7 atoms, one per level 1..7), no word is reduced, and the claim
+    # is compared as text
     assert counts == []
-    assert len(injected) == 2**6
+    assert sorted(injected) == list(range(1, 8))
     assert parsed == [cert.tree_expr]
     assert cert.result_expr not in parsed
 
@@ -410,6 +412,33 @@ def test_derived_certificate_matches_inverting_reference(name, p, params):
             result_level=form.level)
         assert certificate_to_json(derived_escape(sys, d, 0)) == \
             certificate_to_json(want)
+
+
+# SHA-256 of the JSON texts of derived_escape(sys, d, k), concatenated for
+# d = 0..8 and, at each d, k = 0 then 3: computed before evaluation and
+# printing shared repeated subtrees, so that both stay byte-identical.
+DERIVED_GOLDEN = {
+    ("dense", 5, None):
+        "27f0d0d62087d5d52b02065ad8e8ac6d7f2861370fe5e3881f46adf7a6898ce6",
+    ("dense", 3, None):
+        "b73d2f43fb48057d2527a0d170026830e209f3acaa89a3885c67fb6c4796ddef",
+    ("heisenberg", 3, None):
+        "dc7d178a5b039af7468cb95c763d9c9a57c45bcbcef06b8ca65992f72265bbde",
+    ("cyclic", 2, (("L", 3),)):
+        "17b8528e36bc4d82b840d11dfd964fd34d62edf92f1c87c556f2e6adb2948b4d",
+}
+
+
+@pytest.mark.parametrize("config", sorted(DERIVED_GOLDEN, key=str))
+def test_derived_certificates_match_golden(config):
+    name, p, params = config
+    sys = make_instance(name, p, dict(params or ()))
+    digest = hashlib.sha256()
+    for d in range(9):
+        for k in (0, 3):
+            cert = derived_escape(sys, d, k)
+            digest.update(certificate_to_json(cert).encode())
+    assert digest.hexdigest() == DERIVED_GOLDEN[config]
 
 
 def test_derived_escape_inverts_only_leaves(dense, monkeypatch):

@@ -8,6 +8,8 @@ from amalgam import wordexpr
 from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import make_instance
 from amalgam.normalform import (
+    Alt,
+    LLetter,
     RLetter,
     forms_equal,
     identity,
@@ -536,4 +538,157 @@ def test_deep_form_matches_reference(dense):
     word = [(n, PAdicRational(1, 0, 5)) for n in range(5000, 1, -1)]
     form = reduce_word(dense, word + [(1, PAdicRational(1, 1, 5)),
                                       (0, PAdicRational(1, 1, 5))])
+    assert form_expr_str(dense, form) == reference_form_expr_str(dense, form)
+
+
+def shared_ast(sys, rng, depth, pool):
+    """A random AST that reuses node objects from pool as operands.
+
+    Every node it builds joins pool, so later operands can be the same
+    object as an earlier one, at any depth; [x, x], x x and x^-1 next to x
+    come up as well.
+    """
+    if pool and rng.random() < 0.4:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.25:
+        n = rng.randint(0, 4)
+        e = AtomE(n, sys.sample(n, rng))
+    else:
+        kind = rng.randrange(4)
+        a = shared_ast(sys, rng, depth - 1, pool)
+        if kind == 0:
+            e = InvE(a)
+        elif kind == 1:
+            e = CommE(a, shared_ast(sys, rng, depth - 1, pool))
+        elif kind == 2:
+            e = CommE(a, a)
+        else:
+            e = ProdE([a] + [shared_ast(sys, rng, depth - 1, pool)
+                             for _ in range(rng.randint(1, 2))] + [InvE(a)])
+    pool.append(e)
+    return e
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_repeated_subtrees_evaluate_as_lowered(name, p, params):
+    # the same node object reused, and its text parsed back, where every
+    # repeat is a separately built, structurally equal subtree
+    sysx = make_instance(name, p, params)
+    rng = random.Random(16)
+    for _ in range(150):
+        e = shared_ast(sysx, rng, rng.randint(1, 5), [])
+        want = reduce_word(sysx, expr_to_word(sysx, e))
+        rebuilt = parse_expr(expr_str(sysx, e), sysx)
+        for tree in (e, rebuilt):
+            assert eval_expr(sysx, tree) == want
+            assert eval_expr(sysx, tree) == want
+
+
+def test_equal_values_at_other_levels_are_other_atoms(dense):
+    x, y = PAdicRational(1, 0, 5), PAdicRational(1, 1, 5)
+    texts = ["[h1(1), h2(1)]", "[h2(1), h2(1)]", "[h1(1/5), h0(1/5)] h1(1/5)",
+             "[[h1(1), h2(1)], [h2(1), h1(1)]]",
+             "([h1(1) h2(1/5), h2(1/5) h1(1)])^-1 [h3(1), h1(1) h2(1/5)]"]
+    for text in texts:
+        e = parse_expr(text, dense)
+        assert eval_expr(dense, e) == reduce_word(dense, expr_to_word(dense, e))
+    a1, a2, b2 = AtomE(1, x), AtomE(2, x), AtomE(2, y)
+    for e in (CommE(a1, a2), CommE(a2, a2), ProdE([CommE(a1, b2), InvE(a1)]),
+              CommE(CommE(a1, a2), CommE(a2, a1)),
+              CommE(InvE(CommE(a1, a2)), CommE(a1, a2))):
+        assert eval_expr(dense, e) == reduce_word(dense, expr_to_word(dense, e))
+    assert is_identity(dense, eval_expr(dense, CommE(a2, a2)))
+
+
+def test_derived_tree_evaluates_each_distinct_subtree_once(dense, monkeypatch):
+    # T(j, L) = [T(j-1, L), T(j-1, L-1)] at d = 6 has 127 nodes but only
+    # 7 distinct leaves and 21 distinct commutators
+    injected, combined = [], []
+    inject_atom, combine = wordexpr.inject, wordexpr._combine
+
+    def injecting(sys, n, x):
+        injected.append(n)
+        return inject_atom(sys, n, x)
+
+    def combining(sys, node, pairs, want_inverse):
+        combined.append(node)
+        return combine(sys, node, pairs, want_inverse)
+
+    monkeypatch.setattr(wordexpr, "inject", injecting)
+    monkeypatch.setattr(wordexpr, "_combine", combining)
+    tree = _build_tree(dense, 6, 6)
+    want = eval_expr(dense, tree)
+    for e in (tree, parse_expr(expr_str(dense, tree), dense)):
+        del injected[:], combined[:]
+        assert eval_expr(dense, e) == want
+        assert sorted(injected) == list(range(1, 8))
+        assert len(combined) == 21
+
+
+def shared_form(sys, rng, pool):
+    """A hand-built form whose left letters are drawn from pool, shared.
+
+    Letters alternate and at least one is an R-letter, as in a normal form;
+    the values need not be canonical, since the printer reads only the
+    structure.  The form joins pool for later forms to share.
+    """
+    n = rng.randint(1, 4)
+    below = [f for f in pool if f.level < n]
+    left = rng.random() < 0.5
+    letters = []
+    for _ in range(rng.randint(1, 4)):
+        if left:
+            letters.append(LLetter(rng.choice(below)))
+        else:
+            letters.append(RLetter(sys.sample(n, rng)))
+        left = not left
+    if len(letters) == 1 and type(letters[0]) is LLetter:
+        letters.append(RLetter(sys.sample(n, rng)))
+    tail = sys.factor_id() if rng.random() < 0.5 else sys.sample(0, rng)
+    form = Alt(n, tuple(letters), tail)
+    pool.append(form)
+    return form
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_form_expr_str_of_shared_subforms_matches_reference(name, p, params):
+    sysx = make_instance(name, p, params)
+    rng = random.Random(17)
+    pool = [Alt(0, (), sysx.sample(0, rng))]
+    forms = [shared_form(sysx, rng, pool) for _ in range(400)]
+    # products and commutators of forms share their operands' letters
+    words = [[(rng.randint(0, 4), sysx.sample(4, rng)) for _ in range(12)]
+             for _ in range(20)]
+    for w in words:
+        f, g = reduce_word(sysx, w), reduce_word(sysx, w[::-1])
+        a, b = (parse_expr(form_expr_str(sysx, x), sysx) for x in (f, g))
+        forms += [mul(sysx, f, f), mul(sysx, mul(sysx, f, g), f),
+                  eval_expr(sysx, CommE(a, b))]
+    forms += [eval_expr(sysx, _build_tree(sysx, d, d)) for d in range(7)]
+    shared = 0
+    for form in forms:
+        assert form_expr_str(sysx, form) == reference_form_expr_str(sysx, form)
+        stack, seen = [form], set()
+        while stack:
+            f = stack.pop()
+            for letter in f.letters:
+                if type(letter) is LLetter:
+                    shared += id(letter.form) in seen
+                    seen.add(id(letter.form))
+                    stack.append(letter.form)
+    assert shared > 1000
+
+
+def test_form_expr_str_reuses_a_group_that_closed_its_parent(dense):
+    # s closes x's group, whose end drops the space after s; s and x are
+    # then printed again from the text of their first rendering
+    one, fifth = PAdicRational(1, 0, 5), PAdicRational(1, 1, 5)
+    s = Alt(1, (RLetter(fifth),), fifth)
+    x = Alt(2, (RLetter(one), LLetter(s)), dense.factor_id())
+    form = Alt(3, (LLetter(x), RLetter(one), LLetter(s), RLetter(one),
+                   LLetter(x)), fifth)
+    s_text = "(h1(1/5) h0(1/5))"
+    x_text = f"(h2(1) {s_text})"
+    assert form_expr_str(dense, form) == \
+        f"{x_text} h3(1) {s_text} h3(1) {x_text} h0(1/5)"
     assert form_expr_str(dense, form) == reference_form_expr_str(dense, form)
