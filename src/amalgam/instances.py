@@ -12,39 +12,36 @@
   the kind of degenerate instance construction must reject.
 """
 
-import functools
-
 from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
 from amalgam.factors import LEVEL_BOUND, FactorSystem
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
 
-# ``in_base`` and ``split`` test against p ** e, e a factor level or a
-# denominator's exponent.  Each instance keeps p ** e for e below this in a
-# tuple, which is faster than computing it; larger powers come from
-# ``_power``.
-_TABLED = 16
+class _Powers(dict):
+    """p ** e by e for one prime p, at most 64 of them remembered.
 
-
-def _powers(p):
-    """(p ** 0, ..., p ** (_TABLED - 1)), an instance's small powers."""
-    out = [1]
-    for _ in range(_TABLED - 1):
-        out.append(out[-1] * p)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _power(p, e):
-    """p ** e, remembered for the 64 latest (p, e).
-
-    At a prime near 2**64 and an exponent near ``LEVEL_BOUND`` one power is
-    an 80 KB integer that takes 17-25 ms to compute, and a derived tree
-    tests against the same few such powers hundreds of times.  The bound
-    keeps the memo under about 5 MB.
+    Every ``in_base`` and ``split`` takes p ** e from its instance's memo,
+    e a factor level or a denominator's exponent.  A hit is one dict
+    lookup; a miss computes the power and keeps it, dropping the oldest
+    once 64 are kept.  At a prime
+    near 2**64 and an exponent near ``LEVEL_BOUND`` one power is an 80 KB
+    integer that takes 17-25 ms to compute, and a derived tree tests
+    against the same few such powers hundreds of times; the bound keeps an
+    instance's memo under about 5 MB.
     """
-    return p ** e
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, e):
+        if len(self) >= 64:
+            del self[next(iter(self))]
+        power = self[e] = self.p ** e
+        return power
 
 
 class DenseInstance(FactorSystem):
@@ -59,7 +56,7 @@ class DenseInstance(FactorSystem):
 
     def __init__(self, p):
         self.p = check_prime(p)
-        self._powers = _powers(self.p)
+        self._powers = _Powers(self.p)
         self._zero = PAdicRational.zero(self.p)
         self._one = PAdicRational.one(self.p)
         self._invp = PAdicRational(1, 1, self.p)
@@ -97,19 +94,16 @@ class DenseInstance(FactorSystem):
         num = x.num
         if num == 0:
             return True
-        return x.den_exp == 0 and (n == 0 or num % (
-            self._powers[n] if n < _TABLED else _power(self.p, n)) == 0)
+        return x.den_exp == 0 and (n == 0 or num % self._powers[n] == 0)
 
     def split(self, n, h):
         """(rep, h - rep): rep in [0, p**(n-1)), h - rep in p**(n-1) Z."""
         num, k = h.num, h.den_exp
         p = self.p
-        e = n - 1 + k
-        rep = num % (self._powers[e] if e < _TABLED else _power(p, e))
+        rep = num % self._powers[n - 1 + k]
         if rep == num:
             return h, self._zero
-        base = (num - rep) // (
-            self._powers[k] if k < _TABLED else _power(p, k))
+        base = (num - rep) // self._powers[k]
         base = from_normalized(base, 0, p) if base else self._zero
         if rep == 0:
             return self._zero, base
@@ -150,7 +144,7 @@ class HeisenbergInstance(FactorSystem):
 
     def __init__(self, p):
         self.p = check_prime(p)
-        self._powers = _powers(self.p)
+        self._powers = _Powers(self.p)
         self._id = (0, 0, 0)
         self._check_contract()
 
@@ -164,12 +158,10 @@ class HeisenbergInstance(FactorSystem):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
 
     def in_base(self, n, a):
-        return a[0] == 0 and a[1] == 0 and a[2] % (
-            self._powers[n] if n < _TABLED else _power(self.p, n)) == 0
+        return a[0] == 0 and a[1] == 0 and a[2] % self._powers[n] == 0
 
     def split(self, n, h):
-        e = n - 1
-        q = self._powers[e] if e < _TABLED else _power(self.p, e)
+        q = self._powers[n - 1]
         zr = h[2] % q
         return (h[0], h[1], zr), (0, 0, h[2] - zr)
 
@@ -216,7 +208,7 @@ class FiniteCyclicInstance(FactorSystem):
 
     def __init__(self, p, L, chain_shift=1, max_level=None):
         self.p = check_prime(p)
-        self._powers = _powers(self.p)
+        self._powers = _Powers(self.p)
         if type(L) is not int or not 2 <= L <= LEVEL_BOUND:
             raise InvalidParams(
                 f"cyclic instance needs integer 2 <= L <= {LEVEL_BOUND}, got {L!r}")
@@ -244,12 +236,10 @@ class FiniteCyclicInstance(FactorSystem):
         return (-x) % self.modulus
 
     def in_base(self, n, x):
-        e = self._exp(n)
-        return x % (self._powers[e] if e < _TABLED else _power(self.p, e)) == 0
+        return x % self._powers[self._exp(n)] == 0
 
     def split(self, n, h):
-        e = self._exp(n - 1)
-        q = self._powers[e] if e < _TABLED else _power(self.p, e)
+        q = self._powers[self._exp(n - 1)]
         rep = h % q
         return rep, (h - rep) % self.modulus
 

@@ -257,29 +257,36 @@ def expr_to_word(sys, e):
     return out
 
 
-def _combine(sys, node, pairs, want_inverse):
-    """(form, inverse) of an inversion, commutator or product node.
+def _combine(sys, node, pairs):
+    """Form of an inversion, commutator or product node.
 
-    ``pairs`` holds its children's (form, inverse) pairs.  A commutator or
-    product leaves its inverse None unless ``want_inverse``.
+    ``pairs`` holds its children's (form, inverse) pairs; ``_combine_inv``
+    is the same node's inverse from the same pairs.
     """
     t = type(node)
     if t is InvE:
-        form, inverse = pairs[0]
-        return inverse, form
+        return pairs[0][1]
     if t is CommE:
         (a, a_inv), (b, b_inv) = pairs
-        return (commutator(sys, a, a_inv, b, b_inv),
-                commutator(sys, b, b_inv, a, a_inv) if want_inverse else None)
+        return commutator(sys, a, a_inv, b, b_inv)
     form = pairs[0][0]
     for f, _ in pairs[1:]:
         form = mul(sys, form, f)
-    if not want_inverse:
-        return form, None
+    return form
+
+
+def _combine_inv(sys, node, pairs):
+    """Inverse of an inversion, commutator or product node."""
+    t = type(node)
+    if t is InvE:
+        return pairs[0][0]
+    if t is CommE:
+        (a, a_inv), (b, b_inv) = pairs
+        return commutator(sys, b, b_inv, a, a_inv)
     inverse = pairs[-1][1]
     for _, f_inv in reversed(pairs[:-1]):
         inverse = mul(sys, inverse, f_inv)
-    return form, inverse
+    return inverse
 
 
 def _flat(sys, e):
@@ -307,8 +314,10 @@ def eval_expr(sys, e):
     equal atoms, and structurally equal subtrees above them, share one
     pair however the tree was built.  A repeat is still walked, but costs
     lookups, not products; an inverse first wanted at a repeat is built
-    then, from the children's pairs.  The pairs live in a list that dies
-    with the call, and a root without commutators is evaluated directly.
+    then, alone, from the children's pairs, and the form already built
+    stays the one object every parent shares.  The pairs live in a list
+    that dies with the call, and a root without commutators is evaluated
+    directly.
     """
     if e.depth == 0:
         return _flat(sys, e)
@@ -341,10 +350,13 @@ def eval_expr(sys, e):
             shape = type(parent), tuple(kid_keys)
             key = keys.setdefault(shape, len(pairs))
             if key == len(pairs):
-                pairs.append(None)
-            if pairs[key] is None or want and pairs[key][1] is None:
-                pairs[key] = _combine(sys, parent, [pairs[k] for k in kid_keys],
-                                      want)
+                kid_pairs = [pairs[k] for k in kid_keys]
+                pairs.append((_combine(sys, parent, kid_pairs),
+                              _combine_inv(sys, parent, kid_pairs) if want
+                              else None))
+            elif want and pairs[key][1] is None:
+                pairs[key] = pairs[key][0], _combine_inv(
+                    sys, parent, [pairs[k] for k in kid_keys])
         else:
             return pairs[key][0]
 

@@ -9,7 +9,7 @@ import pytest
 from amalgam import cli, witnesses
 from amalgam.cli import SAMPLES_BOUND, main
 from amalgam.factors import LEVEL_BOUND
-from amalgam.instances import _power
+from amalgam.instances import _Powers
 
 GOLDEN_TEXT = "Alt(1; R:2/5; tail 1), level=1"
 
@@ -302,16 +302,23 @@ def test_hostile_input_is_precondition_error(capsys, int_digit_limit, argv):
     assert "Traceback" not in err
 
 
-def test_huge_prime_deep_tree_is_refused_with_few_powers(capsys,
+def test_huge_prime_deep_tree_is_refused_with_few_powers(capsys, monkeypatch,
                                                          int_digit_limit):
     # every leaf and split at levels near 10,000 tests against a power of a
     # prime near 2**64, 80 KB each: each is computed once, not per call
-    _power.cache_clear()
+    missing, computed = _Powers.__missing__, []
+
+    def computing(self, e):
+        computed.append(e)
+        return missing(self, e)
+
+    monkeypatch.setattr(_Powers, "__missing__", computing)
     code, out, err = run(capsys, "witness", "derived", "4", "9999",
                          "--prime", "18446744073709551557")
     assert code == 3 and out == ""
     assert err.startswith("error: number too long") and err.count("\n") == 1
-    assert _power.cache_info().misses <= 10
+    large = [e for e in computed if e > 100]
+    assert large and len(large) == len(set(large)) <= 10
 
 
 def test_deep_flat_word_level_is_answered(capsys):

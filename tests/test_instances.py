@@ -163,9 +163,10 @@ def test_dense_split_rep_range(dense):
 @pytest.mark.parametrize("kind,p,params", [
     ("dense", 5, None), ("dense", 18446744073709551557, None),
     ("heisenberg", 3, None), ("cyclic", 2, {"L": 60})])
-def test_base_and_split_across_power_table(kind, p, params):
-    # exponents below 16 come from each instance's table, larger ones from
-    # the shared memo: chain membership and splits agree with p ** e
+def test_base_and_split_with_remembered_powers(kind, p, params):
+    # every power comes from the instance's memo, small and large
+    # exponents alike: chain membership and splits agree with p ** e, and
+    # the memo stays right past its bound of 64 powers
     sys = make_instance(kind, p, params)
     modulus = getattr(sys, "modulus", None)
 
@@ -187,6 +188,8 @@ def test_base_and_split_across_power_table(kind, p, params):
             h = PAdicRational(7 * p ** 30 + 1, k, p)
             rep, b = sys.split(3, h)
             assert sys.factor_mul(rep, b) == h and sys.in_base(2, b)
+    assert all(sys._powers[e] == p ** e for e in range(100))
+    assert len(sys._powers) == 64
 
 
 @pytest.mark.parametrize("p", [2, 5])

@@ -423,18 +423,26 @@ def test_carried_inverses_are_inverses(name, p, params, monkeypatch):
     # every (form, inverse) pair that evaluation carries up a tree, into
     # and out of each node above a commutator, multiplies to the identity
     sysx = make_instance(name, p, params)
-    combine = wordexpr._combine
+    combine, combine_inv = wordexpr._combine, wordexpr._combine_inv
     checked = []
 
-    def checking(sys, node, pairs, want_inverse):
-        pair = combine(sys, node, pairs, want_inverse)
-        for form, inverse in pairs + [pair]:
+    def check(sys, pairs):
+        for form, inverse in pairs:
             if inverse is not None:
                 assert is_identity(sys, mul(sys, form, inverse))
                 checked.append(form)
-        return pair
 
-    monkeypatch.setattr(wordexpr, "_combine", checking)
+    def forming(sys, node, pairs):
+        check(sys, pairs)
+        return combine(sys, node, pairs)
+
+    def inverting(sys, node, pairs):
+        inverse = combine_inv(sys, node, pairs)
+        check(sys, pairs + [(combine(sys, node, pairs), inverse)])
+        return inverse
+
+    monkeypatch.setattr(wordexpr, "_combine", forming)
+    monkeypatch.setattr(wordexpr, "_combine_inv", inverting)
     rng = random.Random(13)
     for _ in range(150):
         e = random_ast(sysx, rng, rng.randint(1, 5))
@@ -603,26 +611,65 @@ def test_equal_values_at_other_levels_are_other_atoms(dense):
 def test_derived_tree_evaluates_each_distinct_subtree_once(dense, monkeypatch):
     # T(j, L) = [T(j-1, L), T(j-1, L-1)] at d = 6 has 127 nodes but only
     # 7 distinct leaves and 21 distinct commutators
-    injected, combined = [], []
-    inject_atom, combine = wordexpr.inject, wordexpr._combine
+    injected, combined, inverted = [], [], []
+    inject_atom = wordexpr.inject
+    combine, combine_inv = wordexpr._combine, wordexpr._combine_inv
 
     def injecting(sys, n, x):
         injected.append(n)
         return inject_atom(sys, n, x)
 
-    def combining(sys, node, pairs, want_inverse):
+    def combining(sys, node, pairs):
         combined.append(node)
-        return combine(sys, node, pairs, want_inverse)
+        return combine(sys, node, pairs)
+
+    def inverting(sys, node, pairs):
+        inverted.append(node)
+        return combine_inv(sys, node, pairs)
 
     monkeypatch.setattr(wordexpr, "inject", injecting)
     monkeypatch.setattr(wordexpr, "_combine", combining)
+    monkeypatch.setattr(wordexpr, "_combine_inv", inverting)
     tree = _build_tree(dense, 6, 6)
     want = eval_expr(dense, tree)
     for e in (tree, parse_expr(expr_str(dense, tree), dense)):
-        del injected[:], combined[:]
+        del injected[:], combined[:], inverted[:]
         assert eval_expr(dense, e) == want
         assert sorted(injected) == list(range(1, 8))
-        assert len(combined) == 21
+        # every commutator but the root is wanted with its inverse
+        assert len(combined) == 21 and len(inverted) == 20
+
+
+def test_inverse_first_wanted_at_a_repeat_is_built_alone(dense, monkeypatch):
+    # c and p first occur as product terms, whose inverses are not wanted,
+    # then as commutator operands, which need them: each is combined once
+    # and inverted once, and its later parents get the first form object
+    combined, inverted = [], []
+    combine, combine_inv = wordexpr._combine, wordexpr._combine_inv
+
+    def combining(sys, node, pairs):
+        combined.append((node, pairs))
+        return combine(sys, node, pairs)
+
+    def inverting(sys, node, pairs):
+        inverted.append(node)
+        return combine_inv(sys, node, pairs)
+
+    monkeypatch.setattr(wordexpr, "_combine", combining)
+    monkeypatch.setattr(wordexpr, "_combine_inv", inverting)
+    a1 = AtomE(1, PAdicRational(1, 0, 5))
+    a2 = AtomE(2, PAdicRational(1, 1, 5))
+    c = CommE(a1, a2)
+    p = ProdE([c, a2])
+    for e, lazy in ((ProdE([c, CommE(c, a1)]), [c]),
+                    (ProdE([p, CommE(p, a1), c]), [c, p])):
+        del combined[:], inverted[:]
+        assert eval_expr(dense, e) == reduce_word(dense, expr_to_word(dense, e))
+        nodes = [node for node, _ in combined]
+        assert len(nodes) == len(set(map(id, nodes)))
+        assert [id(n) for n in inverted] == list(map(id, lazy))
+        root_pairs, comm_pairs = combined[-1][1], combined[-2][1]
+        assert root_pairs[0][0] is comm_pairs[0][0]
 
 
 def shared_form(sys, rng, pool):
