@@ -182,11 +182,9 @@ def _dispatch(args, t0):
 
     if cmd == "reduce":
         form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
-        result = {
-            "form": format_form(sys_obj, form),
-            "level": form.level,
-            "expr": form_expr_str(sys_obj, form),
-        }
+        result = {"form": format_form(sys_obj, form), "level": form.level}
+        if args.json:
+            result["expr"] = form_expr_str(sys_obj, form)
         _emit(args, cmd, sys_obj.kind, sys_obj.p, result,
               f"{result['form']}, level={result['level']}", t0)
         return _EXIT_OK

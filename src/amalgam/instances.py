@@ -107,9 +107,8 @@ class DenseInstance(FactorSystem):
         base = from_normalized(base, 0, p) if base else self._zero
         if rep == 0:
             return self._zero, base
-        while k and rep % p == 0:
-            rep //= p
-            k -= 1
+        # (rep, k) is already normalized: for k > 0, p does not divide num,
+        # and rep = num mod p**(n-1+k) with n >= 1, so p does not divide rep
         return from_normalized(rep, k, p), base
 
     def escape_elem(self, n):
@@ -223,9 +222,6 @@ class FiniteCyclicInstance(FactorSystem):
         self.modulus = self.p**L
         self._check_contract()
 
-    def _exp(self, n):
-        return min(n + self.chain_shift, self.L)
-
     def factor_id(self):
         return 0
 
@@ -235,12 +231,15 @@ class FiniteCyclicInstance(FactorSystem):
     def factor_inv(self, x):
         return (-x) % self.modulus
 
+    # B_n = <p**e>, e = min(n + shift, L), written out: calls doubled the
+    # cost of in_base and split
     def in_base(self, n, x):
-        return x % self._powers[self._exp(n)] == 0
+        e = n + self.chain_shift
+        return x % self._powers[e if e < self.L else self.L] == 0
 
     def split(self, n, h):
-        q = self._powers[self._exp(n - 1)]
-        rep = h % q
+        e = n - 1 + self.chain_shift
+        rep = h % self._powers[e if e < self.L else self.L]
         return rep, (h - rep) % self.modulus
 
     def escape_elem(self, n):
@@ -254,7 +253,7 @@ class FiniteCyclicInstance(FactorSystem):
         return rng.randrange(self.modulus)
 
     def sample_base(self, n, rng):
-        q = self.p ** self._exp(n)
+        q = self.p ** min(n + self.chain_shift, self.L)
         return q * rng.randrange(self.modulus // q)
 
     def parse_value(self, text):

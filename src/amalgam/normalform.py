@@ -28,10 +28,10 @@ one pass and keeps the partial product as a chain of open frames, one
 ``[level, letters, tail]`` per nesting level, where each frame below the root
 is its parent's top LLetter left open.  A lower-level syllable goes straight
 into the deepest frame at its level instead of re-lifting and copying every
-enclosing letter list; a frame is assembled and canonicalized into its
-parent only when a letter at the parent's level arrives, or at the end.  The
-junction merge (``_push``), reassembly (``_assemble``) and left-letter
-canonicalization (``_left_canonical``) are the ones ``mul`` uses.
+enclosing letter list.  A syllable is merged with the frame's top R-letter
+before it is split, so it costs one ``split``; a frame closes into its parent
+when a letter at the parent's level arrives, or at the end, and one that
+keeps a letter at its level becomes one LLetter whose Alt is built once.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -50,15 +50,6 @@ class RLetter:
     def __init__(self, value):
         self.value = value
 
-    def __eq__(self, other):
-        return type(other) is RLetter and self.value == other.value
-
-    def __hash__(self):
-        return hash(("R", self.value))
-
-    def __repr__(self):
-        return f"R({self.value!r})"
-
 
 class LLetter:
     """Canonical representative of a nonidentity coset of G_{n-1} / B_{n-1}."""
@@ -67,15 +58,6 @@ class LLetter:
 
     def __init__(self, form):
         self.form = form
-
-    def __eq__(self, other):
-        return type(other) is LLetter and self.form == other.form
-
-    def __hash__(self):
-        return hash(("L", self.form))
-
-    def __repr__(self):
-        return f"L({self.form!r})"
 
 
 class Alt:
@@ -313,12 +295,19 @@ def forms_equal(sys, f, g):
     return f == g
 
 
+def _fold(sys, m, letters, tail, n):
+    """A level-m frame as (letter list, tail) at level n > m, one Alt built."""
+    if len(letters) > 1 or letters and type(letters[0]) is RLetter:
+        rep_t, b = sys.split(n, tail)
+        return [LLetter(Alt(m, tuple(letters), rep_t))], b
+    return _lift(sys, _assemble(sys, m, letters, tail), n)
+
+
 def _close(sys, frames):
     """Fold the deepest open frame into its parent as the parent's top letter."""
     m, letters, tail = frames.pop()
     parent = frames[-1]
-    p = parent[0]
-    lifted, b = _lift(sys, _assemble(sys, m, letters, tail), p)
+    lifted, b = _fold(sys, m, letters, tail, parent[0])
     parent[1] += lifted
     parent[2] = sys.factor_mul(parent[2], b)
 
@@ -334,26 +323,32 @@ def reduce_word(sys, word):
     ``letters_0 (letters_1 (...) tail_1) tail_0``.  For a syllable of level n:
 
     - while the deepest frame is below n and its parent is not above n,
-      close it: assemble it and make it the parent's canonical top letter,
-      or drop it into the parent's tail;
+      close it: make it the parent's canonical top letter, one Alt built
+      for a frame that keeps a letter at its level, or drop it into the
+      parent's tail;
     - if the deepest frame is still below n (the root, when n is a new
       maximum), lift it in place: its form becomes one left letter of a
       level-n frame;
     - while the deepest frame is above n, descend: reopen its top LLetter if
       it ends in one (an R-letter cancel can expose it), else open an empty
       level-n frame;
-    - push the R-letter onto the deepest frame, merging at the junction.
+    - merge before split: a deepest frame ending in an R-letter r takes r x
+      (B_{n-1} is central and ``split`` depends only on the coset); a product
+      in B_{n-1} joins the tail, which may expose an LLetter, else the
+      product, or x alone, is split once and becomes the top R-letter.
 
     A level-0 syllable, or a value in B_{n-1}, which counts as one, instead
     multiplies the tail of the first frame on the way down whose tail
     subgroup holds it (a level-0 frame holds any).  At the end of the word
     every frame is closed into its parent and the root is assembled.
     """
+    check_level, in_base = sys.check_level, sys.in_base
+    split, fmul = sys.split, sys.factor_mul
     frames = [[0, [], sys.factor_id()]]
     top = frames[0]
     for n, x in word:
-        sys.check_level(n)
-        if n and sys.in_base(n - 1, x):
+        check_level(n)
+        if n and in_base(n - 1, x):
             # values in B_{n-1} are identified down the chain to level 0
             n = 0
         while top[0] < n:
@@ -361,10 +356,10 @@ def reduce_word(sys, word):
                 _close(sys, frames)
                 top = frames[-1]
             else:
-                top[1], top[2] = _lift(sys, _assemble(sys, *top), n)
+                top[1], top[2] = _fold(sys, *top, n)
                 top[0] = n
         while top[0] > n:
-            if n == 0 and sys.in_base(top[0] - 1, x):
+            if n == 0 and in_base(top[0] - 1, x):
                 break
             letters = top[1]
             if letters and type(letters[-1]) is LLetter:
@@ -377,11 +372,17 @@ def reduce_word(sys, word):
                 top = [n, [], sys.factor_id()]
             frames.append(top)
         if n == 0:
-            top[2] = sys.factor_mul(top[2], x)
-        else:
-            rep, b = sys.split(n, x)
-            tail = sys.factor_mul(top[2], b)
-            top[2] = _push(sys, top[1], n, RLetter(rep), tail)
+            top[2] = fmul(top[2], x)
+            continue
+        letters = top[1]
+        if letters and type(letters[-1]) is RLetter:
+            x = fmul(letters.pop().value, x)
+            if in_base(n - 1, x):
+                top[2] = fmul(top[2], x)
+                continue
+        rep, b = split(n, x)
+        letters.append(RLetter(rep))
+        top[2] = fmul(top[2], b)
     while len(frames) > 1:
         _close(sys, frames)
     return _assemble(sys, *frames[0])

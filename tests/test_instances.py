@@ -86,6 +86,27 @@ def test_check_instance_catches_unshifted_chain():
     assert not report["ok"]
 
 
+@pytest.mark.parametrize("p,L", [(2, 3), (3, 2), (2, 5)])
+def test_cyclic_base_exponent(p, L):
+    # in_base and split read chain_shift and L on every call, so a shift
+    # changed after construction takes effect at once
+    cyc = make_instance("cyclic", p, {"L": L})
+    for shift in range(3):
+        cyc.chain_shift = shift
+        for n in range(L + 3):
+            q = p ** min(n + shift, L)
+            assert [cyc.in_base(n, x) for x in range(cyc.modulus)] == [
+                x % q == 0 for x in range(cyc.modulus)]
+            if n == 0:
+                continue
+            q = p ** min(n - 1 + shift, L)
+            assert [cyc.split(n, h) for h in range(cyc.modulus)] == [
+                (h % q, (h - h % q) % cyc.modulus) for h in range(cyc.modulus)]
+    built = make_instance("cyclic", p, {"L": L, "chain_shift": 2})
+    assert [built.in_base(0, x) for x in range(built.modulus)] == [
+        x % p ** min(2, L) == 0 for x in range(built.modulus)]
+
+
 def test_check_instance_catches_split_tail_outside_base():
     # rep * tail is still h, but the tail is not in B_{n-1}
     dense = make_instance("dense", 5)

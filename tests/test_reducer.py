@@ -107,6 +107,92 @@ def test_derived_escape_words(name):
             assert_agrees(sys, word)
 
 
+def merge_heavy_word(sys, rng, blocks):
+    """Same-level runs, each closed by a syllable that cancels it into B.
+
+    A block is a run at level a, runs at falling levels below a with a
+    level-0 and a base-valued syllable among them (deep frames are open
+    then), and a second run at level a whose last syllable brings the run's
+    product into B_{a-1}: its R-letter merges away and exposes the LLetter
+    the lower runs closed into.  Half the blocks then reopen that LLetter.
+    """
+    fmul, finv = sys.factor_mul, sys.factor_inv
+    word = []
+    for _ in range(blocks):
+        a = rng.randint(2, 6)
+        word += [(a, sys.sample(a, rng)) for _ in range(rng.randint(1, 3))]
+        for b in sorted(rng.sample(range(1, a), rng.randint(1, a - 1)),
+                        reverse=True):
+            word += [(b, sys.sample(b, rng)) for _ in range(rng.randint(1, 3))]
+        m = rng.randint(1, a)
+        word += [(0, sys.sample(0, rng)), (m, sys.sample_base(m - 1, rng))]
+        run = [sys.sample(a, rng) for _ in range(rng.randint(1, 3))]
+        prod = sys.factor_id()
+        for x in run:
+            prod = fmul(prod, x)
+        word += [(a, x) for x in run]
+        word.append((a, fmul(finv(prod), sys.sample_base(a - 1, rng))))
+        if rng.random() < 0.5:
+            b = rng.randint(1, a - 1)
+            word.append((b, sys.sample(b, rng)))
+    return word
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_merge_heavy_words(name):
+    sys = INSTANCES[name]
+    rng = random.Random(23)
+    for _ in range(12):
+        assert_agrees(sys, merge_heavy_word(sys, rng, rng.randint(1, 6)))
+    assert_agrees(sys, merge_heavy_word(sys, rng, 80))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_merge_into_base_exposes_closed_lletter(name):
+    # h2(x) h1(y) h2(u) h2(u^-1 z), z in B_1: the last syllable's product
+    # with the top R-letter lies in B_1, so h1(y), closed into an LLetter
+    # when h2(u) arrived, becomes the top letter again
+    sys = INSTANCES[name]
+    x, y, u = sys.escape_elem(1), sys.escape_elem(0), sys.escape_elem(1)
+    z = sys.sample_base(1, random.Random(24))
+    word = [(2, x), (1, y), (2, u),
+            (2, sys.factor_mul(sys.factor_inv(u), z))]
+    got = reduce_word(sys, word)
+    assert got.level == 2 and len(got.letters) == 2
+    assert type(got.letters[-1]) is LLetter
+    assert_agrees(sys, word)
+    assert_agrees(sys, word + [(1, y), (0, y)])
+
+
+@pytest.mark.parametrize("name,p,x,y", [
+    ("dense", 5, "1/5", "1/5"),
+    ("heisenberg", 3, "(1,0,0)", "(0,1,0)"),
+    ("cyclic", 3, "1", "1"),
+])
+def test_merged_syllable_costs_one_split(name, p, x, y):
+    # work-count guard: a syllable merged into the top R-letter is split
+    # once, after the merge, not once alone and again after the merge
+    sys = make_instance(name, p)
+    x, y = sys.parse_value(x), sys.parse_value(y)
+    xy = sys.factor_mul(x, y)
+    assert not sys.in_base(0, x) and not sys.in_base(0, xy)
+    calls = []
+    split = sys.split
+
+    def counting(n, h):
+        calls.append(n)
+        return split(n, h)
+
+    sys.split = counting
+    got = reduce_word(sys, [(1, x), (1, y)])
+    assert calls == [1, 1]
+    assert got == inject(sys, 1, xy)
+    # a product landing in B_0 is not split at all
+    calls.clear()
+    assert reduce_word(sys, [(1, x), (1, sys.factor_inv(x))]) == identity(sys)
+    assert calls == [1]
+
+
 def test_level_above_cap_raises_mid_word():
     capped = make_instance("cyclic", 2, {"L": 3, "max_level": 2})
     seen = []
