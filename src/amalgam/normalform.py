@@ -20,8 +20,8 @@ Nothing here recurses once per nesting level.  When two L-letters meet,
 ``mul`` suspends the product as a frame on an explicit stack while it
 multiplies their forms one level down; ``inv`` likewise suspends an
 inversion while it inverts a nested L-letter's form, and ``==`` and
-``layout`` walk nested letters with a stack.  A form nested a thousand levels
-deep needs no more Python stack than a flat one.
+``render``, the one printer walk, go down nested letters with a stack.  A form
+nested a thousand levels deep needs no more Python stack than a flat one.
 
 Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
 one pass and keeps the partial product as a chain of open frames, one
@@ -102,37 +102,85 @@ class Alt:
         return layout(self, repr)
 
 
-def layout(form, value_str):
-    """``Base(x)`` or ``Alt(n; R:x; L:(...); tail t)``, values by value_str.
+class Syntax(dict):
+    """A printer's text templates; ``self[n]`` caches level n's texts."""
 
-    The one walk of a form's structure that ``repr`` and
-    ``wordexpr.format_form`` share: a nested left letter suspends its
-    parent's letter iterator on an explicit stack.  A level-0 form prints
-    as ``Base(x)``, x its tail.
+    def __init__(self, base, inline, head, opener, rletter, after, tail):
+        self.base, inline, tail, (self.rletter, post) = (
+            t.split("{x}") for t in (base, inline, tail, rletter))
+        self.head, self.pieces = head, (inline, tail, opener, post, after)
+
+    def __missing__(self, n):
+        texts = self[n] = self.head.format(n=n), self.rletter.format(n=n)
+        return texts
+
+
+def render(form, syntax, value_str, one=None):
+    """The text of a form in a ``Syntax``: the one walk behind every printer.
+
+    In each template ``{x}`` is a value's text and ``{n}`` a level.  A
+    level-0 form is its ``base``; any other is its ``head``, its letters,
+    each ending in ``after``, and its ``tail``, or, if the tail is ``one``,
+    not that but the last ``after`` dropped.  A nested left letter's form is
+    its ``inline`` at level 0, its bare R-letter if that is alone with the
+    tail ``one``, else a group: ``opener``, its text, ``)``, then ``after``
+    as a piece of its own.  With ``one`` None every tail prints.
+
+    ``mul`` and ``eval_expr`` share nested forms, so each group is walked
+    once per call: it suspends its parent's letter iterator on a stack, and
+    a dict keyed by ``id`` (``==`` walks a whole form) records the slice of
+    pieces its first rendering spans, for a later occurrence to copy; the
+    ``after`` that the end of an enclosing group drops is never in a slice.
     """
-    if form.level == 0:
-        return f"Base({value_str(form.tail)})"
-    out = [f"Alt({form.level}; "]
-    pending = []
-    letters, tail = iter(form.letters), form.tail
+    n, letters, tail = form.level, iter(form.letters), form.tail
+    if n == 0:
+        return value_str(tail).join(syntax.base)
+    (i0, i1), (t0, t1), opener, post, after = syntax.pieces
+    head, pre = syntax[n]
+    out, pending, seen = [head], [], {}
     while True:
         for letter in letters:
             if type(letter) is RLetter:
-                out.append(f"R:{value_str(letter.value)}; ")
-            elif letter.form.level == 0:
-                out.append(f"L:(Base({value_str(letter.form.tail)})); ")
+                out.append(f"{pre}{value_str(letter.value)}{post}")
+                continue
+            sub = letter.form
+            if sub.level == 0:
+                out.append(f"{i0}{value_str(sub.tail)}{i1}")
+            elif len(sub.letters) == 1 and sub.tail == one:
+                out.append(f"{syntax[sub.level][1]}"
+                           f"{value_str(sub.letters[0].value)}{post}")
             else:
-                pending.append((letters, tail))
-                sub = letter.form
-                out.append(f"L:(Alt({sub.level}; ")
-                letters, tail = iter(sub.letters), sub.tail
-                break
+                key = id(sub)
+                text = seen.get(key)
+                if text is None:
+                    pending.append((pre, letters, tail, key, len(out)))
+                    head, pre = syntax[sub.level]
+                    out += (opener, head)
+                    letters, tail = iter(sub.letters), sub.tail
+                    break
+                if type(text) is slice:
+                    text = seen[key] = "".join(out[text])
+                out += (text, after)
         else:
-            out.append(f"tail {value_str(tail)})")
+            if tail == one:
+                out[-1] = out[-1][:-len(after)]
+            else:
+                out.append(f"{t0}{value_str(tail)}{t1}")
             if not pending:
                 return "".join(out)
-            out.append("); ")
-            letters, tail = pending.pop()
+            pre, letters, tail, key, start = pending.pop()
+            out.append(")")
+            seen[key] = slice(start, len(out))
+            out.append(after)
+
+
+_LAYOUT = Syntax(base="Base({x})", inline="L:(Base({x})); ", head="Alt({n}; ",
+                 opener="L:(", rletter="R:{x}; ", after="; ", tail="tail {x})")
+
+
+def layout(form, value_str):
+    """``Base(x)`` or ``Alt(n; R:x; L:(...); tail t)``, values by value_str."""
+    return render(form, _LAYOUT, value_str)
 
 
 def identity(sys):

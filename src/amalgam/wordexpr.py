@@ -36,22 +36,20 @@ expression or form is bounded by memory, not by Python's stack:
   nodes but (d+1)(d+2)/2 distinct subtrees.
   ``witnesses.derived_escape`` generates with it and ``verify`` replays
   with it, so both evaluate a certificate's tree the same way.
-* ``expr_to_word`` and the printers (``expr_str``, ``form_expr_str``)
-  walk with explicit stacks, and the printers join one list of pieces
-  once.  Evaluation shares forms, so a result form is a DAG: at d = 8 its
-  16,773 nested forms are 229 objects.  ``form_expr_str`` walks each
-  object once per call and copies its text where it recurs.
-  ``format_form`` is ``normalform.layout``, the one walk of a form's
-  structure, with the instance's value printer.
+* ``expr_to_word`` and ``expr_str`` walk with explicit stacks.
+  ``form_expr_str`` and ``format_form`` are ``normalform.render`` in two
+  ``Syntax``es.  Evaluation shares forms, so a result form is a DAG: at
+  d = 8 its 16,773 nested forms are 229 objects, and ``render`` walks each
+  once per call and copies its text where it recurs.
 
-The memos of ``eval_expr`` and ``form_expr_str`` live for one call: nothing
-is cached between calls.
+The memos of ``eval_expr`` and ``render`` live for one call.
 """
 
 import re
 
 from amalgam.errors import ExprSyntaxError, int_text
-from amalgam.normalform import RLetter, commutator, inject, inv, layout, mul, reduce_word
+from amalgam.normalform import (
+    Syntax, commutator, inject, inv, layout, mul, reduce_word, render)
 
 
 class AtomE:
@@ -219,9 +217,7 @@ def _children(e):
         return e.terms
     if t is CommE:
         return (e.a, e.b)
-    if t is InvE:
-        return (e.child,)
-    return ()
+    return (e.child,)
 
 
 def expr_to_word(sys, e):
@@ -402,61 +398,17 @@ def expr_str(sys, e):
     return "".join(out)
 
 
+_CANONICAL = Syntax(base="h0({x})", inline="h0({x}) ", head="", opener="(",
+                    rletter="h{n}({x}) ", after=" ", tail="h0({x})")
+
+
 def form_expr_str(sys, form):
     """The canonical text of a form: its one spelling as a word expression.
 
-    Letters, then a non-identity tail, print as atoms, each followed by a
-    space that the end of its group drops; a level-0 form is the one atom
-    of its tail.  A nested left letter's form is one bare atom if it is one
-    R-letter with the identity tail (a form above level 0 with one letter
-    holds an R-letter), else a parenthesized group walked on an explicit
-    stack.
-
-    Forms built by ``mul`` and ``eval_expr`` share nested forms, so each
-    group is walked once per call: a dict keyed by ``id`` (identity, since
-    ``==`` walks the whole form and ``hash`` sees only its top level)
-    records the slice of pieces its first rendering spans, and a later
-    occurrence copies that text, joined on first reuse.  The space after a
-    group is a piece of its own, so dropping the last space of an enclosing
-    group never alters a recorded slice.
+    Letters, then a non-identity tail, are atoms joined by spaces; a nested
+    form of one atom prints bare, any other as a parenthesized group.
     """
-    vs = sys.value_str
-    if form.level == 0:
-        return f"h0({vs(form.tail)})"
-    one = sys.factor_id()
-    out, pending, seen = [], [], {}
-    n, letters, tail = form.level, iter(form.letters), form.tail
-    while True:
-        for letter in letters:
-            if type(letter) is RLetter:
-                out.append(f"h{n}({vs(letter.value)}) ")
-                continue
-            sub = letter.form
-            if sub.level == 0:
-                out.append(f"h0({vs(sub.tail)}) ")
-            elif len(sub.letters) == 1 and sub.tail == one:
-                out.append(f"h{sub.level}({vs(sub.letters[0].value)}) ")
-            else:
-                key = id(sub)
-                text = seen.get(key)
-                if text is None:
-                    pending.append((n, letters, tail, key, len(out)))
-                    out.append("(")
-                    n, letters, tail = sub.level, iter(sub.letters), sub.tail
-                    break
-                if type(text) is slice:
-                    text = seen[key] = "".join(out[text])
-                out += (text, " ")
-        else:
-            if tail != one:
-                out.append(f"h0({vs(tail)}) ")
-            out[-1] = out[-1][:-1]
-            if not pending:
-                return "".join(out)
-            n, letters, tail, key, start = pending.pop()
-            out.append(")")
-            seen[key] = slice(start, len(out))
-            out.append(" ")
+    return render(form, _CANONICAL, sys.value_str, sys.factor_id())
 
 
 def format_form(sys, form):

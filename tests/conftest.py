@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import os
+import sys
 
 import pytest
 
@@ -15,11 +16,16 @@ def cli_env():
     no variable of the caller's environment reaches the child.  PYTHONPATH
     names the directory holding the ``amalgam`` package this process
     imported, so the child runs the same code whether the suite runs from
-    ``src`` or against an installed copy.
+    ``src`` or against an installed copy.  PYTHONDONTWRITEBYTECODE=1 is
+    passed on when this interpreter writes no bytecode, so that a suite run
+    without bytecode caches gets none written by its children either.
     """
     package_dir = os.path.dirname(os.path.abspath(amalgam.__file__))
-    return {
+    env = {
         "PATH": "/usr/bin:/bin",
         "AMALGAM_FIXED_ELAPSED": "1",
         "PYTHONPATH": os.path.dirname(package_dir),
     }
+    if sys.flags.dont_write_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env

@@ -142,6 +142,18 @@ def test_reduce_golden_json_bytes(capsys):
     assert out == GOLDEN_JSON
 
 
+def test_json_elapsed_ms_is_measured_when_not_fixed(capsys, monkeypatch):
+    monkeypatch.delenv("AMALGAM_FIXED_ELAPSED")
+    code, out, _ = run(capsys, "reduce", "h1(7/5)", "--prime", "5",
+                       "--instance", "dense", "--json")
+    assert code == 0
+    got, want = json.loads(out), json.loads(GOLDEN_JSON)
+    elapsed = got.pop("elapsed_ms")
+    assert type(elapsed) is int and elapsed >= 0
+    want.pop("elapsed_ms")
+    assert got == want
+
+
 def test_witness_golden_json_bytes(capsys):
     code, out, _ = run(capsys, "witness", "escape", "h0(1/5)", "3", "--json")
     assert code == 0

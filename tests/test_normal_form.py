@@ -1,6 +1,7 @@
 """Engine-level behavior: canonical forms, group laws, levels, centrality."""
 
 import random
+from sys import getrecursionlimit, setrecursionlimit
 
 import pytest
 
@@ -15,12 +16,14 @@ from amalgam.normalform import (
     inject,
     inv,
     is_identity,
+    layout,
     mul,
     reduce_word,
 )
 from amalgam.oracle import naive_reduce
 from amalgam.padic import PAdicRational
-from amalgam.wordexpr import AtomE, CommE, InvE, ProdE, eval_expr
+from amalgam.witnesses import _build_tree
+from amalgam.wordexpr import AtomE, CommE, InvE, ProdE, eval_expr, format_form
 
 
 def R(num, k=0, p=5):
@@ -156,15 +159,17 @@ def test_inv_of_product(dense):
         assert inv(dense, mul(dense, a, b)) == mul(dense, inv(dense, b), inv(dense, a))
 
 
-def recursive_repr(form):
-    """The text of repr(form), one call per nesting level."""
+def recursive_repr(form, value_str=repr):
+    """The text of repr(form), or of format_form with the instance's
+    value_str, one call per nesting level.
+    """
     if form.level == 0:
-        return f"Base({form.tail!r})"
-    letters = "".join(
-        f"R:{letter.value!r}; " if type(letter) is RLetter
-        else f"L:({recursive_repr(letter.form)}); "
-        for letter in form.letters)
-    return f"Alt({form.level}; {letters}tail {form.tail!r})"
+        return f"Base({value_str(form.tail)})"
+    letters = "".join([
+        f"R:{value_str(letter.value)}; " if type(letter) is RLetter
+        else f"L:({recursive_repr(letter.form, value_str)}); "
+        for letter in form.letters])
+    return f"Alt({form.level}; {letters}tail {value_str(form.tail)})"
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -182,9 +187,52 @@ def test_repr_matches_recursive_reference(name, request):
 def test_repr_of_deep_form_needs_no_stack(dense):
     word = [(n, R(1)) for n in range(5000, 1, -1)]
     form = reduce_word(dense, word + [(1, R(1, 1)), (0, R(1, 1))])
-    text = repr(form)
+    text, human = repr(form), format_form(dense, form)
     assert text.startswith("Alt(5000; R:") and text.endswith(")")
     assert text.count("L:(Alt(") == 4999
+    # only the reference recurses: two Python frames per level, and its
+    # list comprehension, unlike a generator fed to join, uses no C stack
+    limit = getrecursionlimit()
+    setrecursionlimit(limit + 3 * 5000)
+    try:
+        want = recursive_repr(form), recursive_repr(form, dense.value_str)
+    finally:
+        setrecursionlimit(limit)
+    assert (text, human) == want
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_printers_of_shared_forms_match_recursive_reference(name, request):
+    # derived results and products of a form with itself nest one form
+    # object at many places
+    sys = request.getfixturevalue(name)
+    derived = [eval_expr(sys, _build_tree(sys, d, d)) for d in range(9)]
+    forms = list(derived)
+    for f, g in zip(derived[1:], derived):
+        forms += [mul(sys, f, f), mul(sys, mul(sys, f, g), f)]
+    rng = random.Random(18)
+    for _ in range(20):
+        f = reduce_word(sys, rand_word(sys, rng, 12, 4))
+        g = reduce_word(sys, rand_word(sys, rng, 12, 4))
+        forms += [mul(sys, f, f), mul(sys, mul(sys, f, g), f)]
+    for form in forms:
+        assert repr(form) == recursive_repr(form)
+        assert format_form(sys, form) == recursive_repr(form, sys.value_str)
+
+
+def test_layout_walks_each_shared_form_once(dense):
+    # the d = 8 derived result nests 16,773 forms but holds 229 distinct
+    # ones: printing each distinct form once takes 2,844 value_str calls,
+    # and every nested form printed in full takes 45,415
+    form = eval_expr(dense, _build_tree(dense, 8, 8))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return dense.value_str(x)
+
+    assert layout(form, counting) == recursive_repr(form, dense.value_str)
+    assert len(calls) <= 5000
 
 
 # --- level ------------------------------------------------------------------

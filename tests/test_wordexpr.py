@@ -6,7 +6,7 @@ import pytest
 
 from amalgam import wordexpr
 from amalgam.errors import ExprSyntaxError, LiteralError
-from amalgam.instances import make_instance
+from amalgam.instances import DenseInstance, make_instance
 from amalgam.normalform import (
     Alt,
     LLetter,
@@ -97,6 +97,24 @@ def test_inverse_allows_space_after_caret(dense):
 def test_parse_heisenberg_tuple_literal(heis):
     e = parse_expr("h1((1,2,7))", heis)
     assert e.value == (1, 2, 7)
+
+
+def test_atom_reader_balances_deeper_parentheses():
+    # no shipped literal nests parentheses two deep, so only an instance
+    # that reads such literals gets a value from the piece-by-piece reader
+    class Parenthesized(DenseInstance):
+        def parse_value(self, text):
+            return super().parse_value(text.strip().strip("()"))
+
+    sysx = Parenthesized(5)
+    src = "h1(((3))) ^ -1  h0(1)"
+    atom, m = wordexpr._atom(src, 0, sysx)
+    assert (atom.level, atom.value) == (1, PAdicRational(3, 0, 5))
+    assert wordexpr._inverted(m, atom).child is atom
+    assert m.end() == src.index("h0")
+    e = parse_expr("h1(((3)))^-1", sysx)
+    assert type(e) is InvE
+    assert (e.child.level, e.child.value) == (1, atom.value)
 
 
 @pytest.mark.parametrize("bad", [
