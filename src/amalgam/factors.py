@@ -47,9 +47,11 @@ class FactorSystem(ABC):
       base values, each B_m modulo B_{n-1}.
 
     Values are also hashable, equal values hashing equally, since
-    ``wordexpr.eval_expr`` keys atoms by ``(level, value)``; the shipped
-    values (ints, int tuples, ``PAdicRational``) are.  Each constructor
-    ends with ``_check_contract``, so an instance that breaks the sampled
+    ``wordexpr.eval_expr`` keys atoms by ``(level, value)``.  And a value is
+    never a ``normalform.Alt``: a form's R-letters are bare values and its
+    L-letters are ``Alt``s.  The shipped values (ints, int tuples,
+    ``PAdicRational``) are hashable and no ``Alt``.  Each constructor ends
+    with ``_check_contract``, so an instance that breaks the sampled
     contract is refused with ``InvalidParams``.
     """
 

@@ -10,7 +10,7 @@ than letting an ill-defined family produce garbage images.
 import random
 
 from amalgam.errors import IncompatibleHom, PreconditionViolated, int_text
-from amalgam.normalform import RLetter
+from amalgam.normalform import Alt
 from amalgam.padic import PAdicRational, unipotent
 
 _CHECK_SEED = 0x5E7
@@ -65,10 +65,10 @@ def phi_eval(g, hom):
         n = f.level
         acc = add(acc, phi(n, f.tail))
         for letter in f.letters:
-            if type(letter) is RLetter:
-                acc = add(acc, phi(n, letter.value))
+            if type(letter) is Alt:
+                forms.append(letter)
             else:
-                forms.append(letter.form)
+                acc = add(acc, phi(n, letter))
     return acc
 
 

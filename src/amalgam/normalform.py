@@ -2,13 +2,15 @@
 
 Every element is ``Alt(n, letters, tail)``, the normal form of the theorem
 for amalgams (Serre, *Trees*, 1.2): a strictly alternating tuple of letters,
-then one tail in B_{n-1}.  The letters are ``RLetter``s (transversal
-representatives of nonidentity cosets of the level-n factor modulo B_{n-1}),
-at least one when n >= 1, and ``LLetter``s (forms of level < n elements,
-themselves reduced modulo B_{n-1}).  Level 0 has no letters: ``Alt(0, (), x)``
-is the value x, which ``layout`` prints as ``Base(x)``.  Every B_k with
-k <= n-1 is central in the level-n stage, which is what lets a single
-right-placed tail absorb all split residues.
+then one tail in B_{n-1}.  A letter is bare: an R-letter is a value, the
+transversal representative of a nonidentity coset of the level-n factor
+modulo B_{n-1}, and there is at least one when n >= 1; an L-letter is an
+``Alt``, the form of a level < n element, itself reduced modulo B_{n-1}.  A
+factor-system value is never an ``Alt``, so ``type(letter) is Alt`` tells
+them apart.  Level 0 has no letters: ``Alt(0, (), x)`` is the value x, which
+``layout`` prints as ``Base(x)``.  Every B_k with k <= n-1 is central in the
+level-n stage, which is what lets a single right-placed tail absorb all split
+residues.
 
 Multiplication lifts both operands to the higher level and pushes the right
 operand's letters one at a time onto the left operand's, merging at the
@@ -26,12 +28,12 @@ nested a thousand levels deep needs no more Python stack than a flat one.
 Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
 one pass and keeps the partial product as a chain of open frames, one
 ``[level, letters, tail]`` per nesting level, where each frame below the root
-is its parent's top LLetter left open.  A lower-level syllable goes straight
+is its parent's top L-letter left open.  A lower-level syllable goes straight
 into the deepest frame at its level instead of re-lifting and copying every
 enclosing letter list.  A syllable is merged with the frame's top R-letter
 before it is split, so it costs one ``split``; a frame closes into its parent
 when a letter at the parent's level arrives, or at the end, and one that
-keeps a letter at its level becomes one LLetter whose Alt is built once.
+keeps a letter at its level becomes one L-letter, an Alt built once.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -40,24 +42,6 @@ independent rewriting strategy.
 """
 
 from amalgam.errors import PreconditionViolated
-
-
-class RLetter:
-    """Transversal representative of a nonidentity coset of H_n / B_{n-1}."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class LLetter:
-    """Canonical representative of a nonidentity coset of G_{n-1} / B_{n-1}."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        self.form = form
 
 
 class Alt:
@@ -81,21 +65,17 @@ class Alt:
                     or len(f.letters) != len(g.letters)):
                 return False
             for a, b in zip(f.letters, g.letters):
-                ta = type(a)
-                if ta is not type(b):
+                if type(a) is Alt:
+                    stack.append((a, b))
+                elif type(b) is Alt or a != b:
                     return False
-                if ta is RLetter:
-                    if a.value != b.value:
-                        return False
-                else:
-                    stack.append((a.form, b.form))
         return True
 
     def __hash__(self):
         # only this level's data, so that hashing does not recurse; equal
         # forms agree on all of it
         return hash((self.level, self.tail, tuple(
-            letter.value if type(letter) is RLetter else letter.form.level
+            letter.level if type(letter) is Alt else letter
             for letter in self.letters)))
 
     def __repr__(self):
@@ -140,23 +120,22 @@ def render(form, syntax, value_str, one=None):
     out, pending, seen = [head], [], {}
     while True:
         for letter in letters:
-            if type(letter) is RLetter:
-                out.append(f"{pre}{value_str(letter.value)}{post}")
+            if type(letter) is not Alt:
+                out.append(f"{pre}{value_str(letter)}{post}")
                 continue
-            sub = letter.form
-            if sub.level == 0:
-                out.append(f"{i0}{value_str(sub.tail)}{i1}")
-            elif len(sub.letters) == 1 and sub.tail == one:
-                out.append(f"{syntax[sub.level][1]}"
-                           f"{value_str(sub.letters[0].value)}{post}")
+            if letter.level == 0:
+                out.append(f"{i0}{value_str(letter.tail)}{i1}")
+            elif len(letter.letters) == 1 and letter.tail == one:
+                out.append(f"{syntax[letter.level][1]}"
+                           f"{value_str(letter.letters[0])}{post}")
             else:
-                key = id(sub)
+                key = id(letter)
                 text = seen.get(key)
                 if text is None:
                     pending.append((pre, letters, tail, key, len(out)))
-                    head, pre = syntax[sub.level]
+                    head, pre = syntax[letter.level]
                     out += (opener, head)
-                    letters, tail = iter(sub.letters), sub.tail
+                    letters, tail = iter(letter.letters), letter.tail
                     break
                 if type(text) is slice:
                     text = seen[key] = "".join(out[text])
@@ -198,13 +177,13 @@ def inject(sys, n, x):
         # values in B_{n-1} are identified down the chain to level 0
         return Alt(0, (), x)
     rep, b = sys.split(n, x)
-    return Alt(n, (RLetter(rep),), b)
+    return Alt(n, (rep,), b)
 
 
 def _left_canonical(sys, form, n):
     """Reduce a level < n form, not in B_{n-1}, to a left letter plus residue."""
     rep_t, b2 = sys.split(n, form.tail)
-    return LLetter(Alt(form.level, form.letters, rep_t)), b2
+    return Alt(form.level, form.letters, rep_t), b2
 
 
 def _lift(sys, form, n):
@@ -223,12 +202,12 @@ def _push(sys, stack, n, letter, tail):
     Two L-letters meeting at the junction are ``mul``'s case: their forms
     are multiplied one level down.
     """
-    if stack and type(letter) is RLetter and type(stack[-1]) is RLetter:
-        prod = sys.factor_mul(stack.pop().value, letter.value)
+    if stack and type(letter) is not Alt and type(stack[-1]) is not Alt:
+        prod = sys.factor_mul(stack.pop(), letter)
         if sys.in_base(n - 1, prod):
             return sys.factor_mul(tail, prod)
         rep, b = sys.split(n, prod)
-        stack.append(RLetter(rep))
+        stack.append(rep)
         return sys.factor_mul(tail, b)
     stack.append(letter)
     return tail
@@ -237,10 +216,15 @@ def _push(sys, stack, n, letter, tail):
 def _assemble(sys, n, letters, tail):
     if not letters:
         return Alt(0, (), tail)
-    if len(letters) == 1 and type(letters[0]) is LLetter:
-        # no level-n letter survived: the element lives below level n (the
-        # tail, in B_{n-1}, joins the letter's tail: no letters are pushed)
-        return mul(sys, letters[0].form, Alt(0, (), tail))
+    if len(letters) == 1 and type(letters[0]) is Alt:
+        # no level-n letter survived: the element is the letter's form, of
+        # some level m < n, times the tail.  That tail lies in B_{n-1},
+        # inside B_{m-1} and central there; the form's tail, a ``split``
+        # representative of a B_{m-1} value, lies in B_{m-1} too; and a
+        # level m >= 1 form has an R-letter, so ``mul`` would not recurse
+        # but only multiply the two tails.  The letters tuple is shared.
+        sub = letters[0]
+        return Alt(sub.level, sub.letters, sys.factor_mul(sub.tail, tail))
     return Alt(n, tuple(letters), tail)
 
 
@@ -281,9 +265,8 @@ def mul(sys, f, g):
                 tail = sys.factor_mul(tail, b)
             prod = None
         for letter in gletters:
-            if (type(letter) is LLetter and stack
-                    and type(stack[-1]) is LLetter):
-                f, g = stack.pop().form, letter.form
+            if type(letter) is Alt and stack and type(stack[-1]) is Alt:
+                f, g = stack.pop(), letter
                 frame[2] = tail
                 break
             tail = _push(sys, stack, n, letter, tail)
@@ -307,14 +290,13 @@ def inv(sys, form):
     out, tail = [], finv(form.tail)
     while True:
         for letter in letters:
-            if type(letter) is RLetter:
-                rep, b = split(n, finv(letter.value))
-                out.append(RLetter(rep))
+            if type(letter) is not Alt:
+                rep, b = split(n, finv(letter))
+                out.append(rep)
             else:
                 suspended.append((n, letters, out, tail))
-                sub = letter.form
-                n, letters = sub.level, reversed(sub.letters)
-                out, tail = [], finv(sub.tail)
+                n, letters = letter.level, reversed(letter.letters)
+                out, tail = [], finv(letter.tail)
                 break
             tail = fmul(tail, b)
         else:
@@ -345,9 +327,9 @@ def forms_equal(sys, f, g):
 
 def _fold(sys, m, letters, tail, n):
     """A level-m frame as (letter list, tail) at level n > m, one Alt built."""
-    if len(letters) > 1 or letters and type(letters[0]) is RLetter:
+    if len(letters) > 1 or letters and type(letters[0]) is not Alt:
         rep_t, b = sys.split(n, tail)
-        return [LLetter(Alt(m, tuple(letters), rep_t))], b
+        return [Alt(m, tuple(letters), rep_t)], b
     return _lift(sys, _assemble(sys, m, letters, tail), n)
 
 
@@ -365,7 +347,7 @@ def reduce_word(sys, word):
 
     One pass.  The partial product is a chain of open frames, one
     ``[level, letters, tail]`` per nesting level with strictly falling
-    levels: each frame below the root stands for its parent's top LLetter,
+    levels: each frame below the root stands for its parent's top L-letter,
     left open so that lower-level syllables land in it directly.  Tails are
     central at their level, so the chain is worth
     ``letters_0 (letters_1 (...) tail_1) tail_0``.  For a syllable of level n:
@@ -377,12 +359,12 @@ def reduce_word(sys, word):
     - if the deepest frame is still below n (the root, when n is a new
       maximum), lift it in place: its form becomes one left letter of a
       level-n frame;
-    - while the deepest frame is above n, descend: reopen its top LLetter if
+    - while the deepest frame is above n, descend: reopen its top L-letter if
       it ends in one (an R-letter cancel can expose it), else open an empty
       level-n frame;
     - merge before split: a deepest frame ending in an R-letter r takes r x
       (B_{n-1} is central and ``split`` depends only on the coset); a product
-      in B_{n-1} joins the tail, which may expose an LLetter, else the
+      in B_{n-1} joins the tail, which may expose an L-letter, else the
       product, or x alone, is split once and becomes the top R-letter.
 
     A level-0 syllable, or a value in B_{n-1}, which counts as one, instead
@@ -410,8 +392,8 @@ def reduce_word(sys, word):
             if n == 0 and in_base(top[0] - 1, x):
                 break
             letters = top[1]
-            if letters and type(letters[-1]) is LLetter:
-                form = letters.pop().form
+            if letters and type(letters[-1]) is Alt:
+                form = letters.pop()
                 if form.level < n:
                     top = [n, *_lift(sys, form, n)]
                 else:
@@ -423,13 +405,13 @@ def reduce_word(sys, word):
             top[2] = fmul(top[2], x)
             continue
         letters = top[1]
-        if letters and type(letters[-1]) is RLetter:
-            x = fmul(letters.pop().value, x)
+        if letters and type(letters[-1]) is not Alt:
+            x = fmul(letters.pop(), x)
             if in_base(n - 1, x):
                 top[2] = fmul(top[2], x)
                 continue
         rep, b = split(n, x)
-        letters.append(RLetter(rep))
+        letters.append(rep)
         top[2] = fmul(top[2], b)
     while len(frames) > 1:
         _close(sys, frames)

@@ -13,7 +13,7 @@ The termination measure is (length, sum of levels), lexicographic: every rule
 strictly decreases it.
 """
 
-from amalgam.normalform import Alt, LLetter, RLetter
+from amalgam.normalform import Alt
 
 
 def _rewrite(sys, sylls):
@@ -70,19 +70,19 @@ def _build(sys, sylls):
             tail = sys.factor_mul(tail, sub.tail)
             return
         rep_t, b = sys.split(n, sub.tail)
-        letters.append(LLetter(Alt(sub.level, sub.letters, rep_t)))
+        letters.append(Alt(sub.level, sub.letters, rep_t))
         tail = sys.factor_mul(tail, b)
 
     for m, x in sylls:
         if m == n:
             flush_segment()
             rep, b = sys.split(n, x)
-            letters.append(RLetter(rep))
+            letters.append(rep)
             tail = sys.factor_mul(tail, b)
         else:
             seg.append((m, x))
     flush_segment()
-    assert any(type(l) is RLetter for l in letters)
+    assert any(type(l) is not Alt for l in letters)
     return Alt(n, tuple(letters), tail)
 
 

@@ -256,7 +256,7 @@ def test_negative_witness_arguments_are_precondition_errors(capsys, argv):
 
 
 def deep_flat(top):
-    """A flat word whose form nests one LLetter per level, top down to 1."""
+    """A flat word whose form nests one L-letter per level, top down to 1."""
     return " ".join(f"h{n}(1)" for n in range(top, 1, -1)) + " h1(1/5) h0(1/5)"
 
 

@@ -9,7 +9,8 @@ from amalgam.errors import PreconditionViolated, UnsupportedLevel
 from amalgam.instances import make_instance
 from amalgam.normalform import (
     Alt,
-    RLetter,
+    _assemble,
+    _left_canonical,
     centrality_check,
     forms_equal,
     identity,
@@ -66,7 +67,7 @@ def test_reduce_level0_sum(dense):
 
 def test_reduce_single_level1_syllable(dense):
     got = reduce_word(dense, [(1, R(7, 1))])
-    assert got == Alt(1, (RLetter(R(2, 1)),), R(1))
+    assert got == Alt(1, (R(2, 1),), R(1))
     assert got.level == 1
 
 
@@ -142,6 +143,75 @@ def test_eq_three_ways(name, request):
         assert is_identity(sys, mul(sys, u, inv(sys, u)))
 
 
+def copied(form):
+    """An equal form that shares no nested form with ``form``."""
+    return Alt(form.level, tuple(
+        copied(letter) if type(letter) is Alt else letter
+        for letter in form.letters), form.tail)
+
+
+def distinct_nested(form):
+    seen, stack = set(), [form]
+    while stack:
+        for letter in stack.pop().letters:
+            if type(letter) is Alt and id(letter) not in seen:
+                seen.add(id(letter))
+                stack.append(letter)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_eq_tells_a_value_letter_from_a_form_letter(name, request):
+    # a value letter against an Alt letter at the same position, even the
+    # level-0 Alt of that very value, is unequal in both orders
+    sys = request.getfixturevalue(name)
+    rng = random.Random(19)
+    swapped = 0
+    for _ in range(40):
+        f = reduce_word(sys, rand_word(sys, rng, 8, 4))
+        for i, letter in enumerate(f.letters):
+            other = (letter.tail if type(letter) is Alt
+                     else Alt(0, (), letter))
+            g = Alt(f.level, f.letters[:i] + (other,) + f.letters[i + 1:],
+                    f.tail)
+            assert f != g and g != f
+            swapped += 1
+    assert swapped > 40
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_shared_and_copied_forms_are_equal_and_hash_equal(name, request):
+    sys = request.getfixturevalue(name)
+    f = eval_expr(sys, _build_tree(sys, 5, 5))
+    g = reduce_word(sys, rand_word(sys, random.Random(20), 12, 4))
+    for form in (f, mul(sys, f, f), mul(sys, mul(sys, g, f), g)):
+        c = copied(form)
+        assert distinct_nested(c) > distinct_nested(form)
+        assert form == c and c == form
+        assert hash(form) == hash(c)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_assemble_of_a_lone_left_letter_matches_mul(name, request):
+    # a level-m L-letter's form times b in B_{n-1}: mul only multiplies the
+    # tails, so _assemble builds that Alt itself and shares the letters
+    sys = request.getfixturevalue(name)
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(200):
+        f = reduce_word(sys, rand_word(sys, rng, 10, 4))
+        n = f.level + rng.randint(1, 2)
+        if f.level == 0 and sys.in_base(n - 1, f.tail):
+            continue
+        sub, _ = _left_canonical(sys, f, n)
+        b = sys.sample_base(n - 1, rng)
+        got = _assemble(sys, n, [sub], b)
+        assert got == mul(sys, sub, Alt(0, (), b))
+        assert got.letters is sub.letters
+        checked += 1
+    assert checked > 100
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_inv_is_involution(name, request):
     sys = request.getfixturevalue(name)
@@ -166,8 +236,8 @@ def recursive_repr(form, value_str=repr):
     if form.level == 0:
         return f"Base({value_str(form.tail)})"
     letters = "".join([
-        f"R:{value_str(letter.value)}; " if type(letter) is RLetter
-        else f"L:({recursive_repr(letter.form, value_str)}); "
+        f"R:{value_str(letter)}; " if type(letter) is not Alt
+        else f"L:({recursive_repr(letter, value_str)}); "
         for letter in form.letters])
     return f"Alt({form.level}; {letters}tail {value_str(form.tail)})"
 
@@ -345,7 +415,7 @@ def test_every_form_is_an_alt(name, request):
         assert type(form) is Alt
         assert (form.level == 0) == (form.letters == ())
         for letter in form.letters:
-            if type(letter) is not RLetter:
-                nested_level0 += letter.form.level == 0
-                forms.append(letter.form)
+            if type(letter) is Alt:
+                nested_level0 += letter.level == 0
+                forms.append(letter)
     assert nested_level0

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from amalgam.errors import InvalidParams, UnsupportedLevel
 from amalgam.instances import make_instance
 from amalgam.normalform import (
-    LLetter,
+    Alt,
     forms_equal,
     identity,
     inject,
@@ -86,7 +86,7 @@ def test_conjugate_and_commutator_words(name):
 @pytest.mark.parametrize("name", ALL)
 def test_partial_inverse_reopens_left_letters(name):
     # a low-level word followed by part of its inverse cancels level-n
-    # R-letters and exposes closed LLetters, which the next lower-level
+    # R-letters and exposes closed L-letters, which the next lower-level
     # syllables must reopen
     sys = INSTANCES[name]
     rng = random.Random(22)
@@ -113,8 +113,8 @@ def merge_heavy_word(sys, rng, blocks):
     A block is a run at level a, runs at falling levels below a with a
     level-0 and a base-valued syllable among them (deep frames are open
     then), and a second run at level a whose last syllable brings the run's
-    product into B_{a-1}: its R-letter merges away and exposes the LLetter
-    the lower runs closed into.  Half the blocks then reopen that LLetter.
+    product into B_{a-1}: its R-letter merges away and exposes the L-letter
+    the lower runs closed into.  Half the blocks then reopen that L-letter.
     """
     fmul, finv = sys.factor_mul, sys.factor_inv
     word = []
@@ -150,7 +150,7 @@ def test_merge_heavy_words(name):
 @pytest.mark.parametrize("name", ALL)
 def test_merge_into_base_exposes_closed_lletter(name):
     # h2(x) h1(y) h2(u) h2(u^-1 z), z in B_1: the last syllable's product
-    # with the top R-letter lies in B_1, so h1(y), closed into an LLetter
+    # with the top R-letter lies in B_1, so h1(y), closed into an L-letter
     # when h2(u) arrived, becomes the top letter again
     sys = INSTANCES[name]
     x, y, u = sys.escape_elem(1), sys.escape_elem(0), sys.escape_elem(1)
@@ -159,7 +159,7 @@ def test_merge_into_base_exposes_closed_lletter(name):
             (2, sys.factor_mul(sys.factor_inv(u), z))]
     got = reduce_word(sys, word)
     assert got.level == 2 and len(got.letters) == 2
-    assert type(got.letters[-1]) is LLetter
+    assert type(got.letters[-1]) is Alt
     assert_agrees(sys, word)
     assert_agrees(sys, word + [(1, y), (0, y)])
 
@@ -224,14 +224,14 @@ def descending_word(sys, top):
 def nesting(form):
     depth = 0
     while form.level:
-        assert type(form.letters[-1]) is LLetter
-        form = form.letters[-1].form
+        assert type(form.letters[-1]) is Alt
+        form = form.letters[-1]
         depth += 1
     return depth
 
 
 def test_deep_descending_word():
-    # one level-n letter per level from 400 down to 0 nests 400 LLetters;
+    # one level-n letter per level from 400 down to 0 nests 400 L-letters;
     # the fold reduces it, and the frame chain must too
     dense = INSTANCES["dense"]
     word = descending_word(dense, 400)

@@ -15,7 +15,7 @@ from amalgam.errors import (
 )
 from amalgam.instances import make_instance
 from amalgam.normalform import (
-    RLetter,
+    Alt,
     identity,
     inject,
     inv,
@@ -458,7 +458,7 @@ def test_derived_escape_inverts_only_leaves(dense, monkeypatch):
     assert generated and len(inverted) > generated
     for form in inverted:
         assert form.level == 0 or (
-            len(form.letters) == 1 and type(form.letters[0]) is RLetter)
+            len(form.letters) == 1 and type(form.letters[0]) is not Alt)
 
 
 def test_escape_inverts_only_the_conjugator(dense, monkeypatch):

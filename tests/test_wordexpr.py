@@ -9,8 +9,6 @@ from amalgam.errors import ExprSyntaxError, LiteralError
 from amalgam.instances import DenseInstance, make_instance
 from amalgam.normalform import (
     Alt,
-    LLetter,
-    RLetter,
     forms_equal,
     identity,
     inv,
@@ -520,14 +518,14 @@ def form_to_expr(sys, form):
     n, letters, terms, tail = form.level, iter(form.letters), [], form.tail
     while True:
         for letter in letters:
-            if type(letter) is RLetter:
-                terms.append(AtomE(n, letter.value))
-            elif letter.form.level == 0:
-                terms.append(AtomE(0, letter.form.tail))
+            if type(letter) is not Alt:
+                terms.append(AtomE(n, letter))
+            elif letter.level == 0:
+                terms.append(AtomE(0, letter.tail))
             else:
                 pending.append((n, letters, terms, tail))
-                sub = letter.form
-                n, letters, terms, tail = sub.level, iter(sub.letters), [], sub.tail
+                n, letters = letter.level, iter(letter.letters)
+                terms, tail = [], letter.tail
                 break
         else:
             if tail != sys.factor_id():
@@ -703,12 +701,12 @@ def shared_form(sys, rng, pool):
     letters = []
     for _ in range(rng.randint(1, 4)):
         if left:
-            letters.append(LLetter(rng.choice(below)))
+            letters.append(rng.choice(below))
         else:
-            letters.append(RLetter(sys.sample(n, rng)))
+            letters.append(sys.sample(n, rng))
         left = not left
-    if len(letters) == 1 and type(letters[0]) is LLetter:
-        letters.append(RLetter(sys.sample(n, rng)))
+    if len(letters) == 1 and type(letters[0]) is Alt:
+        letters.append(sys.sample(n, rng))
     tail = sys.factor_id() if rng.random() < 0.5 else sys.sample(0, rng)
     form = Alt(n, tuple(letters), tail)
     pool.append(form)
@@ -737,10 +735,10 @@ def test_form_expr_str_of_shared_subforms_matches_reference(name, p, params):
         while stack:
             f = stack.pop()
             for letter in f.letters:
-                if type(letter) is LLetter:
-                    shared += id(letter.form) in seen
-                    seen.add(id(letter.form))
-                    stack.append(letter.form)
+                if type(letter) is Alt:
+                    shared += id(letter) in seen
+                    seen.add(id(letter))
+                    stack.append(letter)
     assert shared > 1000
 
 
@@ -748,10 +746,9 @@ def test_form_expr_str_reuses_a_group_that_closed_its_parent(dense):
     # s closes x's group, whose end drops the space after s; s and x are
     # then printed again from the text of their first rendering
     one, fifth = PAdicRational(1, 0, 5), PAdicRational(1, 1, 5)
-    s = Alt(1, (RLetter(fifth),), fifth)
-    x = Alt(2, (RLetter(one), LLetter(s)), dense.factor_id())
-    form = Alt(3, (LLetter(x), RLetter(one), LLetter(s), RLetter(one),
-                   LLetter(x)), fifth)
+    s = Alt(1, (fifth,), fifth)
+    x = Alt(2, (one, s), dense.factor_id())
+    form = Alt(3, (x, one, s, one, x), fifth)
     s_text = "(h1(1/5) h0(1/5))"
     x_text = f"(h2(1) {s_text})"
     assert form_expr_str(dense, form) == \
