@@ -10,7 +10,8 @@ The contract is what the normal-form engine, the oracle, the homomorphism
 layer and the witness generators program against; concrete systems live in
 ``instances``.  ``check_instance`` is the one check of the contract: every
 constructor runs it on a few samples, and ``amalgam check instance`` and the
-acceptance run run it on many.
+acceptance run run it on many.  ``randint`` is the one integer draw behind
+every seeded sampler and check.
 """
 
 import random
@@ -27,6 +28,26 @@ _PROBE_SAMPLES = 4
 # exponents of p.  On a 2-vCPU Xeon VM, ``witness derived 2 9999`` at p just
 # below 2**64 computes in about 1 s (10 s to print, int-string limit lifted).
 LEVEL_BOUND = 10_000
+
+
+def randint(rng, a, b):
+    """A uniform integer in [a, b], the one ``rng.randint(a, b)`` returns.
+
+    This is ``random.Random``'s own rejection loop over ``getrandbits``, so
+    a seed gives the same samples as ``rng.randint``, without the argument
+    handling of ``randrange``: on a shared 2-vCPU Xeon VM with Python 3.11,
+    ``timeit`` puts a draw in [-625, 625] at 250-295 ns, against 500-760 ns
+    for ``rng.randint``.  An empty range raises ``ValueError``, as
+    ``rng.randint`` does; the loop would never exit on one.
+    """
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
 
 
 class FactorSystem(ABC):
@@ -184,7 +205,7 @@ def check_instance(sys, samples, seed):
         if sys.in_base(n, sys.escape_elem(n)):
             checks["escape_proper"] += 1
     for _ in range(samples):
-        n = rng.randint(1, max_level)
+        n = randint(rng, 1, max_level)
         h = sys.sample(n, rng)
         rep, b = sys.split(n, h)
         if not (sys.in_base(n - 1, b) and sys.factor_mul(rep, b) == h):
@@ -196,7 +217,7 @@ def check_instance(sys, samples, seed):
         rep3, _ = sys.split(n, sys.factor_mul(h, z))
         if rep3 != rep:
             checks["split_coset"] += 1
-        m = rng.randint(0, n - 1)
+        m = randint(rng, 0, n - 1)
         bm = sys.sample_base(m, rng)
         crep, cb = sys.split(n + 1, bm)
         if sys.factor_mul(crep, cb) != bm:

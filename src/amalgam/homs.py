@@ -97,7 +97,7 @@ def standard_hom(sys):
         target = Target(
             name="Z[1/p]",
             zero=sys.factor_id(),
-            add=lambda a, b: sys.factor_mul(a, b),
+            add=sys.factor_mul,
             value_str=str,
         )
         return LevelwiseHom(sys, target, lambda n, x: x)

@@ -14,7 +14,7 @@
 
 from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
-from amalgam.factors import LEVEL_BOUND, FactorSystem
+from amalgam.factors import LEVEL_BOUND, FactorSystem, randint
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
 
@@ -120,10 +120,18 @@ class DenseInstance(FactorSystem):
         return K.val(x.num, 0, self.p) + 1
 
     def sample(self, n, rng):
-        return PAdicRational(rng.randint(-625, 625), rng.randint(0, 3), self.p)
+        num, k = randint(rng, -625, 625), randint(rng, 0, 3)
+        if num == 0:
+            return self._zero
+        p = self.p
+        while k and num % p == 0:
+            num //= p
+            k -= 1
+        return from_normalized(num, k, p)
 
     def sample_base(self, n, rng):
-        return PAdicRational(rng.randint(-625, 625) * self.p**n, 0, self.p)
+        return from_normalized(
+            randint(rng, -625, 625) * self._powers[n], 0, self.p)
 
     def parse_value(self, text):
         return parse_padic(text, self.p)
@@ -173,10 +181,11 @@ class HeisenbergInstance(FactorSystem):
         return K.val(a[2], 0, self.p) + 1
 
     def sample(self, n, rng):
-        return (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-625, 625))
+        return (randint(rng, -3, 3), randint(rng, -3, 3),
+                randint(rng, -625, 625))
 
     def sample_base(self, n, rng):
-        return (0, 0, self.p**n * rng.randint(-625, 625))
+        return (0, 0, self._powers[n] * randint(rng, -625, 625))
 
     def parse_value(self, text):
         s = text.strip()
@@ -250,11 +259,11 @@ class FiniteCyclicInstance(FactorSystem):
         return max(0, v + 1 - self.chain_shift)
 
     def sample(self, n, rng):
-        return rng.randrange(self.modulus)
+        return randint(rng, 0, self.modulus - 1)
 
     def sample_base(self, n, rng):
-        q = self.p ** min(n + self.chain_shift, self.L)
-        return q * rng.randrange(self.modulus // q)
+        q = self._powers[min(n + self.chain_shift, self.L)]
+        return q * randint(rng, 0, self.modulus // q - 1)
 
     def parse_value(self, text):
         residue = int_literal(

@@ -11,7 +11,7 @@ imported here so that every suite can be reached through this module.
 import random
 
 from amalgam.errors import InvalidParams
-from amalgam.factors import _report, check_instance
+from amalgam.factors import _report, check_instance, randint
 from amalgam.homs import phi_eval, psi_eval, standard_hom
 from amalgam.normalform import (
     centrality_check,
@@ -31,8 +31,8 @@ from amalgam.witnesses import lemma21_check
 def random_word(sys, rng, max_len, max_level):
     max_level = min(max_level, sys.max_level)
     out = []
-    for _ in range(rng.randint(0, max_len)):
-        n = rng.randint(0, max_level)
+    for _ in range(randint(rng, 0, max_len)):
+        n = randint(rng, 0, max_level)
         out.append((n, sys.sample(n, rng)))
     return out
 
@@ -107,7 +107,7 @@ def sample_lemma21_inputs(sys, rng, max_m=5):
     a random lower-stage element times a fresh level-(m+1) letter, which has
     level exactly m+1 whatever the random part is.
     """
-    m = rng.randint(0, max_m)
+    m = randint(rng, 0, max_m)
     h = random_form(sys, rng, 6, m)
     if h.level == 0 and sys.in_base(m, h.tail):
         h = mul(sys, h, inject(sys, m, sys.escape_elem(m)))
@@ -136,7 +136,7 @@ def check_centrality(sys, samples, seed):
     rng = random.Random(seed)
     checks = {"central": 0}
     for _ in range(samples):
-        n = rng.randint(0, max_n)
+        n = randint(rng, 0, max_n)
         g = random_form(sys, rng, 8, n + 1)
         z = sys.sample_base(n, rng)
         if not centrality_check(sys, g, n, z):
