@@ -12,28 +12,29 @@ them apart.  Level 0 has no letters: ``Alt(0, (), x)`` is the value x, which
 level-n stage, which is what lets a single right-placed tail absorb all split
 residues.
 
-Multiplication lifts both operands to the higher level and pushes the right
-operand's letters one at a time onto the left operand's, merging at the
-junction; a merge that lands in B_{n-1} drops into the tail, and the next push
-meets the newly exposed letter, so cascades resolve letter by letter.  The
-result is reassembled at a lower level when all level-n letters cancel.
+``reduce_word``, ``mul`` and ``inv`` build forms on one kind of frame,
+``[level, letters, tail]``.  To work on a nested L-letter one level down, an
+operation opens a child frame above its parent on an explicit stack, and
+``_close`` folds the finished child back in: as the parent's top letter, one
+Alt built, or into the parent's tail.  Nothing here recurses once per
+nesting level (``==`` and ``render``, the one printer walk, use stacks too),
+so a form nested a thousand levels deep needs no more Python stack than a
+flat one.
 
-Nothing here recurses once per nesting level.  When two L-letters meet,
-``mul`` suspends the product as a frame on an explicit stack while it
-multiplies their forms one level down; ``inv`` likewise suspends an
-inversion while it inverts a nested L-letter's form, and ``==`` and
-``render``, the one printer walk, go down nested letters with a stack.  A form
-nested a thousand levels deep needs no more Python stack than a flat one.
+``mul`` lifts both operands to the higher level n and meets the right
+operand's letters with the left's top letter: two R-letters merge, a merge
+in B_{n-1} drops into the tail and exposes the next pair, and two L-letters
+open a child frame for the product of their forms.  Once a letter stays,
+the rest alternate with it.  A result whose level-n letters all cancel is
+reassembled at a lower level.  ``inv`` inverts letters in reverse order,
+each nested L-letter in a child frame.
 
-Word reduction does not multiply syllable by syllable.  ``reduce_word`` makes
-one pass and keeps the partial product as a chain of open frames, one
-``[level, letters, tail]`` per nesting level, where each frame below the root
-is its parent's top L-letter left open.  A lower-level syllable goes straight
-into the deepest frame at its level instead of re-lifting and copying every
-enclosing letter list.  A syllable is merged with the frame's top R-letter
-before it is split, so it costs one ``split``; a frame closes into its parent
-when a letter at the parent's level arrives, or at the end, and one that
-keeps a letter at its level becomes one L-letter, an Alt built once.
+``reduce_word`` makes one pass and keeps the partial product as a chain of
+open frames, each below the root its parent's top L-letter left open, so a
+lower-level syllable goes straight into the deepest frame at its level.  A
+syllable is merged with the frame's top R-letter before it is split, so it
+costs one ``split``; a frame closes into its parent when a letter at the
+parent's level arrives, or at the end.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -180,133 +181,103 @@ def inject(sys, n, x):
     return Alt(n, (rep,), b)
 
 
-def _left_canonical(sys, form, n):
-    """Reduce a level < n form, not in B_{n-1}, to a left letter plus residue."""
-    rep_t, b2 = sys.split(n, form.tail)
-    return Alt(form.level, form.letters, rep_t), b2
-
-
 def _lift(sys, form, n):
     """View a level <= n form as (letter list, tail value) at level n."""
     if form.level == n:
         return list(form.letters), form.tail
-    if form.level == 0 and sys.in_base(n - 1, form.tail):
-        return [], form.tail
-    letter, b = _left_canonical(sys, form, n)
-    return [letter], b
-
-
-def _push(sys, stack, n, letter, tail):
-    """Append one canonical letter, merging two R-letters; returns the tail.
-
-    Two L-letters meeting at the junction are ``mul``'s case: their forms
-    are multiplied one level down.
-    """
-    if stack and type(letter) is not Alt and type(stack[-1]) is not Alt:
-        prod = sys.factor_mul(stack.pop(), letter)
-        if sys.in_base(n - 1, prod):
-            return sys.factor_mul(tail, prod)
-        rep, b = sys.split(n, prod)
-        stack.append(rep)
-        return sys.factor_mul(tail, b)
-    stack.append(letter)
-    return tail
+    return _fold(sys, form.level, form.letters, form.tail, n)
 
 
 def _assemble(sys, n, letters, tail):
-    if not letters:
-        return Alt(0, (), tail)
     if len(letters) == 1 and type(letters[0]) is Alt:
         # no level-n letter survived: the element is the letter's form, of
         # some level m < n, times the tail.  That tail lies in B_{n-1},
         # inside B_{m-1} and central there; the form's tail, a ``split``
         # representative of a B_{m-1} value, lies in B_{m-1} too; and a
-        # level m >= 1 form has an R-letter, so ``mul`` would not recurse
-        # but only multiply the two tails.  The letters tuple is shared.
+        # level m >= 1 form has an R-letter, so ``mul`` would only multiply
+        # the two tails.  The letters tuple is shared.
         sub = letters[0]
         return Alt(sub.level, sub.letters, sys.factor_mul(sub.tail, tail))
-    return Alt(n, tuple(letters), tail)
+    return Alt(n if letters else 0, tuple(letters), tail)
 
 
 def mul(sys, f, g):
     """Product of two canonical forms.
 
-    Both are lifted to the higher level n and g's letters are pushed onto
-    f's one at a time.  When two L-letters meet, the product waits for the
-    product of their forms: it is suspended as a frame
-    ``[n, letters, tail, g's letters left]`` on an explicit stack, so
-    nesting depth costs no Python stack.
+    Both are lifted to the higher level n; f's letters and the product of
+    the tails open a frame ``[n, letters, tail]``, and g's letters meet its
+    top letter at the junction.  Two R-letters merge, and a product in
+    B_{n-1} drops into the tail and exposes the next pair.  Two L-letters
+    open a child frame for the product of their forms, one level down, with
+    the rest of g's letters suspended beside it on a stack; ``_close`` folds
+    the finished child back into its parent.  Once a letter stays, the rest
+    of g's letters alternate with it and are appended at once.
     """
-    frames = []
-    prod = None
+    if f.level == 0 and g.level == 0:
+        return Alt(0, (), sys.factor_mul(f.tail, g.tail))
+    fmul = sys.factor_mul
+    frames, rests = [], []
     while True:
         if f is not None:
-            lf, lg = f.level, g.level
-            if lf == 0 and lg == 0:
-                prod = Alt(0, (), sys.factor_mul(f.tail, g.tail))
-            else:
-                n = lf if lf > lg else lg
-                stack, ft = _lift(sys, f, n)
-                gletters, gt = _lift(sys, g, n)
-                frames.append([n, stack, sys.factor_mul(ft, gt),
-                               iter(gletters)])
-            f = None
-        if not frames:
-            return prod
-        frame = frames[-1]
-        n, stack, tail, gletters = frame
-        if prod is not None:
-            # the product of the two L-letters this frame was waiting on
-            if prod.level == 0 and sys.in_base(n - 1, prod.tail):
-                tail = sys.factor_mul(tail, prod.tail)
-            else:
-                newl, b = _left_canonical(sys, prod, n)
-                stack.append(newl)
-                tail = sys.factor_mul(tail, b)
-            prod = None
+            n = f.level if f.level > g.level else g.level
+            letters, ft = _lift(sys, f, n)
+            gletters, gt = _lift(sys, g, n)
+            frame, gletters = [n, letters, fmul(ft, gt)], iter(gletters)
+            frames.append(frame)
+            rests.append(gletters)
         for letter in gletters:
-            if type(letter) is Alt and stack and type(stack[-1]) is Alt:
-                f, g = stack.pop(), letter
-                frame[2] = tail
-                break
-            tail = _push(sys, stack, n, letter, tail)
+            if letters and (type(letters[-1]) is Alt) is (type(letter) is Alt):
+                if type(letter) is Alt:
+                    f, g = letters.pop(), letter
+                    break
+                x = fmul(letters.pop(), letter)
+                if sys.in_base(n - 1, x):
+                    frame[2] = fmul(frame[2], x)
+                    continue
+                letter, b = sys.split(n, x)
+                frame[2] = fmul(frame[2], b)
+            # this consumes gletters, so the loop ends next
+            letters.append(letter)
+            letters += gletters
         else:
-            frames.pop()
-            prod = _assemble(sys, n, stack, tail)
+            rests.pop()
+            if len(frames) == 1:
+                return _assemble(sys, *frame)
+            _close(sys, frames)
+            f, frame, gletters = None, frames[-1], rests[-1]
+            n, letters = frame[0], frame[1]
 
 
 def inv(sys, form):
     """Inverse of a canonical form.
 
     Letters are inverted in reverse order and re-canonicalized, each
-    residue moving into the central tail; an L-letter's inverted form goes
-    through ``_left_canonical``.  A nested Alt is inverted first: the outer
-    inversion is suspended as ``(level, letters left, letters out, tail)``
-    on an explicit stack.
+    residue moving into the central tail.  An L-letter opens a child frame
+    ``[level, letters, tail]`` for its inverse, with its parent's letters
+    left suspended beside it on a stack; ``_close`` folds the finished
+    child back into its parent as a left letter.
     """
     split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
-    suspended = []
-    n, letters = form.level, reversed(form.letters)
-    out, tail = [], finv(form.tail)
+    frames = [[form.level, [], finv(form.tail)]]
+    rests = [reversed(form.letters)]
     while True:
-        for letter in letters:
-            if type(letter) is not Alt:
-                rep, b = split(n, finv(letter))
-                out.append(rep)
-            else:
-                suspended.append((n, letters, out, tail))
-                n, letters = letter.level, reversed(letter.letters)
-                out, tail = [], finv(letter.tail)
+        frame = frames[-1]
+        n, letters, tail = frame
+        for letter in rests[-1]:
+            if type(letter) is Alt:
+                frame[2] = tail
+                frames.append([letter.level, [], finv(letter.tail)])
+                rests.append(reversed(letter.letters))
                 break
+            rep, b = split(n, finv(letter))
+            letters.append(rep)
             tail = fmul(tail, b)
         else:
-            inverse = Alt(n, tuple(out), tail)
-            if not suspended:
-                return inverse
-            n, letters, out, tail = suspended.pop()
-            newl, b = _left_canonical(sys, inverse, n)
-            out.append(newl)
-            tail = fmul(tail, b)
+            rests.pop()
+            if len(frames) == 1:
+                return Alt(n, tuple(letters), tail)
+            frame[2] = tail
+            _close(sys, frames)
 
 
 def commutator(sys, a, a_inv, b, b_inv):
@@ -326,11 +297,22 @@ def forms_equal(sys, f, g):
 
 
 def _fold(sys, m, letters, tail, n):
-    """A level-m frame as (letter list, tail) at level n > m, one Alt built."""
-    if len(letters) > 1 or letters and type(letters[0]) is not Alt:
-        rep_t, b = sys.split(n, tail)
-        return [Alt(m, tuple(letters), rep_t)], b
-    return _lift(sys, _assemble(sys, m, letters, tail), n)
+    """A level-m frame or form as (letter list, tail) at level n > m.
+
+    It is one left letter, an Alt with its tail reduced to a ``split``
+    representative, or no letter when it lies in B_{n-1}.
+    """
+    if len(letters) == 1 and type(letters[0]) is Alt:
+        # no level-m letter survived: see ``_assemble``
+        sub = letters[0]
+        m, letters = sub.level, sub.letters
+        tail = sys.factor_mul(sub.tail, tail)
+    if not letters:
+        if sys.in_base(n - 1, tail):
+            return [], tail
+        m = 0
+    rep_t, b = sys.split(n, tail)
+    return [Alt(m, tuple(letters), rep_t)], b
 
 
 def _close(sys, frames):

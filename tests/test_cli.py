@@ -211,6 +211,17 @@ def test_phi_mixed_word(capsys):
     assert out.strip() == "3/5"
 
 
+@pytest.mark.parametrize("argv,text", [
+    (("h1((1,2,7)) h0((3,0,0))", "--instance", "heisenberg", "--prime", "3"),
+     "(4,2)"),
+    (("h1(3) h2(7)", "--instance", "cyclic", "--prime", "2"), "2"),
+])
+def test_phi_prints_each_targets_values(capsys, argv, text):
+    code, out, _ = run(capsys, "phi", *argv)
+    assert code == 0
+    assert out == text + "\n"
+
+
 def test_psi_command(capsys):
     code, out, _ = run(capsys, "psi", "h0(3/5)")
     assert code == 0
@@ -512,6 +523,21 @@ def test_verify_deeply_nested_expression_is_invalid(capsys, tmp_path, field):
     else:
         data["inputs"]["tree"] = DEEP_PARENS
     cert_file = tmp_path / "deep.json"
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert code == 4 and err == ""
+    assert out == "certificate INVALID\n"
+
+
+@pytest.mark.parametrize("d,tree", [(3, None), (2, "[[h3(1), h2(1)], h2(1)]")])
+def test_verify_tree_of_other_depth_is_invalid(capsys, tmp_path, d, tree):
+    # claimed "d": 2 for a valid d = 3 tree, or for a tree of no depth
+    _, out, _ = run(capsys, "witness", "derived", str(d), "1")
+    data = json.loads(out)
+    data["d"] = 2
+    if tree is not None:
+        data["inputs"]["tree"] = tree
+    cert_file = tmp_path / "depth.json"
     cert_file.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", str(cert_file))
     assert code == 4 and err == ""

@@ -97,6 +97,30 @@ def test_partial_inverse_reopens_left_letters(name):
         assert_agrees(sys, w + wi[: rng.randint(1, len(wi))] + w)
 
 
+JUNCTION = {**INSTANCES,
+            "cyc3": make_instance("cyclic", 3, {"L": 4, "chain_shift": 2})}
+
+
+@pytest.mark.parametrize("name", sorted(JUNCTION))
+def test_mul_settles_a_cancelling_junction(name):
+    # v starts with the inverse of a random suffix of u, so the junction
+    # cancels, pair by pair and inside nested forms, before a letter stays
+    # and the rest of v's letters are appended at once
+    sys = JUNCTION[name]
+    rng = random.Random(23)
+    cancelled = 0
+    for _ in range(150):
+        u = rand_word(sys, rng, rng.randint(1, 20), max_level=4)
+        v = inverse_word(sys, u[rng.randint(0, len(u)):])
+        v += rand_word(sys, rng, rng.randint(0, 10), max_level=4)
+        a, b = reduce_word(sys, u), reduce_word(sys, v)
+        ab = mul(sys, a, b)
+        assert ab == reduce_word(sys, u + v)
+        assert mul(sys, a, inv(sys, a)) == identity(sys)
+        cancelled += len(ab.letters) < len(a.letters) + len(b.letters) - 1
+    assert cancelled > 50
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_derived_escape_words(name):
     sys = INSTANCES[name]

@@ -523,6 +523,18 @@ def test_verify_refuses_depth_above_cap_unevaluated(dense, monkeypatch):
     assert not verify(cert)
 
 
+@pytest.mark.parametrize("tree", [None, "[[h3(1), h2(1)], h2(1)]"])
+def test_depth_other_than_the_trees_fails_unevaluated(dense, monkeypatch,
+                                                      tree):
+    # a valid d = 3 certificate claimed as d = 2, and a tree that is no
+    # perfect commutator tree, are refused on the depth before evaluation
+    cert = derived_escape(dense, 3 if tree is None else 2, 1)
+    assert verify(cert)
+    bad = _tamper(cert, d=2, **({} if tree is None else {"inputs.tree": tree}))
+    monkeypatch.setattr(witnesses, "eval_expr", None)
+    assert not verify(bad)
+
+
 def test_identity_valued_tree_fails(dense):
     cert = derived_escape(dense, 1, 0)
     data = cert.to_json_dict()
