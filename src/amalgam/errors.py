@@ -43,16 +43,21 @@ class LiteralError(AmalgamError):
     """A value literal inside an atom is malformed for the instance."""
 
 
-def int_text(convert, x):
-    """convert(x): ``int`` of decimal digits or ``str`` of an int, where
-    Python's int-string limit (a ValueError) becomes PreconditionViolated."""
+def too_long():
+    """PreconditionViolated for the ValueError of Python's int-string limit,
+    raised by ``int_text`` and each value printer from its one conversion."""
+    limit = sys.get_int_max_str_digits()
+    return PreconditionViolated(f"number too long: more than {limit} decimal digits")
+
+
+def int_text(text):
+    """``int`` of decimal digits, raising ``too_long()`` past Python's
+    int-string limit; printers catch the limit in their own ``try``, at no
+    extra call per value."""
     try:
-        return convert(x)
+        return int(text)
     except ValueError:
-        raise PreconditionViolated(
-            f"number too long: more than {sys.get_int_max_str_digits()} "
-            "decimal digits"
-        ) from None
+        raise too_long() from None
 
 
 _DECIMAL = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -69,4 +74,4 @@ def int_literal(text, message):
         if not _DECIMAL.fullmatch(text):
             raise LiteralError(message()) from None
     # well-formed decimal text is refused only for its length
-    return int_text(int, text)
+    return int_text(text)

@@ -133,7 +133,8 @@ class FactorSystem(ABC):
 
     @abstractmethod
     def value_str(self, x):
-        """Canonical literal for x, re-parseable by parse_value."""
+        """Canonical literal for x, re-parseable by parse_value; a number
+        past Python's int-string limit raises ``errors.too_long()``."""
 
     # -- bookkeeping -------------------------------------------------------
 

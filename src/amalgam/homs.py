@@ -9,7 +9,7 @@ than letting an ill-defined family produce garbage images.
 
 import random
 
-from amalgam.errors import IncompatibleHom, PreconditionViolated, int_text
+from amalgam.errors import IncompatibleHom, PreconditionViolated, too_long
 from amalgam.normalform import Alt
 from amalgam.padic import PAdicRational, unipotent
 
@@ -88,35 +88,31 @@ def psi_eval(g, hom):
 def standard_hom(sys):
     """The canonical levelwise family for each shipped instance.
 
-    dense: every phi_n is the identity on Z[1/p], whose sums are the
-    instance's own group law.  heisenberg: drop the central z
-    coordinate, landing in (Z^2, +).  cyclic: identity on Z/p**L.
+    dense and cyclic: every phi_n is the identity on the factor group,
+    Z[1/p] or Z/p**L, whose sums are the instance's own group law and whose
+    values print as the instance's.  heisenberg: drop the central z
+    coordinate, landing in (Z^2, +).
     """
     kind = sys.kind
-    if kind == "dense":
+    if kind in ("dense", "cyclic"):
         target = Target(
-            name="Z[1/p]",
+            name="Z[1/p]" if kind == "dense" else f"Z/{sys.modulus}",
             zero=sys.factor_id(),
             add=sys.factor_mul,
-            value_str=str,
+            value_str=sys.value_str,
         )
         return LevelwiseHom(sys, target, lambda n, x: x)
     if kind == "heisenberg":
+        def pair_str(a):
+            try:
+                return f"({a[0]},{a[1]})"
+            except ValueError:
+                raise too_long() from None
         target = Target(
             name="Z^2",
             zero=(0, 0),
             add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            value_str=lambda a: (
-                f"({int_text(str, a[0])},{int_text(str, a[1])})"),
+            value_str=pair_str,
         )
         return LevelwiseHom(sys, target, lambda n, x: (x[0], x[1]))
-    if kind == "cyclic":
-        modulus = sys.modulus
-        target = Target(
-            name=f"Z/{modulus}",
-            zero=0,
-            add=lambda a, b: (a + b) % modulus,
-            value_str=lambda a: int_text(str, a),
-        )
-        return LevelwiseHom(sys, target, lambda n, x: x)
     raise PreconditionViolated(f"no standard hom for instance kind {kind!r}")

@@ -13,7 +13,7 @@
 """
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
+from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
 from amalgam.factors import LEVEL_BOUND, FactorSystem, randint
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
@@ -199,8 +199,10 @@ class HeisenbergInstance(FactorSystem):
             for q in parts)
 
     def value_str(self, a):
-        x, y, z = (int_text(str, c) for c in a)
-        return f"({x},{y},{z})"
+        try:
+            return f"({a[0]},{a[1]},{a[2]})"
+        except ValueError:
+            raise too_long() from None
 
 
 class FiniteCyclicInstance(FactorSystem):
@@ -271,7 +273,10 @@ class FiniteCyclicInstance(FactorSystem):
         return residue % self.modulus
 
     def value_str(self, x):
-        return int_text(str, x)
+        try:
+            return f"{x}"
+        except ValueError:
+            raise too_long() from None
 
     def params(self):
         out = {"L": self.L, "chain_shift": self.chain_shift}

@@ -181,13 +181,6 @@ def inject(sys, n, x):
     return Alt(n, (rep,), b)
 
 
-def _lift(sys, form, n):
-    """View a level <= n form as (letter list, tail value) at level n."""
-    if form.level == n:
-        return list(form.letters), form.tail
-    return _fold(sys, form.level, form.letters, form.tail, n)
-
-
 def _assemble(sys, n, letters, tail):
     if len(letters) == 1 and type(letters[0]) is Alt:
         # no level-n letter survived: the element is the letter's form, of
@@ -220,8 +213,10 @@ def mul(sys, f, g):
     while True:
         if f is not None:
             n = f.level if f.level > g.level else g.level
-            letters, ft = _lift(sys, f, n)
-            gletters, gt = _lift(sys, g, n)
+            letters, ft = ((list(f.letters), f.tail) if f.level == n
+                           else _fold(sys, f.level, f.letters, f.tail, n))
+            gletters, gt = ((g.letters, g.tail) if g.level == n
+                            else _fold(sys, g.level, g.letters, g.tail, n))
             frame, gletters = [n, letters, fmul(ft, gt)], iter(gletters)
             frames.append(frame)
             rests.append(gletters)
@@ -377,7 +372,7 @@ def reduce_word(sys, word):
             if letters and type(letters[-1]) is Alt:
                 form = letters.pop()
                 if form.level < n:
-                    top = [n, *_lift(sys, form, n)]
+                    top = [n, *_fold(sys, form.level, form.letters, form.tail, n)]
                 else:
                     top = [form.level, list(form.letters), form.tail]
             else:

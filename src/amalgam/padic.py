@@ -9,7 +9,7 @@ validates the prime every instance is built on.
 """
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError, int_literal, int_text
+from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
 
 
 # Trial divisors, and the Miller-Rabin bases that decide primality for every
@@ -115,10 +115,12 @@ class PAdicRational:
         return self.num != 0
 
     def __str__(self):
-        num = int_text(str, self.num)
-        if self.den_exp == 0:
-            return num
-        return f"{num}/{int_text(str, self.p ** self.den_exp)}"
+        """``num`` or ``num/p**den_exp``; ``too_long()`` past the digit limit."""
+        num, k = self.num, self.den_exp
+        try:
+            return f"{num}/{self.p ** k}" if k else f"{num}"
+        except ValueError:
+            raise too_long() from None
 
     def __repr__(self):
         return f"PAdicRational({self.num}, {self.den_exp}, p={self.p})"

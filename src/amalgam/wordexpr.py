@@ -129,7 +129,7 @@ def _atom(src, pos, sys):
     """
     m = _ATOM.match(src, pos)
     if m is not None:
-        atom = AtomE(int_text(int, m.group(1)), sys.parse_value(m.group(2)))
+        atom = AtomE(int_text(m.group(1)), sys.parse_value(m.group(2)))
         return atom, m
     start = pos + 1
     digits = _DIGITS.match(src, start)
@@ -146,7 +146,7 @@ def _atom(src, pos, sys):
             raise ExprSyntaxError("unterminated value literal", len(src))
         pos = paren.end()
         depth += 1 if paren.group() == "(" else -1
-    atom = AtomE(int_text(int, digits.group()),
+    atom = AtomE(int_text(digits.group()),
                  sys.parse_value(src[lit_start:pos - 1]))
     return atom, _INVERSE.match(src, pos)
 

@@ -29,3 +29,12 @@ def cli_env():
     if sys.flags.dont_write_bytecode:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int-string limit, whatever the interpreter's setting."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

@@ -283,15 +283,6 @@ DEEP_FLAT = deep_flat(500)
 DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
 
 
-@pytest.fixture
-def int_digit_limit():
-    """Python's default int-string limit, whatever the interpreter's setting."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize("argv", [
     ("reduce", "h0(1)", "--prime", "1"),
     ("witness", "derived", "2", str(10**30)),

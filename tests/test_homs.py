@@ -114,6 +114,16 @@ def test_heisenberg_phi_drops_the_centre(heis):
     assert in_kernel(z, hom)
 
 
+def test_heisenberg_phi_text(int_digit_limit, heis):
+    value_str = standard_hom(heis).target.value_str
+    long = 10**3999 + 7
+    for x, y in [(0, 0), (-3, 5), (long, -long)]:
+        assert value_str((x, y)) == "(" + str(x) + "," + str(y) + ")"
+    for pair in [(10**5000, 0), (0, -10**5000)]:
+        with pytest.raises(PreconditionViolated, match="^number too long"):
+            value_str(pair)
+
+
 def test_cyclic_standard_hom_is_residue_sum():
     cyc = make_instance("cyclic", 2, {"L": 3})
     hom = standard_hom(cyc)

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from amalgam import _kernels as K
-from amalgam.errors import InvalidParams, LiteralError, UnsupportedLevel
+from amalgam.errors import (
+    InvalidParams,
+    LiteralError,
+    PreconditionViolated,
+    UnsupportedLevel,
+)
 from amalgam.factors import check_instance
 from amalgam.instances import make_instance
 from amalgam.padic import PAdicRational
@@ -276,6 +281,47 @@ def test_value_text_round_trip(name, request):
         for _ in range(30):
             x = sys.sample(lvl, rng)
             assert sys.parse_value(sys.value_str(x)) == x
+
+
+# 4,000 digits: printable under the default limit of 4,300
+LONG = 10**3999 + 7
+
+
+def test_value_text_is_str_of_each_component(int_digit_limit, dense, heis,
+                                             cyc):
+    for x, y, z in [(0, 0, 0), (-3, 5, -7), (LONG, -LONG, 0), (1, 2, -LONG)]:
+        want = "(" + str(x) + "," + str(y) + "," + str(z) + ")"
+        assert heis.value_str((x, y, z)) == want
+    assert dense.value_str(R(0, 3)) == "0"
+    for num in (7, -12, LONG, -LONG - 2):
+        assert dense.value_str(R(num)) == str(num)
+        for k in (1, 3):
+            assert dense.value_str(R(num, k)) == str(num) + "/" + str(5**k)
+    for x in (0, 1, 7):
+        assert cyc.value_str(x) == str(x)
+    # 5**5700 has 3,985 digits
+    big = make_instance("cyclic", 5, {"L": 5700})
+    assert big.value_str(big.modulus - 1) == str(big.modulus - 1)
+
+
+@pytest.mark.parametrize("value", [(10**5000, 0, 0), (0, -10**5000, 0),
+                                   (0, 0, 10**5000)])
+def test_heisenberg_value_text_refuses_past_the_limit(int_digit_limit, heis,
+                                                       value):
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        heis.value_str(value)
+
+
+def test_dense_and_cyclic_value_text_refuse_past_the_limit(int_digit_limit,
+                                                           dense):
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        dense.value_str(R(-10**5000 - 1))
+    # the numerator is short; 5**7000 has 4,893 digits
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        dense.value_str(PAdicRational(1, 7000, 5))
+    cyc = make_instance("cyclic", 5, {"L": 7000})
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        cyc.value_str(cyc.modulus - 1)
 
 
 def test_parse_value_rejects(dense, heis, cyc):

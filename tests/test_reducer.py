@@ -24,7 +24,7 @@ from amalgam.normalform import (
 )
 from amalgam.oracle import naive_reduce
 from amalgam.witnesses import derived_escape
-from amalgam.wordexpr import expr_to_word, parse_expr
+from amalgam.wordexpr import expr_to_word, form_expr_str, parse_expr
 
 
 def fold_reduce(sys, word):
@@ -119,6 +119,31 @@ def test_mul_settles_a_cancelling_junction(name):
         assert mul(sys, a, inv(sys, a)) == identity(sys)
         cancelled += len(ab.letters) < len(a.letters) + len(b.letters) - 1
     assert cancelled > 50
+
+
+@pytest.mark.parametrize("name", sorted(JUNCTION))
+def test_mul_at_mixed_levels(name):
+    # g at f's level is read in place, g below it is folded up to f's level
+    # first, and g above it folds f instead; neither operand changes
+    sys = JUNCTION[name]
+    rng = random.Random(24)
+    seen = {"same": 0, "below": 0, "above": 0}
+    for _ in range(300):
+        u = rand_word(sys, rng, rng.randint(1, 15), rng.randint(0, 5))
+        v = rand_word(sys, rng, rng.randint(1, 15), rng.randint(0, 5))
+        if rng.random() < 0.5:
+            v = inverse_word(sys, u[rng.randint(0, len(u)):]) + v
+        f, g = reduce_word(sys, u), reduce_word(sys, v)
+        before = form_expr_str(sys, f), form_expr_str(sys, g)
+        assert mul(sys, f, g) == reduce_word(sys, u + v)
+        assert (form_expr_str(sys, f), form_expr_str(sys, g)) == before
+        if g.level < f.level:
+            seen["below"] += 1
+        elif g.level > f.level:
+            seen["above"] += 1
+        elif g.level > 0:
+            seen["same"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize("name", ALL)
