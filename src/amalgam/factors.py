@@ -115,7 +115,8 @@ class FactorSystem(ABC):
 
     @abstractmethod
     def base_escape_level(self, x):
-        """Minimal n with x outside B_n; undefined for the identity."""
+        """Minimal n with x outside B_n; undefined for the identity (the
+        shipped instances' ``instances.valuation`` raises ValueError)."""
 
     @abstractmethod
     def sample(self, n, rng):

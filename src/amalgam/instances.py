@@ -12,10 +12,20 @@
   the kind of degenerate instance construction must reject.
 """
 
-from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
 from amalgam.factors import LEVEL_BOUND, FactorSystem, randint
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
+
+
+def valuation(num, p):
+    """The exponent of p in a nonzero integer num; ValueError on 0."""
+    if num == 0:
+        raise ValueError("valuation of zero is undefined")
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    return v
 
 
 class _Powers(dict):
@@ -47,9 +57,10 @@ class _Powers(dict):
 class DenseInstance(FactorSystem):
     """H_n = (Z[1/p], +) for every n, B_n = p**n Z.
 
-    Values are ``PAdicRational``s; the group law, inverse, ``in_base`` and
+    Values are ``PAdicRational``s.  The group law, inverse, ``in_base`` and
     ``split`` compute on their ``num``/``den_exp`` pairs inline, keeping
     each result normalized (p does not divide num unless den_exp is 0).
+    ``sample`` builds through ``PAdicRational``'s normalizing constructor.
     """
 
     kind = "dense"
@@ -117,17 +128,11 @@ class DenseInstance(FactorSystem):
     def base_escape_level(self, x):
         if x.den_exp > 0:
             return 0
-        return K.val(x.num, 0, self.p) + 1
+        return valuation(x.num, self.p) + 1
 
     def sample(self, n, rng):
-        num, k = randint(rng, -625, 625), randint(rng, 0, 3)
-        if num == 0:
-            return self._zero
-        p = self.p
-        while k and num % p == 0:
-            num //= p
-            k -= 1
-        return from_normalized(num, k, p)
+        return PAdicRational(
+            randint(rng, -625, 625), randint(rng, 0, 3), self.p)
 
     def sample_base(self, n, rng):
         return from_normalized(
@@ -178,7 +183,7 @@ class HeisenbergInstance(FactorSystem):
     def base_escape_level(self, a):
         if a[0] != 0 or a[1] != 0:
             return 0
-        return K.val(a[2], 0, self.p) + 1
+        return valuation(a[2], self.p) + 1
 
     def sample(self, n, rng):
         return (randint(rng, -3, 3), randint(rng, -3, 3),
@@ -257,8 +262,7 @@ class FiniteCyclicInstance(FactorSystem):
         return 1
 
     def base_escape_level(self, x):
-        v = K.val(x, 0, self.p)
-        return max(0, v + 1 - self.chain_shift)
+        return max(0, valuation(x, self.p) + 1 - self.chain_shift)
 
     def sample(self, n, rng):
         return randint(rng, 0, self.modulus - 1)

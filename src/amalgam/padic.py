@@ -2,13 +2,13 @@
 
 Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
-overflow.  The operators run on the integer-pair kernels in
-``amalgam._kernels``; the dense instance does its own arithmetic on the
-pairs and wraps each result with ``from_normalized``.  ``check_prime``
-validates the prime every instance is built on.
+overflow.  ``PAdicRational``'s constructor is the one normalization; its
+``+`` and ``*`` build their results through it and serve ``psi``'s
+matrices.  The dense instance does its own arithmetic on the pairs and
+wraps each result with ``from_normalized``.  ``check_prime`` validates the
+prime every instance is built on.
 """
 
-from amalgam import _kernels as K
 from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
 
 
@@ -57,7 +57,9 @@ def check_prime(p):
 class PAdicRational:
     """An element of Z[1/p]: ``num / p**den_exp`` with p not dividing num.
 
-    Instances are immutable value objects; all operations return new ones.
+    The constructor cancels the factors of p that num and the denominator
+    share (zero gets ``den_exp`` 0).  Instances are immutable value objects;
+    all operations return new ones.
     """
 
     __slots__ = ("num", "den_exp", "p")
@@ -65,9 +67,13 @@ class PAdicRational:
     def __init__(self, num, den_exp, p):
         if den_exp < 0:
             raise InvalidParams(f"den_exp must be a natural, got {den_exp}")
-        n, k = K.norm(num, den_exp, p)
-        self.num = n
-        self.den_exp = k
+        if num == 0:
+            den_exp = 0
+        while den_exp and num % p == 0:
+            num //= p
+            den_exp -= 1
+        self.num = num
+        self.den_exp = den_exp
         self.p = p
 
     @classmethod
@@ -89,15 +95,17 @@ class PAdicRational:
         o = self._check_same(other)
         if o is NotImplemented:
             return NotImplemented
-        n, k = K.add(self.num, self.den_exp, o.num, o.den_exp, self.p)
-        return from_normalized(n, k, self.p)
+        a, ak, b, bk = self.num, self.den_exp, o.num, o.den_exp
+        if ak < bk:
+            a, ak, b, bk = b, bk, a, ak
+        return PAdicRational(a + b * self.p ** (ak - bk), ak, self.p)
 
     def __mul__(self, other):
         o = self._check_same(other)
         if o is NotImplemented:
             return NotImplemented
-        n, k = K.mul(self.num, self.den_exp, o.num, o.den_exp, self.p)
-        return from_normalized(n, k, self.p)
+        return PAdicRational(
+            self.num * o.num, self.den_exp + o.den_exp, self.p)
 
     def __eq__(self, other):
         if not isinstance(other, PAdicRational):
@@ -129,8 +137,8 @@ class PAdicRational:
 def from_normalized(num, den_exp, p):
     """The PAdicRational num / p**den_exp of a pair that is already normalized.
 
-    Skips ``__init__``'s normalization; the operators above and the dense
-    instance's inline arithmetic build their results with it.
+    Skips ``__init__``'s normalization; ``zero``, ``one``, ``parse_padic``'s
+    integers and the dense instance's inline arithmetic build with it.
     """
     x = object.__new__(PAdicRational)
     x.num = num

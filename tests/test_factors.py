@@ -9,9 +9,8 @@ import random
 
 import pytest
 
-from amalgam import _kernels as K
 from amalgam.factors import check_instance, randint
-from amalgam.instances import DenseInstance, HeisenbergInstance
+from amalgam.instances import DenseInstance, HeisenbergInstance, valuation
 from amalgam.padic import from_normalized
 
 RANGES = [(0, 0), (0, 1), (0, 3), (0, 4), (0, 6), (-625, 625),
@@ -147,7 +146,7 @@ class YAxisBase(Unprobed, HeisenbergInstance):
     def base_escape_level(self, a):
         if a[0] != 0 or a[2] != 0:
             return 0
-        return K.val(a[1], 0, self.p) + 1
+        return valuation(a[1], self.p) + 1
 
 
 class LateEscapeLevel(Unprobed, DenseInstance):

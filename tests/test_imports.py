@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and no
+module imports the ``_kernels`` backend stub."""
 
 import ast
 import pathlib
@@ -6,14 +7,13 @@ import pathlib
 import amalgam
 
 # Imported for other modules to reach, not used where they are imported:
-# perfbench wraps the six kernels under ``_kernels``'s name, and the CLI
-# imports ``check_instance`` from ``suites`` with the other suites.
+# the CLI imports ``check_instance`` from ``suites`` with the other suites.
 REEXPORTS = {
-    "_kernels.py": {"add", "coset_split", "in_subgroup", "mul", "norm", "val"},
     "suites.py": {"check_instance"},
 }
 
-SOURCES = sorted(pathlib.Path(amalgam.__file__).parent.glob("*.py"))
+PACKAGE = pathlib.Path(amalgam.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(path):
@@ -40,5 +40,22 @@ def test_every_import_is_used():
 def test_reexports_are_still_imported():
     # an exemption whose import is gone should go too
     for name, names in REEXPORTS.items():
-        path = pathlib.Path(amalgam.__file__).parent / name
+        path = PACKAGE / name
         assert names <= unused_imports(path)
+
+
+def test_nothing_imports_the_backend_stub():
+    # ``_kernels`` holds only the name perfbench's metadata reads, so the
+    # benchmark is its one reader and it can go with the benchmark's rows
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            assert not any("_kernels" in name for name in names), path.name
+    stub = ast.parse((PACKAGE / "_kernels.py").read_text())
+    code = [node for node in stub.body if not isinstance(node, ast.Expr)]
+    assert [ast.unparse(node) for node in code] == ["BACKEND = 'py'"]

@@ -1,10 +1,10 @@
 """Factor-system contract conformance for the three shipped instances."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from amalgam import _kernels as K
 from amalgam.errors import (
     InvalidParams,
     LiteralError,
@@ -12,7 +12,7 @@ from amalgam.errors import (
     UnsupportedLevel,
 )
 from amalgam.factors import check_instance
-from amalgam.instances import make_instance
+from amalgam.instances import make_instance, valuation
 from amalgam.padic import PAdicRational
 
 
@@ -219,9 +219,9 @@ def test_base_and_split_with_remembered_powers(kind, p, params):
 
 
 @pytest.mark.parametrize("p", [2, 5])
-def test_dense_inline_arithmetic_matches_kernels(p):
-    # the instance computes on num/den_exp itself; the integer-pair kernels
-    # are the reference
+def test_dense_inline_arithmetic_matches_fractions(p):
+    # the instance computes on num/den_exp itself; exact rationals are the
+    # reference
     dense = make_instance("dense", p)
     rng = random.Random(p)
 
@@ -231,19 +231,37 @@ def test_dense_inline_arithmetic_matches_kernels(p):
         return PAdicRational(rng.randint(-p**6, p**6) * p**rng.randint(0, 3),
                              rng.randint(0, 4), p)
 
+    def exact(x):
+        # a normalized pair is the one spelling of its rational
+        assert x.p == p and x.den_exp >= 0
+        assert x.den_exp == 0 or x.num % p
+        return Fraction(x.num, p ** x.den_exp)
+
+    def in_pn(q, m):
+        return q.denominator == 1 and q.numerator % p ** m == 0
+
     for _ in range(3000):
         x, y, n = value(), value(), rng.randint(1, 6)
-        z = dense.factor_mul(x, y)
-        assert z.p == p
-        assert (z.num, z.den_exp) == K.add(x.num, x.den_exp, y.num, y.den_exp, p)
-        xi = dense.factor_inv(x)
-        assert (xi.num, xi.den_exp, xi.p) == (-x.num, x.den_exp, p)
+        q = exact(x)
+        assert exact(dense.factor_mul(x, y)) == q + exact(y)
+        assert exact(dense.factor_inv(x)) == -q
         for m in (n - 1, n):
-            assert dense.in_base(m, x) == K.in_subgroup(x.num, x.den_exp, p, m)
+            assert dense.in_base(m, x) == in_pn(q, m)
         rep, b = dense.split(n, x)
-        assert (rep.num, rep.den_exp, b.num, b.den_exp) == \
-            K.coset_split(x.num, x.den_exp, p, n - 1)
-        assert rep.p == b.p == p
+        r = exact(rep)
+        assert r + exact(b) == q
+        assert 0 <= r < p ** (n - 1)
+        assert in_pn(exact(b), n - 1)
+
+
+def test_valuation_of_zero_raises(dense, heis, cyc):
+    # dividing 0 by p would never end; the identity has no escape level
+    assert valuation(250, 5) == 3 and valuation(-7, 5) == 0
+    with pytest.raises(ValueError):
+        valuation(0, 5)
+    for sys in (dense, heis, cyc):
+        with pytest.raises(ValueError):
+            sys.base_escape_level(sys.factor_id())
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -5,6 +5,7 @@ The valuation and p**n Z membership are the dense instance's
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +172,34 @@ def values(draw, p=None):
 def value_triples(draw):
     p = draw(primes)
     return tuple(draw(values(p=p)) for _ in range(3))
+
+
+@st.composite
+def raw_operands(draw):
+    # a prime and two unnormalized (num, den_exp) pairs; num carries up to
+    # four factors of p, so the constructor has some to cancel
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 18446744073709551557]))
+    pairs = [(draw(nums) * p ** draw(st.integers(0, 4)), draw(exps))
+             for _ in range(2)]
+    return p, pairs
+
+
+def exact(x):
+    """x as a Fraction, once x is checked to be normalized."""
+    assert x.den_exp >= 0
+    assert x.den_exp == 0 or x.num % x.p != 0
+    return Fraction(x.num, x.p ** x.den_exp)
+
+
+@given(raw_operands())
+def test_arithmetic_matches_fractions(operands):
+    p, ((an, ak), (bn, bk)) = operands
+    x, y = PAdicRational(an, ak, p), PAdicRational(bn, bk, p)
+    assert exact(x) == Fraction(an, p ** ak)
+    assert exact(y) == Fraction(bn, p ** bk)
+    assert exact(x + y) == exact(x) + exact(y)
+    assert exact(x * y) == exact(x) * exact(y)
+    assert x.p == y.p == (x + y).p == (x * y).p == p
 
 
 @given(value_triples())
