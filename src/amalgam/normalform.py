@@ -27,14 +27,14 @@ in B_{n-1} drops into the tail and exposes the next pair, and two L-letters
 open a child frame for the product of their forms.  Once a letter stays,
 the rest alternate with it.  A result whose level-n letters all cancel is
 reassembled at a lower level.  ``inv`` inverts letters in reverse order,
-each nested L-letter in a child frame.
+each nested L-letter above level 0 in a child frame.
 
 ``reduce_word`` makes one pass and keeps the partial product as a chain of
 open frames, each below the root its parent's top L-letter left open, so a
 lower-level syllable goes straight into the deepest frame at its level.  A
 syllable is merged with the frame's top R-letter before it is split, so it
-costs one ``split``; a frame closes into its parent when a letter at the
-parent's level arrives, or at the end.
+costs one ``split``, as does one that opens a frame; a frame closes into
+its parent when a letter at the parent's level arrives, or at the end.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -247,10 +247,11 @@ def inv(sys, form):
     """Inverse of a canonical form.
 
     Letters are inverted in reverse order and re-canonicalized, each
-    residue moving into the central tail.  An L-letter opens a child frame
-    ``[level, letters, tail]`` for its inverse, with its parent's letters
-    left suspended beside it on a stack; ``_close`` folds the finished
-    child back into its parent as a left letter.
+    residue moving into the central tail.  An L-letter above level 0 opens
+    a child frame ``[level, letters, tail]`` for its inverse, with its
+    parent's letters left suspended beside it on a stack; ``_close`` folds
+    the finished child back into its parent as a left letter.  A level-0
+    one is a value outside B_{n-1} and is split in place.
     """
     split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
     frames = [[form.level, [], finv(form.tail)]]
@@ -259,12 +260,17 @@ def inv(sys, form):
         frame = frames[-1]
         n, letters, tail = frame
         for letter in rests[-1]:
-            if type(letter) is Alt:
+            if type(letter) is not Alt:
+                rep, b = split(n, finv(letter))
+            elif letter.level == 0:
+                # its value lies outside B_{n-1}, and so does the inverse
+                rep, b = split(n, finv(letter.tail))
+                rep = Alt(0, (), rep)
+            else:
                 frame[2] = tail
                 frames.append([letter.level, [], finv(letter.tail)])
                 rests.append(reversed(letter.letters))
                 break
-            rep, b = split(n, finv(letter))
             letters.append(rep)
             tail = fmul(tail, b)
         else:
@@ -314,8 +320,12 @@ def _close(sys, frames):
     """Fold the deepest open frame into its parent as the parent's top letter."""
     m, letters, tail = frames.pop()
     parent = frames[-1]
-    lifted, b = _fold(sys, m, letters, tail, parent[0])
-    parent[1] += lifted
+    if len(letters) > 1 or letters and type(letters[0]) is not Alt:
+        rep, b = sys.split(parent[0], tail)
+        parent[1].append(Alt(m, tuple(letters), rep))
+    else:
+        lifted, b = _fold(sys, m, letters, tail, parent[0])
+        parent[1] += lifted
     parent[2] = sys.factor_mul(parent[2], b)
 
 
@@ -335,10 +345,10 @@ def reduce_word(sys, word):
       parent's tail;
     - if the deepest frame is still below n (the root, when n is a new
       maximum), lift it in place: its form becomes one left letter of a
-      level-n frame;
+      level-n frame, built as ``_close`` builds it;
     - while the deepest frame is above n, descend: reopen its top L-letter if
-      it ends in one (an R-letter cancel can expose it), else open an empty
-      level-n frame;
+      it ends in one (an R-letter cancel can expose it), else open a frame
+      holding the split syllable, ``[n, [rep], b]`` or ``[0, [], x]``;
     - merge before split: a deepest frame ending in an R-letter r takes r x
       (B_{n-1} is central and ``split`` depends only on the coset); a product
       in B_{n-1} joins the tail, which may expose an L-letter, else the
@@ -363,10 +373,16 @@ def reduce_word(sys, word):
                 _close(sys, frames)
                 top = frames[-1]
             else:
-                top[1], top[2] = _fold(sys, *top, n)
+                m, letters, tail = top
+                if len(letters) > 1 or letters and type(letters[0]) is not Alt:
+                    rep, top[2] = split(n, tail)
+                    top[1] = [Alt(m, tuple(letters), rep)]
+                else:
+                    top[1], top[2] = _fold(sys, m, letters, tail, n)
                 top[0] = n
         while top[0] > n:
             if n == 0 and in_base(top[0] - 1, x):
+                top[2] = fmul(top[2], x)
                 break
             letters = top[1]
             if letters and type(letters[-1]) is Alt:
@@ -375,21 +391,29 @@ def reduce_word(sys, word):
                     top = [n, *_fold(sys, form.level, form.letters, form.tail, n)]
                 else:
                     top = [form.level, list(form.letters), form.tail]
+                frames.append(top)
+                continue
+            if n:
+                rep, b = split(n, x)
+                top = [n, [rep], b]
             else:
-                top = [n, [], sys.factor_id()]
+                top = [0, [], x]
             frames.append(top)
-        if n == 0:
-            top[2] = fmul(top[2], x)
-            continue
-        letters = top[1]
-        if letters and type(letters[-1]) is not Alt:
-            x = fmul(letters.pop(), x)
-            if in_base(n - 1, x):
+            break
+        else:
+            # no break: the deepest frame is at level n
+            if n == 0:
                 top[2] = fmul(top[2], x)
                 continue
-        rep, b = split(n, x)
-        letters.append(rep)
-        top[2] = fmul(top[2], b)
+            letters = top[1]
+            if letters and type(letters[-1]) is not Alt:
+                x = fmul(letters.pop(), x)
+                if in_base(n - 1, x):
+                    top[2] = fmul(top[2], x)
+                    continue
+            rep, b = split(n, x)
+            letters.append(rep)
+            top[2] = fmul(top[2], b)
     while len(frames) > 1:
         _close(sys, frames)
     return _assemble(sys, *frames[0])

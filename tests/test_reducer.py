@@ -196,6 +196,48 @@ def test_merge_heavy_words(name):
     assert_agrees(sys, merge_heavy_word(sys, rng, 80))
 
 
+def sawtooth_word(sys, rng, hi, lo, teeth):
+    """Runs at level hi alternating with dips to level lo < hi.
+
+    A dip has one syllable or up to three, and now and then one more that
+    lies in B_{lo-1}, so counts as level 0, or, when lo is 0, in B_{hi-1}.
+    Now and then a run ends in a syllable that brings its product into
+    B_{hi-1}: its R-letter merges away and re-exposes the L-letter the dip
+    before it closed into, and the next dip reopens it.
+    """
+    fmul, finv = sys.factor_mul, sys.factor_inv
+    word = []
+    for _ in range(teeth):
+        run = [sys.sample(hi, rng) for _ in range(rng.randint(1, 2))]
+        word += [(hi, x) for x in run]
+        if rng.random() < 0.3:
+            prod = sys.factor_id()
+            for x in run:
+                prod = fmul(prod, x)
+            word.append((hi, fmul(finv(prod), sys.sample_base(hi - 1, rng))))
+        dip = [(lo, sys.sample(lo, rng))
+               for _ in range(rng.choice((1, 1, 2, 3)))]
+        if rng.random() < 0.3:
+            base = sys.sample_base(lo - 1 if lo else hi - 1, rng)
+            dip.insert(rng.randint(0, len(dip)), (lo, base))
+        word += dip
+    return word
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sawtooth_words(name):
+    # every dip opens a frame already holding its first syllable and closes
+    # into one L-letter; inv of the result is the inverse word's form
+    sys = INSTANCES[name]
+    rng = random.Random(25)
+    for hi, lo in [(1, 0), (2, 0), (2, 1), (3, 1), (4, 2), (6, 0), (6, 5)]:
+        for teeth in (1, 2, 5, 12, 150):
+            word = sawtooth_word(sys, rng, hi, lo, teeth)
+            assert_agrees(sys, word)
+            assert (inv(sys, reduce_word(sys, word))
+                    == reduce_word(sys, inverse_word(sys, word)))
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_merge_into_base_exposes_closed_lletter(name):
     # h2(x) h1(y) h2(u) h2(u^-1 z), z in B_1: the last syllable's product
@@ -213,6 +255,17 @@ def test_merge_into_base_exposes_closed_lletter(name):
     assert_agrees(sys, word + [(1, y), (0, y)])
 
 
+def counted(sys, *names):
+    """Wrap the named factor-system methods to log their calls' first args."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _f=getattr(sys, name), _log=calls[name]):
+            _log.append(args[0])
+            return _f(*args)
+        setattr(sys, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("name,p,x,y", [
     ("dense", 5, "1/5", "1/5"),
     ("heisenberg", 3, "(1,0,0)", "(0,1,0)"),
@@ -225,14 +278,7 @@ def test_merged_syllable_costs_one_split(name, p, x, y):
     x, y = sys.parse_value(x), sys.parse_value(y)
     xy = sys.factor_mul(x, y)
     assert not sys.in_base(0, x) and not sys.in_base(0, xy)
-    calls = []
-    split = sys.split
-
-    def counting(n, h):
-        calls.append(n)
-        return split(n, h)
-
-    sys.split = counting
+    calls = counted(sys, "split")["split"]
     got = reduce_word(sys, [(1, x), (1, y)])
     assert calls == [1, 1]
     assert got == inject(sys, 1, xy)
@@ -240,6 +286,46 @@ def test_merged_syllable_costs_one_split(name, p, x, y):
     calls.clear()
     assert reduce_word(sys, [(1, x), (1, sys.factor_inv(x))]) == identity(sys)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("name,p", [
+    ("dense", 5), ("heisenberg", 3), ("cyclic", 3),
+])
+@pytest.mark.parametrize("dip,splits,fmuls", [
+    # a dip is split once going in (a level-0 one not at all) and once when
+    # it closes; opening it multiplies by no identity
+    ([(2, 1), (1, 0), (2, 1)], [2, 1, 2, 2], 3),
+    ([(2, 1), (0, 1), (2, 1)], [2, 2, 2], 3),
+    # the second syllable lifts the root, with one split of its tail
+    ([(1, 0), (2, 1)], [1, 2, 2], 2),
+])
+def test_dips_and_lifts_split_once(name, p, dip, splits, fmuls):
+    # work-count guard: each syllable is escape_elem of the given level, so
+    # the level-0 syllable escapes B_1 and opens a level-0 frame
+    sys = make_instance(name, p)
+    word = [(n, sys.escape_elem(k)) for n, k in dip]
+    want = fold_reduce(sys, word)
+    calls = counted(sys, "split", "factor_mul")
+    assert reduce_word(sys, word) == want
+    assert calls["split"] == splits
+    assert len(calls["factor_mul"]) == fmuls
+
+
+@pytest.mark.parametrize("name,p", [
+    ("dense", 5), ("heisenberg", 3), ("cyclic", 3),
+])
+def test_inv_of_level0_letters_tests_no_base(name, p):
+    # work-count guard: a level-0 L-letter's value lies outside B_{n-1},
+    # so its inverse is split in place with no in_base test
+    sys = make_instance(name, p)
+    x = sys.escape_elem(1)
+    word = [(3, x), (2, x), (0, x), (2, x), (0, x), (3, x), (0, x), (3, x)]
+    form = reduce_word(sys, word)
+    assert any(type(a) is Alt and a.level == 0 for a in form.letters)
+    want = reduce_word(sys, inverse_word(sys, word))
+    calls = counted(sys, "in_base")
+    assert inv(sys, form) == want
+    assert calls["in_base"] == []
 
 
 def test_level_above_cap_raises_mid_word():
