@@ -24,6 +24,11 @@ bool, one whose ``k`` is negative or ``d`` outside 0..8, as the generators
 refuse, and a result not in canonical text), 5 an internal error: any other
 exception, one ``internal error: <type>: <message>`` line, never a traceback.
 
+``phi`` and ``psi`` parse their expression before they build the standard
+homomorphism, so a malformed one is exit 2 on every instance.  ``psi`` then
+refuses a target that cannot sit in matrix entries (exit 3, heisenberg and
+cyclic) before it builds the homomorphism or evaluates the expression.
+
 The argument parser is built on the first ``main`` call and reused by every
 later call in the same process; each call still parses into a fresh
 namespace, and help text is wrapped to ``COLUMNS`` as it is when printed.
@@ -37,7 +42,13 @@ import sys as _sys
 import time
 
 from amalgam.errors import AmalgamError, ExprSyntaxError, InvalidParams, LiteralError
-from amalgam.homs import phi_eval, psi_eval, standard_hom
+from amalgam.homs import (
+    check_embeds,
+    phi_eval,
+    psi_eval,
+    standard_hom,
+    standard_target,
+)
 from amalgam.instances import make_instance
 from amalgam.normalform import forms_equal
 from amalgam.suites import check_axioms, check_instance, check_lemma21
@@ -204,8 +215,9 @@ def _dispatch(args, t0):
         return _EXIT_OK
 
     if cmd == "phi":
+        expr = parse_expr(args.expr, sys_obj)
         hom = standard_hom(sys_obj)
-        form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
+        form = eval_expr(sys_obj, expr)
         v = phi_eval(form, hom)
         s = hom.target.value_str(v)
         _emit(args, cmd, sys_obj.kind, sys_obj.p,
@@ -213,8 +225,10 @@ def _dispatch(args, t0):
         return _EXIT_OK
 
     if cmd == "psi":
+        expr = parse_expr(args.expr, sys_obj)
+        check_embeds(standard_target(sys_obj))
         hom = standard_hom(sys_obj)
-        form = eval_expr(sys_obj, parse_expr(args.expr, sys_obj))
+        form = eval_expr(sys_obj, expr)
         m = psi_eval(form, hom)
         _emit(args, cmd, sys_obj.kind, sys_obj.p, {"matrix": str(m)}, str(m), t0)
         return _EXIT_OK

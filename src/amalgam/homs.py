@@ -4,7 +4,9 @@ A family of per-level maps phi_n: H_n -> target that agree on each
 amalgamated B_n extends uniquely to the whole group; evaluation walks the
 canonical form letterwise.  Compatibility and the per-level homomorphism
 property are sampled at construction, and construction fails loudly rather
-than letting an ill-defined family produce garbage images.
+than letting an ill-defined family produce garbage images.  One family is
+not sampled: the identity into the factor group under the instance's own
+``factor_mul``, where every check would compare a value with itself.
 """
 
 import random
@@ -31,12 +33,34 @@ class Target:
         self.embeds = isinstance(zero, PAdicRational)
 
 
+def _identity(n, x):
+    return x
+
+
+def _drop_centre(n, x):
+    return (x[0], x[1])
+
+
+def _pair_str(a):
+    try:
+        return f"({a[0]},{a[1]})"
+    except ValueError:
+        raise too_long() from None
+
+
 class LevelwiseHom:
-    """A compatible family phi_n: H_n -> target, checked by sampling."""
+    """A compatible family phi_n: H_n -> target, checked by sampling.
+
+    The family ``_identity`` into a target that adds with ``sys.factor_mul``
+    is not sampled: each homomorphism check would compare factor_mul(x, y)
+    with itself and each compatibility check b with b, so none could fail.
+    """
 
     def __init__(self, sys, target, phi):
         self.target = target
         self.phi = phi
+        if phi is _identity and target.add == sys.factor_mul:
+            return
         rng = random.Random(_CHECK_SEED)
         for n in range(6):
             for _ in range(25):
@@ -76,13 +100,38 @@ def in_kernel(g, hom):
     return phi_eval(g, hom) == hom.target.zero
 
 
+def check_embeds(target):
+    """Refuse a target whose values cannot sit in matrix entries."""
+    if not target.embeds:
+        raise PreconditionViolated(
+            f"target {target.name!r} values cannot sit in matrix entries"
+        )
+
+
 def psi_eval(g, hom):
     """Image of g as a 2x2 unipotent matrix: rows (1 phi(g) / 0 1)."""
-    if not hom.target.embeds:
-        raise PreconditionViolated(
-            f"target {hom.target.name!r} values cannot sit in matrix entries"
-        )
+    check_embeds(hom.target)
     return unipotent(phi_eval(g, hom))
+
+
+def standard_target(sys):
+    """The abelian group that ``standard_hom(sys)`` lands in."""
+    kind = sys.kind
+    if kind in ("dense", "cyclic"):
+        return Target(
+            name="Z[1/p]" if kind == "dense" else f"Z/{sys.modulus}",
+            zero=sys.factor_id(),
+            add=sys.factor_mul,
+            value_str=sys.value_str,
+        )
+    if kind == "heisenberg":
+        return Target(
+            name="Z^2",
+            zero=(0, 0),
+            add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            value_str=_pair_str,
+        )
+    raise PreconditionViolated(f"no standard hom for instance kind {kind!r}")
 
 
 def standard_hom(sys):
@@ -90,29 +139,11 @@ def standard_hom(sys):
 
     dense and cyclic: every phi_n is the identity on the factor group,
     Z[1/p] or Z/p**L, whose sums are the instance's own group law and whose
-    values print as the instance's.  heisenberg: drop the central z
-    coordinate, landing in (Z^2, +).
+    values print as the instance's.  Such a family is a compatible family
+    of homomorphisms by definition, so ``LevelwiseHom`` does not sample it.
+    heisenberg: drop the central z coordinate, landing in (Z^2, +); that
+    family is sampled.
     """
-    kind = sys.kind
-    if kind in ("dense", "cyclic"):
-        target = Target(
-            name="Z[1/p]" if kind == "dense" else f"Z/{sys.modulus}",
-            zero=sys.factor_id(),
-            add=sys.factor_mul,
-            value_str=sys.value_str,
-        )
-        return LevelwiseHom(sys, target, lambda n, x: x)
-    if kind == "heisenberg":
-        def pair_str(a):
-            try:
-                return f"({a[0]},{a[1]})"
-            except ValueError:
-                raise too_long() from None
-        target = Target(
-            name="Z^2",
-            zero=(0, 0),
-            add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            value_str=pair_str,
-        )
-        return LevelwiseHom(sys, target, lambda n, x: (x[0], x[1]))
-    raise PreconditionViolated(f"no standard hom for instance kind {kind!r}")
+    target = standard_target(sys)
+    phi = _drop_centre if sys.kind == "heisenberg" else _identity
+    return LevelwiseHom(sys, target, phi)

@@ -345,7 +345,8 @@ def reduce_word(sys, word):
       parent's tail;
     - if the deepest frame is still below n (the root, when n is a new
       maximum), lift it in place: its form becomes one left letter of a
-      level-n frame, built as ``_close`` builds it;
+      level-n frame, built as ``_close`` builds it, or none if it is the
+      untouched root, the identity;
     - while the deepest frame is above n, descend: reopen its top L-letter if
       it ends in one (an R-letter cancel can expose it), else open a frame
       holding the split syllable, ``[n, [rep], b]`` or ``[0, [], x]``;
@@ -361,7 +362,8 @@ def reduce_word(sys, word):
     """
     check_level, in_base = sys.check_level, sys.in_base
     split, fmul = sys.split, sys.factor_mul
-    frames = [[0, [], sys.factor_id()]]
+    one = sys.factor_id()
+    frames = [[0, [], one]]
     top = frames[0]
     for n, x in word:
         check_level(n)
@@ -377,7 +379,9 @@ def reduce_word(sys, word):
                 if len(letters) > 1 or letters and type(letters[0]) is not Alt:
                     rep, top[2] = split(n, tail)
                     top[1] = [Alt(m, tuple(letters), rep)]
-                else:
+                elif letters or tail is not one:
+                    # an empty frame whose tail is still the identity, as
+                    # the untouched root's is, lies in B_{n-1}: it stays
                     top[1], top[2] = _fold(sys, m, letters, tail, n)
                 top[0] = n
         while top[0] > n:

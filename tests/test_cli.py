@@ -235,6 +235,43 @@ def test_psi_off_dense_is_precondition_error(capsys):
     assert "error" in err
 
 
+def spy(monkeypatch, *names):
+    """Count the calls ``cli`` makes to the named functions it imported."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _f=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("h0((1,0,0))", "--instance", "heisenberg", "--prime", "3"),
+    ("h1(3) h2(7)", "--instance", "cyclic", "--prime", "2"),
+])
+def test_psi_off_dense_is_refused_before_evaluating(capsys, monkeypatch, argv):
+    calls = spy(monkeypatch, "eval_expr", "standard_hom")
+    code, out, err = run(capsys, "psi", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: target ")
+    assert calls == {"eval_expr": 0, "standard_hom": 0}
+
+
+@pytest.mark.parametrize("command", ["phi", "psi"])
+@pytest.mark.parametrize("flags", [
+    (), ("--instance", "heisenberg", "--prime", "3"),
+    ("--instance", "cyclic", "--prime", "2"),
+])
+def test_malformed_image_expression_builds_no_hom(capsys, monkeypatch,
+                                                  command, flags):
+    calls = spy(monkeypatch, "eval_expr", "standard_hom")
+    code, out, err = run(capsys, command, "h1(", *flags)
+    assert code == 2 and out == ""
+    assert "position" in err
+    assert calls == {"eval_expr": 0, "standard_hom": 0}
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce", "h1(")
     assert code == 2

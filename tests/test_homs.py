@@ -7,6 +7,7 @@ import pytest
 from amalgam.errors import IncompatibleHom, PreconditionViolated
 from amalgam.homs import (
     LevelwiseHom,
+    _identity,
     Target,
     in_kernel,
     phi_eval,
@@ -129,6 +130,62 @@ def test_cyclic_standard_hom_is_residue_sum():
     hom = standard_hom(cyc)
     g = eval_expr(cyc, parse_expr("h1(3) h2(7)", cyc))
     assert phi_eval(g, hom) == (3 + 7) % 8
+
+
+def counted(sys, *names):
+    """Wrap the named factor-system methods to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _f=getattr(sys, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        setattr(sys, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind,p,params", [
+    ("dense", 5, None), ("cyclic", 2, {"L": 3}),
+])
+def test_identity_standard_hom_is_not_sampled(kind, p, params):
+    # work-count guard: phi_n is the identity and the target adds with the
+    # instance's own factor_mul, so every check would compare a value with
+    # itself
+    sys = make_instance(kind, p, params)
+    calls = counted(sys, "sample", "sample_base", "factor_mul")
+    hom = standard_hom(sys)
+    assert calls == {"sample": 0, "sample_base": 0, "factor_mul": 0}
+    assert hom.target.add == sys.factor_mul
+    x = sys.escape_elem(1)
+    assert all(hom.phi(n, x) is x for n in range(4))
+
+
+def test_heisenberg_standard_hom_is_sampled():
+    sys = make_instance("heisenberg", 3)
+    calls = counted(sys, "sample", "sample_base")
+    standard_hom(sys)
+    # six levels of 25 homomorphism and 25 compatibility checks
+    assert calls == {"sample": 300, "sample_base": 150}
+
+
+def test_heisenberg_hom_rejects_a_broken_product():
+    sys = make_instance("heisenberg", 3)
+    mul = sys.factor_mul
+    sys.factor_mul = lambda a, b: tuple(v + 1 for v in mul(a, b))
+    with pytest.raises(IncompatibleHom):
+        standard_hom(sys)
+
+
+def test_identity_family_under_another_law_is_sampled(dense):
+    # the identity into a target that does not add with factor_mul is an
+    # ordinary family: here it is no homomorphism, and sampling says so
+    target = Target(
+        name="Z[1/p]",
+        zero=PAdicRational.zero(5),
+        add=lambda a, b: a + b + b,
+        value_str=str,
+    )
+    with pytest.raises(IncompatibleHom):
+        LevelwiseHom(dense, target, _identity)
 
 
 def test_incompatible_per_level_maps_rejected(dense):

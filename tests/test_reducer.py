@@ -311,6 +311,17 @@ def test_dips_and_lifts_split_once(name, p, dip, splits, fmuls):
     assert len(calls["factor_mul"]) == fmuls
 
 
+def test_lifting_the_untouched_root_tests_no_base():
+    # work-count guard: the root is still the identity when the first
+    # syllable lifts it, so only the syllable is tested against B_1
+    sys = make_instance("dense", 5)
+    x = sys.parse_value("1")
+    want = inject(sys, 2, x)
+    calls = counted(sys, "in_base")
+    assert reduce_word(sys, [(2, x)]) == want
+    assert calls["in_base"] == [1]
+
+
 @pytest.mark.parametrize("name,p", [
     ("dense", 5), ("heisenberg", 3), ("cyclic", 3),
 ])
