@@ -63,9 +63,10 @@ class FactorSystem(ABC):
     - ``escape_elem(n)`` lies outside B_n, so B_n is proper in both H_n and
       H_{n+1};
     - ``split`` is an exact factorization into a representative and a tail
-      in B_{n-1}; the representative depends only on the coset and is its
-      own representative.  The one map serves H_n modulo B_{n-1} and, on
-      base values, each B_m modulo B_{n-1}.
+      in B_{n-1}, returned already multiplied into the tail it is given;
+      the representative depends only on the coset and is its own
+      representative.  The one map serves H_n modulo B_{n-1} and, on base
+      values, each B_m modulo B_{n-1}.
 
     Values are also hashable, equal values hashing equally, since
     ``wordexpr.eval_expr`` keys atoms by ``(level, value)``.  And a value is
@@ -100,13 +101,15 @@ class FactorSystem(ABC):
         """True iff x lies in B_n (x presented in H_n or H_{n+1})."""
 
     @abstractmethod
-    def split(self, n, h):
-        """Factor h in H_n (n >= 1) as rep*b with b in B_{n-1}.
+    def split(self, n, h, t):
+        """Factor h in H_n (n >= 1) as rep*b with b in B_{n-1}; (rep, t*b).
 
         rep is the canonical transversal representative of h*B_{n-1} and
         depends only on that coset.  For h in B_m with m < n-1, rep stays in
         B_m, so the same map picks the representatives of B_m modulo B_{n-1}
-        that the tails of left letters need.
+        that the tails of left letters need.  b is central, so t is any
+        tail the residue lands in, and ``factor_id()`` gives b itself: the
+        engine pushes each letter's residue into its tail in one call.
         """
 
     @abstractmethod
@@ -209,19 +212,22 @@ def check_instance(sys, samples, seed):
     for _ in range(samples):
         n = randint(rng, 1, max_level)
         h = sys.sample(n, rng)
-        rep, b = sys.split(n, h)
-        if not (sys.in_base(n - 1, b) and sys.factor_mul(rep, b) == h):
+        z = sys.sample_base(n - 1, rng)
+        rep, b = sys.split(n, h, e)
+        # the residue lands in a given tail z exactly as factor_mul puts it
+        rep_z, zb = sys.split(n, h, z)
+        if not (sys.in_base(n - 1, b) and sys.factor_mul(rep, b) == h
+                and rep_z == rep and zb == sys.factor_mul(z, b)):
             checks["split_exact"] += 1
-        rep2, b2 = sys.split(n, rep)
+        rep2, b2 = sys.split(n, rep, e)
         if not (rep2 == rep and b2 == e):
             checks["split_rep_fixed"] += 1
-        z = sys.sample_base(n - 1, rng)
-        rep3, _ = sys.split(n, sys.factor_mul(h, z))
+        rep3, _ = sys.split(n, sys.factor_mul(h, z), e)
         if rep3 != rep:
             checks["split_coset"] += 1
         m = randint(rng, 0, n - 1)
         bm = sys.sample_base(m, rng)
-        crep, cb = sys.split(n + 1, bm)
+        crep, cb = sys.split(n + 1, bm, e)
         if sys.factor_mul(crep, cb) != bm:
             checks["chain_exact"] += 1
         if not (sys.in_base(n, cb)

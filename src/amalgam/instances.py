@@ -107,20 +107,26 @@ class DenseInstance(FactorSystem):
             return True
         return x.den_exp == 0 and (n == 0 or num % self._powers[n] == 0)
 
-    def split(self, n, h):
-        """(rep, h - rep): rep in [0, p**(n-1)), h - rep in p**(n-1) Z."""
+    def split(self, n, h, t):
+        """(rep, t + h - rep): rep in [0, p**(n-1)), h - rep in p**(n-1) Z."""
         num, k = h.num, h.den_exp
-        p = self.p
         rep = num % self._powers[n - 1 + k]
         if rep == num:
-            return h, self._zero
+            return h, t
+        # the residue is the integer base; adding it needs no normalizing
+        # loop: for den_exp > 0, p divides base * p**den_exp but not t.num
         base = (num - rep) // self._powers[k]
-        base = from_normalized(base, 0, p) if base else self._zero
+        p, tk = self.p, t.den_exp
+        if tk:
+            tail = from_normalized(t.num + base * self._powers[tk], tk, p)
+        else:
+            base += t.num
+            tail = from_normalized(base, 0, p) if base else self._zero
         if rep == 0:
-            return self._zero, base
+            return self._zero, tail
         # (rep, k) is already normalized: for k > 0, p does not divide num,
         # and rep = num mod p**(n-1+k) with n >= 1, so p does not divide rep
-        return from_normalized(rep, k, p), base
+        return from_normalized(rep, k, p), tail
 
     def escape_elem(self, n):
         return self._invp if n == 0 else self._one
@@ -172,10 +178,10 @@ class HeisenbergInstance(FactorSystem):
     def in_base(self, n, a):
         return a[0] == 0 and a[1] == 0 and a[2] % self._powers[n] == 0
 
-    def split(self, n, h):
-        q = self._powers[n - 1]
-        zr = h[2] % q
-        return (h[0], h[1], zr), (0, 0, h[2] - zr)
+    def split(self, n, h, t):
+        # the residue (0, 0, h[2] - zr) is central: it adds to t's z alone
+        zr = h[2] % self._powers[n - 1]
+        return (h[0], h[1], zr), (t[0], t[1], t[2] + h[2] - zr)
 
     def escape_elem(self, n):
         return (1, 0, 0)
@@ -253,10 +259,10 @@ class FiniteCyclicInstance(FactorSystem):
         e = n + self.chain_shift
         return x % self._powers[e if e < self.L else self.L] == 0
 
-    def split(self, n, h):
+    def split(self, n, h, t):
         e = n - 1 + self.chain_shift
         rep = h % self._powers[e if e < self.L else self.L]
-        return rep, (h - rep) % self.modulus
+        return rep, (t + h - rep) % self.modulus
 
     def escape_elem(self, n):
         return 1

@@ -10,7 +10,8 @@ factor-system value is never an ``Alt``, so ``type(letter) is Alt`` tells
 them apart.  Level 0 has no letters: ``Alt(0, (), x)`` is the value x, which
 ``layout`` prints as ``Base(x)``.  Every B_k with k <= n-1 is central in the
 level-n stage, which is what lets a single right-placed tail absorb all split
-residues.
+residues: each letter's ``split`` takes the tail and returns it with the
+residue already multiplied in.
 
 ``reduce_word``, ``mul`` and ``inv`` build forms on one kind of frame,
 ``[level, letters, tail]``.  To work on a nested L-letter one level down, an
@@ -177,7 +178,7 @@ def inject(sys, n, x):
     if n == 0 or sys.in_base(n - 1, x):
         # values in B_{n-1} are identified down the chain to level 0
         return Alt(0, (), x)
-    rep, b = sys.split(n, x)
+    rep, b = sys.split(n, x, sys.factor_id())
     return Alt(n, (rep,), b)
 
 
@@ -229,8 +230,7 @@ def mul(sys, f, g):
                 if sys.in_base(n - 1, x):
                     frame[2] = fmul(frame[2], x)
                     continue
-                letter, b = sys.split(n, x)
-                frame[2] = fmul(frame[2], b)
+                letter, frame[2] = sys.split(n, x, frame[2])
             # this consumes gletters, so the loop ends next
             letters.append(letter)
             letters += gletters
@@ -253,7 +253,7 @@ def inv(sys, form):
     the finished child back into its parent as a left letter.  A level-0
     one is a value outside B_{n-1} and is split in place.
     """
-    split, finv, fmul = sys.split, sys.factor_inv, sys.factor_mul
+    split, finv = sys.split, sys.factor_inv
     frames = [[form.level, [], finv(form.tail)]]
     rests = [reversed(form.letters)]
     while True:
@@ -261,10 +261,10 @@ def inv(sys, form):
         n, letters, tail = frame
         for letter in rests[-1]:
             if type(letter) is not Alt:
-                rep, b = split(n, finv(letter))
+                rep, tail = split(n, finv(letter), tail)
             elif letter.level == 0:
                 # its value lies outside B_{n-1}, and so does the inverse
-                rep, b = split(n, finv(letter.tail))
+                rep, tail = split(n, finv(letter.tail), tail)
                 rep = Alt(0, (), rep)
             else:
                 frame[2] = tail
@@ -272,7 +272,6 @@ def inv(sys, form):
                 rests.append(reversed(letter.letters))
                 break
             letters.append(rep)
-            tail = fmul(tail, b)
         else:
             rests.pop()
             if len(frames) == 1:
@@ -312,7 +311,7 @@ def _fold(sys, m, letters, tail, n):
         if sys.in_base(n - 1, tail):
             return [], tail
         m = 0
-    rep_t, b = sys.split(n, tail)
+    rep_t, b = sys.split(n, tail, sys.factor_id())
     return [Alt(m, tuple(letters), rep_t)], b
 
 
@@ -321,12 +320,12 @@ def _close(sys, frames):
     m, letters, tail = frames.pop()
     parent = frames[-1]
     if len(letters) > 1 or letters and type(letters[0]) is not Alt:
-        rep, b = sys.split(parent[0], tail)
+        rep, parent[2] = sys.split(parent[0], tail, parent[2])
         parent[1].append(Alt(m, tuple(letters), rep))
     else:
         lifted, b = _fold(sys, m, letters, tail, parent[0])
         parent[1] += lifted
-    parent[2] = sys.factor_mul(parent[2], b)
+        parent[2] = sys.factor_mul(parent[2], b)
 
 
 def reduce_word(sys, word):
@@ -360,13 +359,14 @@ def reduce_word(sys, word):
     subgroup holds it (a level-0 frame holds any).  At the end of the word
     every frame is closed into its parent and the root is assembled.
     """
-    check_level, in_base = sys.check_level, sys.in_base
-    split, fmul = sys.split, sys.factor_mul
-    one = sys.factor_id()
+    in_base, split, fmul = sys.in_base, sys.split, sys.factor_mul
+    one, max_level = sys.factor_id(), sys.max_level
     frames = [[0, [], one]]
     top = frames[0]
     for n, x in word:
-        check_level(n)
+        if not 0 <= n <= max_level:
+            # check_level is the one place that raises
+            sys.check_level(n)
         if n and in_base(n - 1, x):
             # values in B_{n-1} are identified down the chain to level 0
             n = 0
@@ -377,7 +377,7 @@ def reduce_word(sys, word):
             else:
                 m, letters, tail = top
                 if len(letters) > 1 or letters and type(letters[0]) is not Alt:
-                    rep, top[2] = split(n, tail)
+                    rep, top[2] = split(n, tail, one)
                     top[1] = [Alt(m, tuple(letters), rep)]
                 elif letters or tail is not one:
                     # an empty frame whose tail is still the identity, as
@@ -398,7 +398,7 @@ def reduce_word(sys, word):
                 frames.append(top)
                 continue
             if n:
-                rep, b = split(n, x)
+                rep, b = split(n, x, one)
                 top = [n, [rep], b]
             else:
                 top = [0, [], x]
@@ -415,9 +415,8 @@ def reduce_word(sys, word):
                 if in_base(n - 1, x):
                     top[2] = fmul(top[2], x)
                     continue
-            rep, b = split(n, x)
+            rep, top[2] = split(n, x, top[2])
             letters.append(rep)
-            top[2] = fmul(top[2], b)
     while len(frames) > 1:
         _close(sys, frames)
     return _assemble(sys, *frames[0])

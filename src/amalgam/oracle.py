@@ -69,14 +69,14 @@ def _build(sys, sylls):
             # only a trailing base-member segment can reach this
             tail = sys.factor_mul(tail, sub.tail)
             return
-        rep_t, b = sys.split(n, sub.tail)
+        rep_t, b = sys.split(n, sub.tail, sys.factor_id())
         letters.append(Alt(sub.level, sub.letters, rep_t))
         tail = sys.factor_mul(tail, b)
 
     for m, x in sylls:
         if m == n:
             flush_segment()
-            rep, b = sys.split(n, x)
+            rep, b = sys.split(n, x, sys.factor_id())
             letters.append(rep)
             tail = sys.factor_mul(tail, b)
         else:

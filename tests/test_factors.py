@@ -65,8 +65,8 @@ class SwappedChain(Unprobed, DenseInstance):
     def in_base(self, n, x):
         return super().in_base(self._exp(n), x)
 
-    def split(self, n, h):
-        return super().split(self._exp(n - 1) + 1, h)
+    def split(self, n, h, t):
+        return super().split(self._exp(n - 1) + 1, h, t)
 
     def sample_base(self, n, rng):
         return super().sample_base(self._exp(n), rng)
@@ -96,19 +96,20 @@ class MovedRep(Unprobed, DenseInstance):
     split_coset check may see that too.
     """
 
-    def split(self, n, h):
-        rep, tail = super().split(n, h)
+    def split(self, n, h, t):
+        rep, tail = super().split(n, h, t)
         if rep != h:
             return rep, tail
         step = from_normalized(self.p ** (n - 1), 0, self.p)
-        return self.factor_mul(h, step), self.factor_inv(step)
+        moved = self.factor_mul(h, step)
+        return moved, self.factor_mul(t, self.factor_inv(step))
 
 
 class SelfRep(Unprobed, DenseInstance):
     """Every value is its own representative, so a coset has many."""
 
-    def split(self, n, h):
-        return h, self.factor_id()
+    def split(self, n, h, t):
+        return h, t
 
 
 class CentralSplitDropsTail(Unprobed, HeisenbergInstance):
@@ -118,10 +119,10 @@ class CentralSplitDropsTail(Unprobed, HeisenbergInstance):
     exact and only the split of sampled base values shows the fault.
     """
 
-    def split(self, n, h):
-        rep, tail = super().split(n, h)
+    def split(self, n, h, t):
+        rep, tail = super().split(n, h, t)
         if h[0] == h[1] == 0:
-            return rep, self.factor_id()
+            return rep, t
         return rep, tail
 
     def sample(self, n, rng):
@@ -135,10 +136,10 @@ class YAxisBase(Unprobed, HeisenbergInstance):
     def in_base(self, n, a):
         return a[0] == 0 and a[2] == 0 and a[1] % self._powers[n] == 0
 
-    def split(self, n, h):
+    def split(self, n, h, t):
         x, y, z = h
         yb = y - y % self._powers[n - 1]
-        return (x, y - yb, z - x * yb), (0, yb, 0)
+        return (x, y - yb, z - x * yb), self.factor_mul(t, (0, yb, 0))
 
     def sample_base(self, n, rng):
         return (0, self._powers[n] * randint(rng, -625, 625), 0)
@@ -147,6 +148,17 @@ class YAxisBase(Unprobed, HeisenbergInstance):
         if a[0] != 0 or a[2] != 0:
             return 0
         return valuation(a[1], self.p) + 1
+
+
+class SplitIgnoresTail(Unprobed, DenseInstance):
+    """``split`` returns the bare residue whatever tail it is given.
+
+    Every caller that passes the identity still gets an exact split, so
+    only the check that splits into a sampled base tail sees the fault.
+    """
+
+    def split(self, n, h, t):
+        return super().split(n, h, self.factor_id())
 
 
 class LateEscapeLevel(Unprobed, DenseInstance):
@@ -162,6 +174,7 @@ FAULTS = [
     (TopBaseWithoutIdentity, "chain_descent", set()),
     (MovedRep, "split_rep_fixed", {"split_coset"}),
     (SelfRep, "split_coset", set()),
+    (SplitIgnoresTail, "split_exact", set()),
     (CentralSplitDropsTail, "chain_exact", set()),
     (YAxisBase, "base_central", set()),
     (LateEscapeLevel, "bel_consistent", set()),

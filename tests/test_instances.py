@@ -39,11 +39,11 @@ ALL = ["dense", "heis", "cyc"]
 
 
 def test_dense_split_example(dense):
-    assert dense.split(1, R(7, 1)) == (R(2, 1), R(1))
+    assert dense.split(1, R(7, 1), dense.factor_id()) == (R(2, 1), R(1))
 
 
 def test_heisenberg_split_example(heis):
-    assert heis.split(1, (1, 2, 7)) == ((1, 2, 0), (0, 0, 7))
+    assert heis.split(1, (1, 2, 7), heis.factor_id()) == ((1, 2, 0), (0, 0, 7))
 
 
 def test_heisenberg_commutator_relation(heis):
@@ -105,7 +105,7 @@ def test_cyclic_base_exponent(p, L):
             if n == 0:
                 continue
             q = p ** min(n - 1 + shift, L)
-            assert [cyc.split(n, h) for h in range(cyc.modulus)] == [
+            assert [cyc.split(n, h, 0) for h in range(cyc.modulus)] == [
                 (h % q, (h - h % q) % cyc.modulus) for h in range(cyc.modulus)]
     built = make_instance("cyclic", p, {"L": L, "chain_shift": 2})
     assert [built.in_base(0, x) for x in range(built.modulus)] == [
@@ -115,7 +115,7 @@ def test_cyclic_base_exponent(p, L):
 def test_check_instance_catches_split_tail_outside_base():
     # rep * tail is still h, but the tail is not in B_{n-1}
     dense = make_instance("dense", 5)
-    dense.split = lambda n, h: (dense.factor_id(), h)
+    dense.split = lambda n, h, t: (dense.factor_id(), dense.factor_mul(t, h))
     report = check_instance(dense, 40, 3)
     assert report["checks"]["split_exact"] > 0
     assert not report["ok"]
@@ -146,20 +146,37 @@ def test_level_cap(cyc):
 def test_split_exactness_and_determinism(name, request):
     sys = request.getfixturevalue(name)
     rng = random.Random(101)
+    e = sys.factor_id()
     for n in range(1, 6):
         for _ in range(40):
             h = sys.sample(n, rng)
-            rep, b = sys.split(n, h)
+            rep, b = sys.split(n, h, e)
             assert sys.in_base(n - 1, b)
             assert sys.factor_mul(rep, b) == h
             # representative is a function of the coset
             shift = sys.sample_base(n - 1, rng)
-            rep2, _ = sys.split(n, sys.factor_mul(h, shift))
+            rep2, _ = sys.split(n, sys.factor_mul(h, shift), e)
             assert rep == rep2
             # and is its own representative
-            rep3, b3 = sys.split(n, rep)
+            rep3, b3 = sys.split(n, rep, e)
             assert rep3 == rep
-            assert b3 == sys.factor_id()
+            assert b3 == e
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_split_multiplies_its_residue_into_the_tail(name, request):
+    # split(n, h, t) is the bare split with its residue b multiplied into t
+    sys = request.getfixturevalue(name)
+    rng = random.Random(104)
+    e = sys.factor_id()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        h = sys.sample(n, rng)
+        rep, b = sys.split(n, h, e)
+        tails = (e, sys.sample(n, rng), sys.sample_base(n - 1, rng),
+                 b, sys.factor_inv(b))
+        for t in tails:
+            assert sys.split(n, h, t) == (rep, sys.factor_mul(t, b))
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -170,7 +187,7 @@ def test_split_chain_exactness(name, request):
         for n in range(m + 1, 6):
             for _ in range(20):
                 b = sys.sample_base(m, rng)
-                rep, b2 = sys.split(n + 1, b)
+                rep, b2 = sys.split(n + 1, b, sys.factor_id())
                 assert sys.in_base(n, b2)
                 assert sys.in_base(m, rep)
                 assert sys.factor_mul(rep, b2) == b
@@ -180,7 +197,8 @@ def test_dense_split_rep_range(dense):
     rng = random.Random(103)
     for n in range(1, 5):
         for _ in range(40):
-            rep, _ = dense.split(n, dense.sample(n, rng))
+            x = dense.sample(n, rng)
+            rep, _ = dense.split(n, x, dense.factor_id())
             assert rep.num >= 0
             # rep < p**(n-1) after clearing the denominator
             assert rep.num < 5 ** (n - 1 + rep.den_exp)
@@ -206,13 +224,13 @@ def test_base_and_split_with_remembered_powers(kind, p, params):
         assert sys.in_base(n, value(p ** e))
         assert not sys.in_base(n, value(p ** (e - 1)))
         h = value(3 * p ** (e - 1) + 2)
-        rep, b = sys.split(n, h)
+        rep, b = sys.split(n, h, sys.factor_id())
         assert sys.factor_mul(rep, b) == h and sys.in_base(n - 1, b)
-        assert sys.split(n, rep) == (rep, sys.factor_id())
+        assert sys.split(n, rep, sys.factor_id()) == (rep, sys.factor_id())
     if kind == "dense":
         for k in range(12, 20):
             h = PAdicRational(7 * p ** 30 + 1, k, p)
-            rep, b = sys.split(3, h)
+            rep, b = sys.split(3, h, sys.factor_id())
             assert sys.factor_mul(rep, b) == h and sys.in_base(2, b)
     assert all(sys._powers[e] == p ** e for e in range(100))
     assert len(sys._powers) == 64
@@ -247,11 +265,16 @@ def test_dense_inline_arithmetic_matches_fractions(p):
         assert exact(dense.factor_inv(x)) == -q
         for m in (n - 1, n):
             assert dense.in_base(m, x) == in_pn(q, m)
-        rep, b = dense.split(n, x)
+        rep, b = dense.split(n, x, dense.factor_id())
         r = exact(rep)
         assert r + exact(b) == q
         assert 0 <= r < p ** (n - 1)
         assert in_pn(exact(b), n - 1)
+        # the residue added into a tail, built without a normalizing loop;
+        # -b cancels it to zero
+        for t in (y, dense.factor_inv(b)):
+            rep_t, tail = dense.split(n, x, t)
+            assert rep_t == rep and exact(tail) == exact(t) + exact(b)
 
 
 def test_valuation_of_zero_raises(dense, heis, cyc):

@@ -31,7 +31,8 @@ def R(num, k=0, p=5):
 
 def coset_split(x, n):
     """x as rep + b with b in p**n Z, through the dense instance's split."""
-    return DENSE[x.p].split(n + 1, x)
+    dense = DENSE[x.p]
+    return dense.split(n + 1, x, dense.factor_id())
 
 
 def valuation(x):
