@@ -213,16 +213,18 @@ def check_instance(sys, samples, seed):
         n = randint(rng, 1, max_level)
         h = sys.sample(n, rng)
         z = sys.sample_base(n - 1, rng)
+        # h z is in h's coset, and outside B_{n-1} when h is: the residue
+        # lands in that tail exactly as factor_mul puts it
+        hz = sys.factor_mul(h, z)
         rep, b = sys.split(n, h, e)
-        # the residue lands in a given tail z exactly as factor_mul puts it
-        rep_z, zb = sys.split(n, h, z)
+        rep_t, tb = sys.split(n, h, hz)
         if not (sys.in_base(n - 1, b) and sys.factor_mul(rep, b) == h
-                and rep_z == rep and zb == sys.factor_mul(z, b)):
+                and rep_t == rep and tb == sys.factor_mul(hz, b)):
             checks["split_exact"] += 1
         rep2, b2 = sys.split(n, rep, e)
         if not (rep2 == rep and b2 == e):
             checks["split_rep_fixed"] += 1
-        rep3, _ = sys.split(n, sys.factor_mul(h, z), e)
+        rep3, _ = sys.split(n, hz, e)
         if rep3 != rep:
             checks["split_coset"] += 1
         m = randint(rng, 0, n - 1)

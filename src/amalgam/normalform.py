@@ -1,17 +1,18 @@
 """Canonical normal forms and exact arithmetic for the iterated amalgam.
 
 Every element is ``Alt(n, letters, tail)``, the normal form of the theorem
-for amalgams (Serre, *Trees*, 1.2): a strictly alternating tuple of letters,
-then one tail in B_{n-1}.  A letter is bare: an R-letter is a value, the
-transversal representative of a nonidentity coset of the level-n factor
-modulo B_{n-1}, and there is at least one when n >= 1; an L-letter is an
-``Alt``, the form of a level < n element, itself reduced modulo B_{n-1}.  A
-factor-system value is never an ``Alt``, so ``type(letter) is Alt`` tells
-them apart.  Level 0 has no letters: ``Alt(0, (), x)`` is the value x, which
-``layout`` prints as ``Base(x)``.  Every B_k with k <= n-1 is central in the
-level-n stage, which is what lets a single right-placed tail absorb all split
-residues: each letter's ``split`` takes the tail and returns it with the
-residue already multiplied in.
+for amalgams (Serre, *Trees*, 1.2): strictly alternating letters, then one
+tail in B_{n-1}.  A letter is bare: an R-letter is a value, the transversal
+representative of a nonidentity coset of the level-n factor modulo B_{n-1},
+and there is at least one when n >= 1; an L-letter is an ``Alt``, the form of
+a level < n element, itself reduced modulo B_{n-1}.  A factor-system value is
+never an ``Alt``, so ``type(letter) is Alt`` tells them apart.  Level 0 has
+no letters: ``Alt(0, (), x)`` is the value x, which ``layout`` prints as
+``Base(x)``.  A returned form's letters are a tuple; a nested L-letter's may
+be the list of the frame it closed.  No function mutates a form it was given.
+Every B_k with k <= n-1 is central in the level-n stage, which is what lets a
+single right-placed tail absorb all split residues: each letter's ``split``
+takes the tail and returns it with the residue already multiplied in.
 
 ``reduce_word``, ``mul`` and ``inv`` build forms on one kind of frame,
 ``[level, letters, tail]``.  To work on a nested L-letter one level down, an
@@ -22,20 +23,21 @@ nesting level (``==`` and ``render``, the one printer walk, use stacks too),
 so a form nested a thousand levels deep needs no more Python stack than a
 flat one.
 
-``mul`` lifts both operands to the higher level n and meets the right
-operand's letters with the left's top letter: two R-letters merge, a merge
-in B_{n-1} drops into the tail and exposes the next pair, and two L-letters
-open a child frame for the product of their forms.  Once a letter stays,
-the rest alternate with it.  A result whose level-n letters all cancel is
-reassembled at a lower level.  ``inv`` inverts letters in reverse order,
-each nested L-letter above level 0 in a child frame.
+``mul`` multiplies any number of forms on one root frame, assembled once at
+the end, lifted in place for a higher operand.  At each junction two
+R-letters merge, a merge in B_{n-1} drops into the tail and exposes the next
+pair, and two L-letters open a child frame for their product; once a letter
+stays, the rest alternate with it.  ``inv`` inverts letters in reverse
+order, each nested L-letter above level 0 in a child frame.
 
 ``reduce_word`` makes one pass and keeps the partial product as a chain of
 open frames, each below the root its parent's top L-letter left open, so a
 lower-level syllable goes straight into the deepest frame at its level.  A
 syllable is merged with the frame's top R-letter before it is split, so it
 costs one ``split``, as does one that opens a frame; a frame closes into
-its parent when a letter at the parent's level arrives, or at the end.
+its parent when a letter at the parent's level arrives, or at the end.  A
+closed frame's list goes into its ``Alt`` and is reopened in place, as
+every ``Alt`` on the chain is the call's own; ``mul`` copies what it reopens.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -47,7 +49,10 @@ from amalgam.errors import PreconditionViolated
 
 
 class Alt:
-    """Normal form: level n >= 0, letters (none at level 0), central tail."""
+    """Normal form: level n >= 0, letters (none at level 0), central tail.
+
+    Forms share letters, so no function mutates a form it was given.
+    """
 
     __slots__ = ("level", "letters", "tail")
 
@@ -189,58 +194,69 @@ def _assemble(sys, n, letters, tail):
         # inside B_{m-1} and central there; the form's tail, a ``split``
         # representative of a B_{m-1} value, lies in B_{m-1} too; and a
         # level m >= 1 form has an R-letter, so ``mul`` would only multiply
-        # the two tails.  The letters tuple is shared.
+        # the two tails.  A returned form's own letters are a tuple.
         sub = letters[0]
-        return Alt(sub.level, sub.letters, sys.factor_mul(sub.tail, tail))
+        return Alt(sub.level, tuple(sub.letters),
+                   sys.factor_mul(sub.tail, tail))
     return Alt(n if letters else 0, tuple(letters), tail)
 
 
-def mul(sys, f, g):
-    """Product of two canonical forms.
+def mul(sys, f, *gs):
+    """Product of one or more canonical forms, in order.
 
-    Both are lifted to the higher level n; f's letters and the product of
-    the tails open a frame ``[n, letters, tail]``, and g's letters meet its
-    top letter at the junction.  Two R-letters merge, and a product in
-    B_{n-1} drops into the tail and exposes the next pair.  Two L-letters
-    open a child frame for the product of their forms, one level down, with
-    the rest of g's letters suspended beside it on a stack; ``_close`` folds
-    the finished child back into its parent.  Once a letter stays, the rest
-    of g's letters alternate with it and are appended at once.
+    f opens the root frame at the higher level of f and the first operand;
+    each operand is folded up to the root's level, or lifts it in place,
+    and meets its top letter, two L-letters opening a child frame that
+    ``_close`` folds back.  The root is assembled once, at the end.
     """
-    if f.level == 0 and g.level == 0:
-        return Alt(0, (), sys.factor_mul(f.tail, g.tail))
-    fmul = sys.factor_mul
-    frames, rests = [], []
-    while True:
-        if f is not None:
-            n = f.level if f.level > g.level else g.level
-            letters, ft = ((list(f.letters), f.tail) if f.level == n
-                           else _fold(sys, f.level, f.letters, f.tail, n))
-            gletters, gt = ((g.letters, g.tail) if g.level == n
-                            else _fold(sys, g.level, g.letters, g.tail, n))
-            frame, gletters = [n, letters, fmul(ft, gt)], iter(gletters)
-            frames.append(frame)
-            rests.append(gletters)
-        for letter in gletters:
-            if letters and (type(letters[-1]) is Alt) is (type(letter) is Alt):
-                if type(letter) is Alt:
-                    f, g = letters.pop(), letter
+    fmul, in_base, split = sys.factor_mul, sys.in_base, sys.split
+    root = _open(sys, f, gs[0] if gs else f)
+    frames, rests = [root], []
+    for g in gs:
+        n = root[0]
+        if g.level > n:
+            root[1], root[2] = _fold(sys, *root, g.level)
+            root[0] = n = g.level
+        frame, letters, gletters = root, root[1], _enter(sys, root, g)
+        while True:
+            for letter in gletters:
+                if letters and (type(letters[-1]) is Alt) is (type(letter) is Alt):
+                    if type(letter) is Alt:
+                        rests.append(gletters)
+                        frame = _open(sys, letters.pop(), letter)
+                        frames.append(frame)
+                        gletters = _enter(sys, frame, letter)
+                        break
+                    x = fmul(letters.pop(), letter)
+                    if in_base(n - 1, x):
+                        frame[2] = fmul(frame[2], x)
+                        continue
+                    letter, frame[2] = split(n, x, frame[2])
+                # this consumes gletters, so the loop ends next
+                letters.append(letter)
+                letters += gletters
+            else:
+                if not rests:
                     break
-                x = fmul(letters.pop(), letter)
-                if sys.in_base(n - 1, x):
-                    frame[2] = fmul(frame[2], x)
-                    continue
-                letter, frame[2] = sys.split(n, x, frame[2])
-            # this consumes gletters, so the loop ends next
-            letters.append(letter)
-            letters += gletters
-        else:
-            rests.pop()
-            if len(frames) == 1:
-                return _assemble(sys, *frame)
-            _close(sys, frames)
-            f, frame, gletters = None, frames[-1], rests[-1]
+                _close(sys, frames)
+                frame, gletters = frames[-1], rests.pop()
             n, letters = frame[0], frame[1]
+    return _assemble(sys, *root)
+
+
+def _open(sys, f, g):
+    """f as a new frame at the higher level of f and g; f is not changed."""
+    if f.level >= g.level:
+        return [f.level, list(f.letters), f.tail]
+    return [g.level, *_fold(sys, f.level, f.letters, f.tail, g.level)]
+
+
+def _enter(sys, frame, g):
+    """g's letters at the frame's level, at least g's; g's tail joins it."""
+    letters, tail = ((g.letters, g.tail) if g.level == frame[0]
+                     else _fold(sys, g.level, g.letters, g.tail, frame[0]))
+    frame[2] = sys.factor_mul(frame[2], tail)
+    return iter(letters)
 
 
 def inv(sys, form):
@@ -280,17 +296,6 @@ def inv(sys, form):
             _close(sys, frames)
 
 
-def commutator(sys, a, a_inv, b, b_inv):
-    """[a, b] = (ab)(a^-1 b^-1), from both operands and their inverses.
-
-    Nothing is inverted here, and the inverse [b, a] is the same call with
-    the operands swapped, so a caller that carries each operand's inverse
-    never inverts a commutator-sized form: ``inv`` rebuilds every nested
-    level of its argument, ``mul`` copies only the top-level letter list.
-    """
-    return mul(sys, mul(sys, a, b), mul(sys, a_inv, b_inv))
-
-
 def forms_equal(sys, f, g):
     """True iff two canonical forms denote the same element."""
     return f == g
@@ -310,9 +315,9 @@ def _fold(sys, m, letters, tail, n):
     if not letters:
         if sys.in_base(n - 1, tail):
             return [], tail
-        m = 0
+        m, letters = 0, ()
     rep_t, b = sys.split(n, tail, sys.factor_id())
-    return [Alt(m, tuple(letters), rep_t)], b
+    return [Alt(m, letters, rep_t)], b
 
 
 def _close(sys, frames):
@@ -321,7 +326,7 @@ def _close(sys, frames):
     parent = frames[-1]
     if len(letters) > 1 or letters and type(letters[0]) is not Alt:
         rep, parent[2] = sys.split(parent[0], tail, parent[2])
-        parent[1].append(Alt(m, tuple(letters), rep))
+        parent[1].append(Alt(m, letters, rep))
     else:
         lifted, b = _fold(sys, m, letters, tail, parent[0])
         parent[1] += lifted
@@ -375,14 +380,10 @@ def reduce_word(sys, word):
                 _close(sys, frames)
                 top = frames[-1]
             else:
-                m, letters, tail = top
-                if len(letters) > 1 or letters and type(letters[0]) is not Alt:
-                    rep, top[2] = split(n, tail, one)
-                    top[1] = [Alt(m, tuple(letters), rep)]
-                elif letters or tail is not one:
+                if top[1] or top[2] is not one:
                     # an empty frame whose tail is still the identity, as
                     # the untouched root's is, lies in B_{n-1}: it stays
-                    top[1], top[2] = _fold(sys, m, letters, tail, n)
+                    top[1], top[2] = _fold(sys, *top, n)
                 top[0] = n
         while top[0] > n:
             if n == 0 and in_base(top[0] - 1, x):
@@ -394,7 +395,9 @@ def reduce_word(sys, word):
                 if form.level < n:
                     top = [n, *_fold(sys, form.level, form.letters, form.tail, n)]
                 else:
-                    top = [form.level, list(form.letters), form.tail]
+                    # built in this call, from values, so its letter list
+                    # is ours to extend; a level-0 form's is an empty tuple
+                    top = [form.level, form.letters or [], form.tail]
                 frames.append(top)
                 continue
             if n:
@@ -434,6 +437,6 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    comm = commutator(sys, g, inv(sys, g), Alt(0, (), z),
-                      Alt(0, (), sys.factor_inv(z)))
+    comm = mul(sys, g, Alt(0, (), z), inv(sys, g),
+               Alt(0, (), sys.factor_inv(z)))
     return is_identity(sys, comm)

@@ -51,7 +51,7 @@ def check_axioms(sys, samples, seed):
         b = random_form(sys, rng, 8, 6)
         c = random_form(sys, rng, 8, 6)
         ab = mul(sys, a, b)
-        if not forms_equal(sys, mul(sys, ab, c), mul(sys, a, mul(sys, b, c))):
+        if not forms_equal(sys, mul(sys, a, b, c), mul(sys, a, mul(sys, b, c))):
             checks["assoc"] += 1
         if not (forms_equal(sys, mul(sys, a, e), a)
                 and forms_equal(sys, mul(sys, e, a), a)):

@@ -68,7 +68,7 @@ def _conjugate(sys, h, g, m):
         raise PreconditionViolated(
             f"hypothesis h not in B_{m} fails: {sys.value_str(h.tail)} lies in it"
         )
-    return mul(sys, mul(sys, g, h), inv(sys, g))
+    return mul(sys, g, h, inv(sys, g))
 
 
 def _check_bounds(k, d=None):

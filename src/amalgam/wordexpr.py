@@ -24,10 +24,10 @@ expression or form is bounded by memory, not by Python's stack:
   through ``normalform.inject``; any other subtree without commutators is
   lowered to flat syllables (``expr_to_word``) and reduced in one
   ``reduce_word`` pass.  Above them, each node carries its form together
-  with its inverse, where a parent needs that: a commutator [a, b]
-  evaluates a and b once and is (ab)(a^-1 b^-1), its inverse
-  (ba)(b^-1 a^-1); an inversion swaps its child's pair; a product
-  multiplies the forms in order and the inverses in reverse.  Only a
+  with its inverse, where a parent needs that: a commutator [a, b] is one
+  four-operand product a b a^-1 b^-1, its inverse b a b^-1 a^-1; a product
+  is one ``mul`` of its terms' forms, its inverse one of their inverses in
+  reverse; an inversion swaps its child's pair.  Only a
   commutator-free subtree's form goes through ``inv`` (in a derived tree, a
   one-atom leaf), so no commutator-sized form is inverted, and a depth-d
   commutator tree never expands into its 4**d syllables.  Repeated
@@ -49,7 +49,7 @@ import re
 
 from amalgam.errors import ExprSyntaxError, int_text
 from amalgam.normalform import (
-    Syntax, commutator, inject, inv, layout, mul, reduce_word, render)
+    Syntax, inject, inv, layout, mul, reduce_word, render)
 
 
 class AtomE:
@@ -264,11 +264,8 @@ def _combine(sys, node, pairs):
         return pairs[0][1]
     if t is CommE:
         (a, a_inv), (b, b_inv) = pairs
-        return commutator(sys, a, a_inv, b, b_inv)
-    form = pairs[0][0]
-    for f, _ in pairs[1:]:
-        form = mul(sys, form, f)
-    return form
+        return mul(sys, a, b, a_inv, b_inv)
+    return mul(sys, *[f for f, _ in pairs])
 
 
 def _combine_inv(sys, node, pairs):
@@ -278,11 +275,8 @@ def _combine_inv(sys, node, pairs):
         return pairs[0][0]
     if t is CommE:
         (a, a_inv), (b, b_inv) = pairs
-        return commutator(sys, b, b_inv, a, a_inv)
-    inverse = pairs[-1][1]
-    for _, f_inv in reversed(pairs[:-1]):
-        inverse = mul(sys, inverse, f_inv)
-    return inverse
+        return mul(sys, b, a, b_inv, a_inv)
+    return mul(sys, *[f_inv for _, f_inv in reversed(pairs)])
 
 
 def _flat(sys, e):

@@ -154,11 +154,37 @@ class SplitIgnoresTail(Unprobed, DenseInstance):
     """``split`` returns the bare residue whatever tail it is given.
 
     Every caller that passes the identity still gets an exact split, so
-    only the check that splits into a sampled base tail sees the fault.
+    only the check that splits into a given tail sees the fault.
     """
 
     def split(self, n, h, t):
         return super().split(n, h, self.factor_id())
+
+
+class HeisenbergSplitDropsX(Unprobed, HeisenbergInstance):
+    """``split`` zeroes the x of the tail it is given.
+
+    Base tails have none, so only a split into a tail outside B_{n-1}
+    shows the fault.
+    """
+
+    def split(self, n, h, t):
+        rep, (_, y, z) = super().split(n, h, t)
+        return rep, (0, y, z)
+
+
+class DenseSplitDropsFractionalTail(Unprobed, DenseInstance):
+    """A residue landing in a tail with a p-power denominator replaces it.
+
+    Base tails are integers, so only a split into a tail outside B_{n-1}
+    shows the fault.
+    """
+
+    def split(self, n, h, t):
+        rep, tail = super().split(n, h, t)
+        if t.den_exp > 0 and rep != h:
+            return super().split(n, h, self.factor_id())
+        return rep, tail
 
 
 class LateEscapeLevel(Unprobed, DenseInstance):
@@ -175,6 +201,8 @@ FAULTS = [
     (MovedRep, "split_rep_fixed", {"split_coset"}),
     (SelfRep, "split_coset", set()),
     (SplitIgnoresTail, "split_exact", set()),
+    (HeisenbergSplitDropsX, "split_exact", set()),
+    (DenseSplitDropsFractionalTail, "split_exact", set()),
     (CentralSplitDropsTail, "chain_exact", set()),
     (YAxisBase, "base_central", set()),
     (LateEscapeLevel, "bel_consistent", set()),

@@ -6,11 +6,15 @@ independent rewriting oracle ``naive_reduce`` (on words of at most 100
 syllables, where it is fast enough).
 """
 
+import ast
+import inspect
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amalgam import normalform, wordexpr
 from amalgam.errors import InvalidParams, UnsupportedLevel
 from amalgam.instances import make_instance
 from amalgam.normalform import (
@@ -19,12 +23,14 @@ from amalgam.normalform import (
     identity,
     inject,
     inv,
+    layout,
     mul,
     reduce_word,
 )
 from amalgam.oracle import naive_reduce
-from amalgam.witnesses import derived_escape
-from amalgam.wordexpr import expr_to_word, form_expr_str, parse_expr
+from amalgam.witnesses import _build_tree, derived_escape
+from amalgam.wordexpr import (
+    AtomE, CommE, ProdE, eval_expr, expr_to_word, form_expr_str, parse_expr)
 
 
 def fold_reduce(sys, word):
@@ -146,6 +152,172 @@ def test_mul_at_mixed_levels(name):
     assert min(seen.values()) > 50, seen
 
 
+@pytest.mark.parametrize("name", sorted(JUNCTION))
+def test_mul_of_many_forms_is_their_concatenated_word(name):
+    # one to five operands at mixed levels: a later operand above every one
+    # before it lifts the root in place, one below it is folded up to the
+    # root's level, and one that starts with the inverse of a suffix of the
+    # operand before it cancels at the junction
+    sys = JUNCTION[name]
+    rng = random.Random(26)
+    seen = {"lift": 0, "below": 0, "cancel": 0}
+    for _ in range(300):
+        words = []
+        for _ in range(rng.randint(1, 5)):
+            w = rand_word(sys, rng, rng.randint(0, 12), rng.randint(0, 5))
+            if words and rng.random() < 0.5:
+                prev = words[-1]
+                suffix = prev[rng.randint(0, len(prev)):]
+                seen["cancel"] += bool(suffix)
+                w = inverse_word(sys, suffix) + w
+            words.append(w)
+        forms = [reduce_word(sys, w) for w in words]
+        assert mul(sys, *forms) == reduce_word(sys, sum(words, []))
+        top = forms[0].level
+        for f in forms[1:]:
+            seen["lift"] += f.level > top
+            seen["below"] += f.level < top
+            top = max(top, f.level)
+    assert min(seen.values()) > 100, seen
+
+
+def shared_forms(sys, rng):
+    """Forms that share nested letters, and every nested L-letter in them.
+
+    Sawtooth words reduce to forms whose nested letters hold the lists of
+    the frames they closed; derived trees evaluate to forms whose nested
+    forms are shared; products of these share their operands' letters.
+    A nested L-letter is itself a canonical form of its level.
+    """
+    forms = [reduce_word(sys, sawtooth_word(sys, rng, 3, 1, 40))
+             for _ in range(6)]
+    forms += [eval_expr(sys, _build_tree(sys, d, d)) for d in range(1, 5)]
+    forms += [mul(sys, *rng.sample(forms, 3)) for _ in range(6)]
+    pool, stack = [], list(forms)
+    while stack:
+        form = stack.pop()
+        pool.append(form)
+        stack += [a for a in form.letters if type(a) is Alt and a.level]
+    return pool
+
+
+def snapshot(sys, forms):
+    return [(form_expr_str(sys, f), layout(f, repr)) for f in forms]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_no_operation_changes_the_forms_it_is_given(name):
+    # reduce_word hands a closed frame's list to its Alt, and mul reads
+    # operands' lists in place: every form and nested L-letter prints the
+    # same after products, inverses, reductions and evaluations use them
+    sys = INSTANCES[name]
+    rng = random.Random(27)
+    pool = shared_forms(sys, rng)
+    assert any(type(f.letters) is list for f in pool)
+    before = snapshot(sys, pool)
+    for _ in range(150):
+        operands = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        mul(sys, *operands)
+        inv(sys, rng.choice(pool))
+        reduce_word(sys, sawtooth_word(sys, rng, 3, 1, 5))
+        text = " ".join(f"({form_expr_str(sys, f)})" for f in operands)
+        atom = AtomE(1, sys.sample(1, rng))
+        eval_expr(sys, CommE(parse_expr(text, sys), atom))
+    assert snapshot(sys, pool) == before
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_returned_forms_have_tuple_letters(name):
+    # nested L-letters may keep their frame's list, a returned form's own
+    # letters are a tuple, including one unwrapped from a lone L-letter
+    sys = INSTANCES[name]
+    rng = random.Random(28)
+    pool = shared_forms(sys, rng)
+    results = [identity(sys), inject(sys, 2, sys.escape_elem(1))]
+    for _ in range(100):
+        f, g = rng.choice(pool), rng.choice(pool)
+        a1, a2 = AtomE(1, sys.sample(1, rng)), AtomE(2, sys.sample(2, rng))
+        results += [mul(sys, f), mul(sys, f, g), mul(sys, f, g, inv(sys, g)),
+                    inv(sys, f), reduce_word(sys, rand_word(sys, rng, 20)),
+                    eval_expr(sys, ProdE([a1, CommE(a2, a1)]))]
+    assert all(type(f.letters) is tuple for f in results)
+    assert any(type(a.letters) is list for a in pool)
+
+
+def copy_counting_normalform():
+    """normalform compiled afresh, counting the letters it copies.
+
+    Each call of ``list`` or ``tuple`` adds the length of what it built.
+    The calls are rewritten, not the names, so ``type(x) is list`` in the
+    copy still sees the builtin.  The copy's forms are its own ``Alt``.
+    """
+    copied = [0]
+
+    def counting(kind):
+        def build(*args):
+            made = kind(*args)
+            copied[0] += len(made)
+            return made
+        return build
+
+    class CountCopies(ast.NodeTransformer):
+        def visit_Call(self, node):
+            self.generic_visit(node)
+            if isinstance(node.func, ast.Name) and node.func.id in (
+                    "list", "tuple"):
+                node.func = ast.Call(ast.Name("_counting", ast.Load()),
+                                     [node.func], [])
+            return node
+
+    tree = CountCopies().visit(ast.parse(inspect.getsource(normalform)))
+    module = types.ModuleType("normalform_counted")
+    module._counting = counting
+    exec(compile(ast.fix_missing_locations(tree), normalform.__file__,
+                 "exec"), module.__dict__)
+    return module, copied
+
+
+def sawtooth_shape(sys, k):
+    """h2(1), k pairs h1(1/5) h0(1/5), then k cancels h2(3) h2(-3) each
+    followed by h1(2/5) h1(-2/5), which reopen the level-1 L-letter."""
+    v = sys.parse_value
+    word = [(2, v("1"))] + [(1, v("1/5")), (0, v("1/5"))] * k
+    return word + [(2, v("3")), (2, v("-3")), (1, v("2/5")),
+                   (1, v("-2/5"))] * k
+
+
+def commutator_product(sys, k):
+    """[h2(1), h1(1/5)] k times, as one product."""
+    v = sys.parse_value
+    return ProdE([CommE(AtomE(2, v("1")), AtomE(1, v("1/5")))] * k)
+
+
+def test_long_shapes_copy_linearly(monkeypatch):
+    # work-count guard: the letters list() and tuple() copy grow linearly in
+    # k, where a tuple per closed frame, or a copy of the growing left
+    # operand per product term, copies about 4x as many at twice the k
+    dense = INSTANCES["dense"]
+    counted, copied = copy_counting_normalform()
+    for name in ("inject", "inv", "mul", "reduce_word"):
+        monkeypatch.setattr(wordexpr, name, getattr(counted, name))
+    shapes = [
+        (lambda k: counted.reduce_word(dense, sawtooth_shape(dense, k)),
+         lambda k: sawtooth_shape(dense, k)),
+        (lambda k: wordexpr.eval_expr(dense, commutator_product(dense, k)),
+         lambda k: expr_to_word(dense, commutator_product(dense, k))),
+    ]
+    for build, word in shapes:
+        counts = []
+        for k in (1000, 2000):
+            copied[0] = 0
+            form = build(k)
+            counts.append(copied[0])
+        assert 0 < counts[1] <= 2.2 * counts[0], counts
+        # the copy's forms are the engine's
+        want = reduce_word(dense, word(2000))
+        assert counted.layout(form, repr) == layout(want, repr)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_derived_escape_words(name):
     sys = INSTANCES[name]
@@ -224,18 +396,45 @@ def sawtooth_word(sys, rng, hi, lo, teeth):
     return word
 
 
+def long_run_word(sys, rng, hi, lo, run, cancels):
+    """A level-hi syllable, a long run alternating levels lo and lo - 1,
+    then cancels at level hi, each followed by up to three level-lo
+    syllables.
+
+    A cancel is two level-hi syllables whose product lies in B_{hi-1}: the
+    first closes the run's frame into an L-letter, the second merges away
+    and re-exposes it, and the level-lo syllables after it reopen it, so
+    one L-letter is closed and reopened again and again as it grows.
+    """
+    fmul, finv = sys.factor_mul, sys.factor_inv
+    word = [(hi, sys.escape_elem(hi - 1))]
+    for i in range(run):
+        n = max(0, lo - i % 2)
+        word.append((n, sys.sample(n, rng)))
+    for _ in range(cancels):
+        u = sys.sample(hi, rng)
+        word += [(hi, u), (hi, fmul(finv(u), sys.sample_base(hi - 1, rng)))]
+        word += [(lo, sys.sample(lo, rng)) for _ in range(rng.randint(1, 3))]
+    return word
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_sawtooth_words(name):
     # every dip opens a frame already holding its first syllable and closes
     # into one L-letter; inv of the result is the inverse word's form
     sys = INSTANCES[name]
     rng = random.Random(25)
+    words = []
     for hi, lo in [(1, 0), (2, 0), (2, 1), (3, 1), (4, 2), (6, 0), (6, 5)]:
         for teeth in (1, 2, 5, 12, 150):
-            word = sawtooth_word(sys, rng, hi, lo, teeth)
-            assert_agrees(sys, word)
-            assert (inv(sys, reduce_word(sys, word))
-                    == reduce_word(sys, inverse_word(sys, word)))
+            words.append(sawtooth_word(sys, rng, hi, lo, teeth))
+    # long runs between cancels: the run's L-letter is reopened after each
+    for hi, lo in [(1, 0), (2, 1), (3, 1), (4, 2), (6, 5)]:
+        words.append(long_run_word(sys, rng, hi, lo, 300, 60))
+    for word in words:
+        assert_agrees(sys, word)
+        assert (inv(sys, reduce_word(sys, word))
+                == reduce_word(sys, inverse_word(sys, word)))
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -28,7 +28,7 @@ def test_axioms_report_a_product_with_an_extra_factor(name, monkeypatch):
     extra = Alt(0, (), sys.escape_elem(0))
     assert extra != Alt(0, (), sys.factor_id())
     monkeypatch.setattr(suites, "mul",
-                        lambda s, f, g: mul(s, mul(s, f, g), extra))
+                        lambda s, f, *gs: mul(s, f, *gs, extra))
     checks = suites.check_axioms(sys, 20, 5)["checks"]
     assert checks["identity"] > 0
     assert checks["inverse"] > 0
@@ -37,12 +37,12 @@ def test_axioms_report_a_product_with_an_extra_factor(name, monkeypatch):
 @pytest.mark.parametrize("name", ALL)
 def test_axioms_report_a_product_with_a_higher_level_factor(name, monkeypatch):
     sys = INSTANCES[name]
-    # each product gains a level-7 letter t, above both operands' levels;
-    # (ab t)c t and a(bc t)t differ unless t commutes with c
+    # each product gains a level-7 letter t, above every operand's level;
+    # (abc)t and a(bc t)t differ, since t is not the identity
     extra = inject(sys, 7, sys.escape_elem(6))
     assert extra.level == 7
     monkeypatch.setattr(suites, "mul",
-                        lambda s, f, g: mul(s, mul(s, f, g), extra))
+                        lambda s, f, *gs: mul(s, f, *gs, extra))
     checks = suites.check_axioms(sys, 20, 5)["checks"]
     assert checks["assoc"] > 0
     assert checks["level_bound"] > 0
@@ -102,10 +102,9 @@ def test_homs_report_an_injection_that_inverts(name, monkeypatch):
 def test_centrality_reports_a_commutator_with_a_sign_slip(name, monkeypatch):
     sys = INSTANCES[name]
     assert suites.check_centrality(sys, 20, 5)["ok"]
-    # (ab)(a^-1 b) where (ab)(a^-1 b^-1) belongs
-    monkeypatch.setattr(
-        normalform, "commutator",
-        lambda s, a, a_inv, b, b_inv: mul(s, mul(s, a, b), mul(s, a_inv, b)))
+    # a b a^-1 b where a b a^-1 b^-1 belongs
+    monkeypatch.setattr(normalform, "mul",
+                        lambda s, a, b, a_inv, b_inv: mul(s, a, b, a_inv, b))
     assert suites.check_centrality(sys, 20, 5)["checks"]["central"] > 0
 
 
@@ -114,7 +113,7 @@ def test_lemma21_reports_a_product_that_loses_its_left_factor(
         name, monkeypatch):
     sys = INSTANCES[name]
     assert suites.check_lemma21(sys, 20, 5)["ok"]
-    monkeypatch.setattr(witnesses, "mul", lambda s, f, g: g)
+    monkeypatch.setattr(witnesses, "mul", lambda s, f, *gs: mul(s, *gs))
     checks = suites.check_lemma21(sys, 20, 5)["checks"]
     assert checks["conjugation_level"] > 0
 
@@ -131,7 +130,7 @@ def test_cli_check_exits_1_on_a_planted_fault(monkeypatch, capsys):
     assert cli.main(args) == 0
     extra = Alt(0, (), (1, 0, 0))
     monkeypatch.setattr(suites, "mul",
-                        lambda s, f, g: mul(s, mul(s, f, g), extra))
+                        lambda s, f, *gs: mul(s, f, *gs, extra))
     assert cli.main(args) == 1
     out = capsys.readouterr().out
     assert "-> FAIL" in out
