@@ -21,7 +21,9 @@ decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
 100,000), 4 a certificate failed verification (among them one whose cyclic
 ``L`` is above 10,000 or whose cyclic ``chain_shift`` or ``max_level`` is a
 bool, one whose ``k`` is negative or ``d`` outside 0..8, as the generators
-refuse, and a result not in canonical text), 5 an internal error: any other
+refuse, one whose level is not above ``k``, for an escape not ``m + 1``, or
+above every atom in its tree, all refused before evaluation, and a result
+not in canonical text), 5 an internal error: any other
 exception, one ``internal error: <type>: <message>`` line, never a traceback.
 
 ``phi`` and ``psi`` parse their expression before they build the standard

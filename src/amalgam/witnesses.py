@@ -40,6 +40,7 @@ from amalgam.wordexpr import (
     expr_str,
     form_expr_str,
     parse_expr,
+    reaches_level,
 )
 
 # The tree has 2**d leaves but (d+1)(d+2)/2 distinct subtrees, each
@@ -298,31 +299,36 @@ def certificate_from_json(text):
 def verify(cert):
     """Recompute a certificate from its serialized inputs; True iff it holds.
 
-    The claim must be the recomputed form's canonical text, compared after
-    the cheaper level checks.  A certificate the package rejects (a bound
-    the generators refuse, bad instance, unparsable expression, violated
-    precondition) is False; any other exception propagates.
+    Checks run cheapest first; the first to fail returns False: the
+    generators' bounds; the claims the fields decide alone (a level above
+    k, and m + 1 for an escape); on the built instance, a tree's depth d
+    and a claim no higher than its highest atom (g's for an escape), which
+    bounds its form's level; then evaluation, ``_conjugate``'s hypotheses,
+    the level and the canonical text.  A certificate the package rejects
+    (a bound the generators refuse, bad instance, unparsable expression,
+    violated precondition) is False; any other exception propagates.
     """
     escape = type(cert) is EscapeCertificate
+    level = cert.result_level
     try:
         _check_bounds(cert.k, None if escape else cert.d)
+        if level <= cert.k or escape and level != cert.m + 1:
+            return False
         sys = make_instance(cert.instance, cert.prime, cert.params)
         if escape:
-            h = eval_expr(sys, parse_expr(cert.h_expr, sys))
-            g = eval_expr(sys, parse_expr(cert.g_expr, sys))
-            # the identity lies in every B_m, so it fails the hypotheses
-            result = _conjugate(sys, h, g, cert.m)
-            if result.level != cert.m + 1:
+            g = parse_expr(cert.g_expr, sys)
+            if not reaches_level(g, level):
                 return False
+            h = eval_expr(sys, parse_expr(cert.h_expr, sys))
+            # the identity lies in every B_m, so it fails the hypotheses
+            result = _conjugate(sys, h, eval_expr(sys, g), cert.m)
         else:
             tree = parse_expr(cert.tree_expr, sys)
             # a perfect commutator tree of depth d with commutator-free leaves
-            if tree.depth != cert.d:
+            if tree.depth != cert.d or not reaches_level(tree, level):
                 return False
             result = eval_expr(sys, tree)
-            if is_identity(sys, result):
-                return False
-        return (result.level == cert.result_level > cert.k
+        return (result.level == level
                 and form_expr_str(sys, result) == cert.result_expr)
     except AmalgamError:
         return False

@@ -36,7 +36,7 @@ expression or form is bounded by memory, not by Python's stack:
   nodes but (d+1)(d+2)/2 distinct subtrees.
   ``witnesses.derived_escape`` generates with it and ``verify`` replays
   with it, so both evaluate a certificate's tree the same way.
-* ``expr_to_word`` and ``expr_str`` walk with explicit stacks.
+* ``expr_to_word``, ``expr_str`` and ``reaches_level`` keep explicit stacks.
   ``form_expr_str`` and ``format_form`` are ``normalform.render`` in two
   ``Syntax``es.  Evaluation shares forms, so a result form is a DAG: at
   d = 8 its 16,773 nested forms are 229 objects, and ``render`` walks each
@@ -218,6 +218,23 @@ def _children(e):
     if t is CommE:
         return (e.a, e.b)
     return (e.child,)
+
+
+def reaches_level(e, n):
+    """Whether an atom in the AST has level n or more.
+
+    No form evaluated from the AST reaches level n without one.  The walk
+    stops at the first, read left to right: in a derived tree, its leftmost
+    leaf.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is not AtomE:
+            stack += reversed(_children(node))
+        elif node.level >= n:
+            return True
+    return False
 
 
 def expr_to_word(sys, e):

@@ -572,6 +572,70 @@ def test_verify_tree_of_other_depth_is_invalid(capsys, tmp_path, d, tree):
     assert out == "certificate INVALID\n"
 
 
+def spy_verify(monkeypatch):
+    """Count the instances ``verify`` builds and the trees it evaluates."""
+    calls = dict.fromkeys(("make_instance", "eval_expr"), 0)
+    for name in calls:
+        def wrapper(*args, _f=getattr(witnesses, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(witnesses, name, wrapper)
+    return calls
+
+
+# (instance, prime, an element h to escape from)
+CERT_INSTANCES = [("dense", "5", "h0(1)"), ("heisenberg", "3", "h0((1,0,0))"),
+                  ("cyclic", "2", "h0(1)")]
+
+
+@pytest.mark.parametrize("kind", ["escape", "derived"])
+@pytest.mark.parametrize("instance,prime,h", CERT_INSTANCES)
+def test_verify_claim_its_fields_rule_out_builds_nothing(
+        capsys, monkeypatch, tmp_path, instance, prime, h, kind):
+    # a level not above k, or an escape level other than m + 1
+    _, out, _ = run(capsys, "witness", kind, h if kind == "escape" else "2",
+                    "1",
+                    "--instance", instance, "--prime", prime)
+    good = json.loads(out)
+    level = good["result"]["level"]
+    changes = [("k", level), ("k", level + 3), ("level", good["k"])]
+    if kind == "escape":
+        changes += [("level", level + 1), ("m", good["m"] + 1)]
+    calls = spy_verify(monkeypatch)
+    for i, (field, value) in enumerate(changes):
+        data = json.loads(out)
+        if field == "level":
+            data["result"]["level"] = value
+        else:
+            data[field] = value
+        cert_file = tmp_path / f"ruled_out_{i}.json"
+        cert_file.write_text(json.dumps(data))
+        code, text, err = run(capsys, "verify", str(cert_file))
+        assert (code, text, err) == (4, "certificate INVALID\n", "")
+    assert calls == {"make_instance": 0, "eval_expr": 0}
+
+
+@pytest.mark.parametrize("kind", ["escape", "derived"])
+@pytest.mark.parametrize("instance,prime,h", CERT_INSTANCES)
+def test_verify_claim_above_every_atom_is_not_evaluated(
+        capsys, monkeypatch, tmp_path, instance, prime, h, kind):
+    # a derived claim above its tree's atoms, or a conjugator without an
+    # atom at m + 1
+    _, out, _ = run(capsys, "witness", kind, h if kind == "escape" else "2",
+                    "1", "--instance", instance, "--prime", prime)
+    data = json.loads(out)
+    if kind == "escape":
+        data["inputs"]["g"] = f"h{data['m']}{h[2:]}"
+    else:
+        data["result"]["level"] += 1
+    cert_file = tmp_path / "above_atoms.json"
+    cert_file.write_text(json.dumps(data))
+    calls = spy_verify(monkeypatch)
+    code, text, err = run(capsys, "verify", str(cert_file))
+    assert (code, text, err) == (4, "certificate INVALID\n", "")
+    assert calls == {"make_instance": 1, "eval_expr": 0}
+
+
 def test_verify_cyclic_modulus_above_bound_is_invalid(capsys, tmp_path):
     _, out, _ = run(capsys, "witness", "derived", "1", "0",
                     "--instance", "cyclic", "--prime", "2")

@@ -9,6 +9,7 @@ import pytest
 
 from amalgam import witnesses, wordexpr
 from amalgam.errors import (
+    AmalgamError,
     IdentityInput,
     InvalidParams,
     PreconditionViolated,
@@ -45,6 +46,10 @@ def dense():
 @pytest.fixture(scope="module")
 def heis():
     return make_instance("heisenberg", 3)
+
+
+INSTANCES = [("dense", 5, None), ("heisenberg", 3, None),
+             ("cyclic", 2, {"L": 3})]
 
 
 def P(num, k=0):
@@ -92,6 +97,29 @@ def test_huge_stage_rejected_before_base_test(dense):
     with pytest.raises(PreconditionViolated, match="level\\(g\\)"):
         lemma21_check(dense, h, g, 10**7)
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_huge_stage_makes_no_base_test_at_its_level(name, p, params):
+    # _conjugate checks the levels before it asks whether h lies in B_m:
+    # at m = 10**7 no B_n test at a level of m or more is made
+    sysx = make_instance(name, p, params)
+    huge = []
+    in_base = sysx.in_base
+
+    def recording(n, x):
+        if n >= 10**7:
+            huge.append(n)
+            return False  # unanswered: p**n alone could take seconds
+        return in_base(n, x)
+
+    h = inject(sysx, 0, sysx.escape_elem(0))
+    g = inject(sysx, 1, sysx.escape_elem(0))
+    sysx.in_base = recording
+    for check in (lemma21_check, witnesses._conjugate):
+        with pytest.raises(PreconditionViolated, match="level\\(g\\)"):
+            check(sysx, h, g, 10**7)
+    assert huge == []
 
 
 def test_preconditioned_sampler_always_valid(dense, heis):
@@ -615,3 +643,148 @@ def test_certificate_schema_fields(dense):
     assert set(dd) == {"type", "instance", "prime", "params", "inputs",
                        "d", "k", "result", "seed"}
     assert set(dd["inputs"]) == {"tree"}
+
+
+def reference_verify(cert):
+    """``verify`` replaying everything before it compares the claimed level.
+
+    The body ``verify`` had before it refused claims its fields, or its
+    tree's highest atom, rule out; the verdicts must not differ.
+    """
+    escape = type(cert) is EscapeCertificate
+    try:
+        witnesses._check_bounds(cert.k, None if escape else cert.d)
+        sys = make_instance(cert.instance, cert.prime, cert.params)
+        if escape:
+            h = wordexpr.eval_expr(sys, wordexpr.parse_expr(cert.h_expr, sys))
+            g = wordexpr.eval_expr(sys, wordexpr.parse_expr(cert.g_expr, sys))
+            # the identity lies in every B_m, so it fails the hypotheses
+            result = witnesses._conjugate(sys, h, g, cert.m)
+            if result.level != cert.m + 1:
+                return False
+        else:
+            tree = wordexpr.parse_expr(cert.tree_expr, sys)
+            # a perfect commutator tree of depth d with commutator-free leaves
+            if tree.depth != cert.d:
+                return False
+            result = wordexpr.eval_expr(sys, tree)
+            if is_identity(sys, result):
+                return False
+        return (result.level == cert.result_level > cert.k
+                and wordexpr.form_expr_str(sys, result) == cert.result_expr)
+    except AmalgamError:
+        return False
+
+
+def sample_certificates(sysx):
+    """derived_escape at d 1..5, k 0 and 3, and escape_witness of a few h."""
+    certs = [derived_escape(sysx, d, k) for d in range(1, 6) for k in (0, 3)]
+    rng = random.Random(21)
+    for k in (0, 1, 3):
+        for length in (1, 3):
+            h = identity(sysx)
+            while is_identity(sysx, h):
+                h = reduce_word(sysx, [
+                    (n, sysx.sample(n, rng))
+                    for n in (rng.randint(0, 3) for _ in range(length))])
+            certs.append(escape_witness(sysx, h, k))
+    return certs
+
+
+def _conjugator_at(cert, n):
+    """The escape certificate's one-atom conjugator moved to level n."""
+    return f"h{n}" + cert.g_expr[cert.g_expr.index("("):]
+
+
+def perturbations(cert):
+    """(label, field changes) of one certificate, the original first."""
+    level, k = cert.result_level, cert.k
+    own = "m" if type(cert) is EscapeCertificate else "d"
+    value = getattr(cert, own)
+    changes = [("original", {})]
+    for delta in (-1, 1):
+        changes += [
+            (f"k{delta:+d}", {"k": k + delta}),
+            (f"level{delta:+d}", {"result.level": level + delta}),
+            (f"{own}{delta:+d}", {own: value + delta}),
+        ]
+    changes += [("k=level", {"k": level}), ("level=0", {"result.level": 0})]
+    if own == "m":
+        # a conjugator whose atoms stop at m, and one times such an atom
+        lower = _conjugator_at(cert, value)
+        changes += [("g-lower", {"inputs.g": lower}),
+                    ("g-times-lower", {"inputs.g": f"{cert.g_expr} {lower}"})]
+    return changes
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_verify_verdicts_match_full_replay(name, p, params):
+    sysx = make_instance(name, p, params)
+    verdicts = {}
+    for cert in sample_certificates(sysx):
+        for label, change in perturbations(cert):
+            bad = _tamper(cert, **change)
+            want = reference_verify(bad)
+            assert verify(bad) is want, (cert.to_json_dict(), label)
+            verdicts.setdefault((cert.type, label), set()).add(want)
+    # every certificate holds, and no other claimed level does
+    for kind in ("derived", "escape"):
+        assert verdicts[kind, "original"] == {True}
+        for label in ("level-1", "level+1", "k=level", "level=0"):
+            assert verdicts[kind, label] == {False}
+    assert len(verdicts) == 9 + 11
+
+
+def _refuse_replay(monkeypatch, *names):
+    def refuse(*args):
+        raise RuntimeError("replayed")
+
+    for name in names:
+        monkeypatch.setattr(witnesses, name, refuse)
+
+
+def _cert_of(sysx, kind):
+    if kind == "derived":
+        return derived_escape(sysx, 3, 2)
+    return escape_witness(sysx, inject(sysx, 0, sysx.escape_elem(0)), 2)
+
+
+@pytest.mark.parametrize("kind", ["derived", "escape"])
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_claim_the_fields_rule_out_builds_no_instance(monkeypatch, name, p,
+                                                     params, kind):
+    sysx = make_instance(name, p, params)
+    cert = _cert_of(sysx, kind)
+    level = cert.result_level
+    assert reference_verify(cert) and verify(cert)
+    bad = [{"k": level}, {"k": level + 1}, {"result.level": cert.k},
+           {"result.level": 0}]
+    if kind == "escape":
+        bad += [{"result.level": level + 1}, {"m": cert.m + 1},
+                {"m": cert.m - 1}, {"result.level": level - 1}]
+    tampered = [_tamper(cert, **change) for change in bad]
+    _refuse_replay(monkeypatch, "make_instance", "parse_expr", "eval_expr")
+    for cert in tampered:
+        assert verify(cert) is False
+
+
+@pytest.mark.parametrize("kind", ["derived", "escape"])
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_claim_above_every_atom_is_not_evaluated(monkeypatch, name, p,
+                                                 params, kind):
+    # a derived tree's highest atom sits at its claimed level; an escape
+    # conjugator needs an atom at m + 1
+    sysx = make_instance(name, p, params)
+    cert = _cert_of(sysx, kind)
+    if kind == "derived":
+        tree = wordexpr.parse_expr(cert.tree_expr, sysx)
+        assert wordexpr.reaches_level(tree, cert.result_level)
+        bad = [_tamper(cert, **{"result.level": cert.result_level + d})
+               for d in (1, 2)]
+    else:
+        lower = _conjugator_at(cert, cert.m)
+        bad = [_tamper(cert, **{"inputs.g": lower}),
+               _tamper(cert, **{"inputs.g": f"[{lower}, {lower}^-1] {lower}"})]
+    _refuse_replay(monkeypatch, "eval_expr")
+    for cert in bad:
+        assert verify(cert) is False

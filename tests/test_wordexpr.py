@@ -29,6 +29,7 @@ from amalgam.wordexpr import (
     form_expr_str,
     format_form,
     parse_expr,
+    reaches_level,
 )
 
 
@@ -491,6 +492,66 @@ def test_deep_expressions_need_no_stack(dense):
     assert len(expr_to_word(dense, e)) == depth + 1
     text = expr_str(dense, e)
     assert expr_str(dense, parse_expr(text, dense)) == text
+
+
+def top_atom(sys, e):
+    """The highest atom level in an AST, read from its lowered word."""
+    return max(n for n, _ in expr_to_word(sys, e))
+
+
+def test_reaches_level_on_deep_chains(dense):
+    # 5,000 nested inversions or products walk on the stack, not Python's
+    depth = 5000
+    for text, top in [("(" * depth + "h7(1/5)" + ")^-1" * depth, 7),
+                      ("(" * depth + "h3(1) " + "h1(2))^-1 " * depth, 3)]:
+        e = parse_expr(text, dense)
+        assert reaches_level(e, top) and not reaches_level(e, top + 1)
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_reaches_level_is_the_highest_atom_and_bounds_the_form(name, p,
+                                                               params):
+    sysx = make_instance(name, p, params)
+    rng = random.Random(17)
+    for _ in range(200):
+        e = random_ast(sysx, rng, rng.randint(0, 5))
+        top = top_atom(sysx, e)
+        assert all(reaches_level(e, n) for n in range(top + 1))
+        assert not reaches_level(e, top + 1)
+        assert eval_expr(sysx, e).level <= top
+
+
+@pytest.mark.parametrize("text,top", [
+    ("[h1(1) (h4(1) [h2(1), h0(1)])^-1, h3(1)] h2(1)", 4),
+    ("h0(1) [[h2(1), h5(1)^-1], h1(1)] (h3(1) h0(2))^-1", 5),
+    ("([h0(1), h0(2)] h0(3))^-1", 0),
+    ("h9(0) [h1(1), h2(1)]", 9),
+    ("h2(25) [h1(1), h0(1)]", 2),
+])
+def test_reaches_level_of_mixed_trees(dense, text, top):
+    # the highest atom counts wherever it sits, even one whose value lies
+    # in a lower stage (h9(0) is the identity, h2(25) a level-0 form)
+    e = parse_expr(text, dense)
+    assert reaches_level(e, top) and not reaches_level(e, top + 1)
+    assert eval_expr(dense, e).level <= top
+
+
+def test_reaches_level_stops_at_a_derived_trees_leftmost_leaf(dense,
+                                                              monkeypatch):
+    # the leftmost leaf of T(d, L) is its highest atom: d nodes open above it
+    tree = parse_expr(expr_str(dense, _build_tree(dense, 6, 6)), dense)
+    opened = []
+    children = wordexpr._children
+
+    def counting(e):
+        opened.append(e)
+        return children(e)
+
+    monkeypatch.setattr(wordexpr, "_children", counting)
+    assert reaches_level(tree, 7)
+    assert len(opened) == 6
+    assert not reaches_level(tree, 8)
+    assert len(opened) == 6 + 2**6 - 1
 
 
 def test_deep_form_round_trip(dense):
