@@ -34,6 +34,12 @@ cyclic) before it builds the homomorphism or evaluates the expression.
 The argument parser is built on the first ``main`` call and reused by every
 later call in the same process; each call still parses into a fresh
 namespace, and help text is wrapped to ``COLUMNS`` as it is when printed.
+An argv that starts with a leaf subcommand's names (``reduce``, ``witness
+escape``, ``check axioms`` and the rest) is parsed once, on that
+subcommand's own parser, to the namespace, errors and exit codes the full
+parser gives it.  Any other argv (none, ``-h``, an unknown command,
+``witness`` or ``check`` without a known kind) goes through the full
+parser, the one source of top-level help and usage text.
 """
 
 import argparse
@@ -95,43 +101,48 @@ def build_parser():
 
     Every call returns the same parser, so callers must not modify it (add
     arguments, change defaults); ``parse_args`` on it leaves it unchanged.
+    Its ``leaves`` map each leaf subcommand's names, such as ``("witness",
+    "escape")``, to that subcommand's parser and the namespace values the
+    levels above it set.
     """
     common = _common_flags()
     ap = argparse.ArgumentParser(
         prog="amalgam",
         description="exact computation in iterated centrally amalgamated products",
     )
+    ap.leaves = {}
+
+    def leaf(sub, *names, help):
+        p = sub.add_parser(names[-1], parents=[common], help=help)
+        # sub.dest is "command" for a top-level leaf, else the kind's dest
+        ap.leaves[names] = p, dict(zip(("command", sub.dest), names))
+        return p
+
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", parents=[common],
-                       help="canonical form and level of a word expression")
+    p = leaf(sub, "reduce", help="canonical form and level of a word expression")
     p.add_argument("expr")
 
-    p = sub.add_parser("eq", parents=[common],
-                       help="whether two word expressions are equal in the group")
+    p = leaf(sub, "eq", help="whether two word expressions are equal in the group")
     p.add_argument("expr_a")
     p.add_argument("expr_b")
 
-    p = sub.add_parser("level", parents=[common],
-                       help="least stage containing the element")
+    p = leaf(sub, "level", help="least stage containing the element")
     p.add_argument("expr")
 
-    p = sub.add_parser("phi", parents=[common],
-                       help="image under the standard abelian homomorphism")
+    p = leaf(sub, "phi", help="image under the standard abelian homomorphism")
     p.add_argument("expr")
 
-    p = sub.add_parser("psi", parents=[common],
-                       help="image as a unipotent matrix (dense instance only)")
+    p = leaf(sub, "psi", help="image as a unipotent matrix (dense instance only)")
     p.add_argument("expr")
 
     w = sub.add_parser("witness", help="generate replayable certificates")
     wsub = w.add_subparsers(dest="witness_kind", required=True)
-    p = wsub.add_parser("escape", parents=[common],
-                        help="conjugate of EXPR with level above K")
+    p = leaf(wsub, "witness", "escape", help="conjugate of EXPR with level above K")
     p.add_argument("expr")
     p.add_argument("k", type=int)
-    p = wsub.add_parser("derived", parents=[common],
-                        help="depth-D commutator-tree element with level above K")
+    p = leaf(wsub, "witness", "derived",
+             help="depth-D commutator-tree element with level above K")
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
 
@@ -142,14 +153,28 @@ def build_parser():
         ("axioms", "group laws on reduced forms"),
         ("instance", "factor-system contract"),
     ):
-        p = csub.add_parser(kind, parents=[common], help=text)
+        p = leaf(csub, "check", kind, help=text)
         p.add_argument("--samples", type=int, default=1000)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="replay and check a certificate file")
+    p = leaf(sub, "verify", help="replay and check a certificate file")
     p.add_argument("file")
 
     return ap
+
+
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, a leaf's argv parsed on its leaf."""
+    ap = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    for names in (tuple(argv[:2]), tuple(argv[:1])):
+        if names in ap.leaves:
+            p, preset = ap.leaves[names]
+            args, extras = p.parse_known_args(argv[len(names):])
+            if extras:
+                ap.error("unrecognized arguments: " + " ".join(extras))
+            vars(args).update(preset)
+            return args
+    return ap.parse_args(argv)
 
 
 def _elapsed_ms(t0):
@@ -241,8 +266,13 @@ def _dispatch(args, t0):
             cert = escape_witness(sys_obj, h, args.k, seed=args.seed)
         else:
             cert = derived_escape(sys_obj, args.d, args.k, seed=args.seed)
+        # the envelope holds the certificate's dict, the text is its file
+        if args.json:
+            result, text = cert.to_json_dict(), None
+        else:
+            result, text = None, certificate_to_json(cert)
         _emit(args, f"witness {args.witness_kind}", sys_obj.kind, sys_obj.p,
-              cert.to_json_dict(), certificate_to_json(cert), t0)
+              result, text, t0)
         return _EXIT_OK
 
     if cmd == "check":
@@ -274,7 +304,7 @@ def _dispatch(args, t0):
 def main(argv=None):
     t0 = time.perf_counter()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return _dispatch(args, t0)
     except (ExprSyntaxError, LiteralError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -205,6 +205,11 @@ class HeisenbergInstance(FactorSystem):
         parts = s[1:-1].split(",")
         if len(parts) != 3:
             raise LiteralError(f"expected 3 components in {text!r}")
+        try:
+            return int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            pass
+        # int_literal raises the refused component's error: malformed or long
         return tuple(
             int_literal(q, lambda: f"non-integer component in {text!r}")
             for q in parts)

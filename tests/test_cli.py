@@ -1,10 +1,14 @@
 """Command-line behavior: golden outputs, exit codes, round trips."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from amalgam import cli, witnesses
 from amalgam.cli import SAMPLES_BOUND, main
@@ -341,6 +345,10 @@ DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
     ("reduce", "h0(" + "9" * 5000 + ")"),
     ("reduce", "h0(1/" + "9" * 5000 + ")"),
     ("reduce", "h0((" + "9" * 5000 + ",0,0))", "--instance", "heisenberg",
+     "--prime", "3"),
+    ("level", "h1((0," + "9" * 5000 + ",0))", "--instance", "heisenberg",
+     "--prime", "3"),
+    ("level", "h1((0,0," + "9" * 5000 + "))", "--instance", "heisenberg",
      "--prime", "3"),
     ("reduce", "h0(" + "9" * 5000 + ")", "--instance", "cyclic",
      "--prime", "2"),
@@ -774,3 +782,151 @@ def test_module_entry_point_subprocess(cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == GOLDEN_TEXT
+
+
+# -- parsing: a leaf argv on its leaf's parser, the rest on the full parser --
+
+COMMAND_PATHS = [
+    [], ["reduce"], ["eq"], ["level"], ["phi"], ["psi"], ["verify"],
+    ["witness"], ["witness", "escape"], ["witness", "derived"],
+    ["witness", "frob"], ["check"], ["check", "lemma21"], ["check", "axioms"],
+    ["check", "instance"], ["check", "x"], ["frobnicate"], ["-h"],
+]
+
+ARG_TOKENS = [
+    "--prime", "7", "4", "x", "--prime=7", "--prime=x", "--pri", "--pri=3",
+    "--instance", "dense", "heisenberg", "cyclic", "bogus", "--inst=cyclic",
+    "--seed", "--seed=-1", "--json", "--js", "--json=1", "--samples", "10",
+    "--samples=0", "--sam", "-h", "--help", "--he", "-hx", "--help=1", "--",
+    "-1", "-5", "0", "12", "h0(1)", "h1(2/5) h0(1)", "escape", "derived",
+    "reduce", "axioms", "-x", "--bogus", "-", "", "x=y", "--=",
+]
+
+junk = st.text(alphabet="-=ax1 (", max_size=4)
+argvs = st.builds(
+    lambda path, rest: path + rest,
+    st.sampled_from(COMMAND_PATHS),
+    st.lists(st.sampled_from(ARG_TOKENS) | junk, max_size=6),
+)
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs)
+@example(["reduce", "h0(1)", "junk"])
+@example(["eq", "a", "b", "--json", "c", "--pri=3"])
+@example(["witness", "escape", "h0(1)", "2", "3"])
+@example(["witness", "derived", "2", "1"])
+@example(["check", "instance", "--samples", "5", "--bogus"])
+@example(["check", "axioms"])
+def test_leaf_parse_matches_full_parser(argv):
+    full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert parse_outcome(cli._parse_args, argv) == full
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The ``prog`` of each parser ``parse_known_args`` runs on, in order."""
+    progs = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        progs.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return progs
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["level", "h1(2)"], "amalgam level"),
+    (["witness", "derived", "2", "1"], "amalgam witness derived"),
+])
+def test_leaf_command_parses_once(capsys, parses, argv, prog):
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert parses == [prog]
+
+
+@pytest.mark.parametrize("argv, code, progs", [
+    (["frobnicate"], 2, ["amalgam"]),
+    (["witness"], 2, ["amalgam", "amalgam witness"]),
+    (["--help"], 0, ["amalgam"]),
+])
+def test_other_argv_reaches_the_full_parser(capsys, parses, argv, code, progs):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == code
+    assert parses == progs
+
+
+@pytest.mark.parametrize("argv", [
+    ["level", "h1(2)"], ["witness", "derived", "2", "1"], ["witness"],
+    ["frobnicate"], ["reduce", "h0(1)", "junk"],
+])
+def test_sys_argv_takes_the_same_route(capsys, monkeypatch, parses, argv):
+    def outcome(*call):
+        try:
+            code = main(*call)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err, parses[:]
+
+    given_argv = outcome(argv)
+    parses.clear()
+    monkeypatch.setattr(sys, "argv", ["amalgam"] + argv)
+    assert outcome() == given_argv
+
+
+def test_import_builds_no_parser(cli_env):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from amalgam import cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("witness", "escape", "h0(1/5)", "3"), GOLDEN_WITNESS_JSON),
+    (("witness", "derived", "2", "1"), GOLDEN_DERIVED_JSON),
+], ids=["escape", "derived"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_witness_builds_its_certificate_dict_once(capsys, monkeypatch, argv,
+                                                   golden, as_json):
+    built = []
+    real = witnesses._Certificate.to_json_dict
+
+    def counting(self):
+        built.append(self.type)
+        return real(self)
+
+    monkeypatch.setattr(witnesses._Certificate, "to_json_dict", counting)
+    calls = spy(monkeypatch, "certificate_to_json")
+    code, out, err = run(capsys, *argv, *(("--json",) if as_json else ()))
+    assert code == 0 and err == ""
+    assert len(built) == 1
+    assert calls == {"certificate_to_json": 0 if as_json else 1}
+    # text output is the golden envelope's certificate, as its file holds it
+    cert = json.loads(golden)["result"]
+    text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    assert out == (golden if as_json else text)
+
+
+def test_heisenberg_spaced_literals_golden_text(capsys):
+    code, out, err = run(capsys, "reduce", "h1(( 1, -2 ,+3 )) h0((1_000,007,0))",
+                         "--instance", "heisenberg", "--prime", "3")
+    assert code == 0 and err == ""
+    assert out == "Alt(1; R:(1,-2,0); L:(Base((1000,7,0))); tail (0,0,3)), level=1\n"

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amalgam.errors import (
     InvalidParams,
     LiteralError,
     PreconditionViolated,
     UnsupportedLevel,
+    int_literal,
 )
 from amalgam.factors import check_instance
 from amalgam.instances import make_instance, valuation
@@ -374,6 +376,65 @@ def test_parse_value_rejects(dense, heis, cyc):
         heis.parse_value("1")
     with pytest.raises(LiteralError):
         cyc.parse_value("x")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("( 1, -2 ,+3 )", (1, -2, 3)),
+    ("(1_000,0,0)", (1000, 0, 0)),
+    ("(007,-00,+010)", (7, 0, 10)),
+    (" \t(1,2,3)\n", (1, 2, 3)),
+    ("(١٢,0,0)", (12, 0, 0)),
+])
+def test_heisenberg_literal_values(heis, text, value):
+    assert heis.parse_value(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(1,2)", "expected 3 components in '(1,2)'"),
+    ("(1,2,3,4)", "expected 3 components in '(1,2,3,4)'"),
+    ("(1,x,3)", "non-integer component in '(1,x,3)'"),
+    ("(1,,3)", "non-integer component in '(1,,3)'"),
+    ("(1, ,3)", "non-integer component in '(1, ,3)'"),
+    ("(1__0,0,0)", "non-integer component in '(1__0,0,0)'"),
+    ("((1,2,3))", "non-integer component in '((1,2,3))'"),
+    ("1", "expected (x,y,z) triple, got '1'"),
+])
+def test_heisenberg_literal_refusals(heis, text, message):
+    with pytest.raises(LiteralError) as info:
+        heis.parse_value(text)
+    assert str(info.value) == message
+
+
+def read_or_refusal(read):
+    try:
+        return read()
+    except (LiteralError, PreconditionViolated) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text(alphabet="09+-_ x\t١", max_size=5)
+                | st.just("9" * 5000), min_size=3, max_size=3))
+def test_heisenberg_literal_matches_the_component_reader(int_digit_limit,
+                                                         heis, parts):
+    text = "(" + ",".join(parts) + ")"
+    message = f"non-integer component in {text!r}"
+    want = read_or_refusal(
+        lambda: tuple(int_literal(q, lambda: message) for q in parts))
+    assert read_or_refusal(lambda: heis.parse_value(text)) == want
+
+
+def test_heisenberg_literal_first_bad_component_decides(int_digit_limit, heis):
+    # components are read left to right: a malformed one before a long one
+    # is malformed, a long one before a malformed one is too long
+    long = "9" * 5000
+    with pytest.raises(LiteralError, match="^non-integer component"):
+        heis.parse_value(f"(x,{long},0)")
+    for text in (f"(0,{long},x)", f"(0,0,{long})", f"({long},{long},{long})"):
+        with pytest.raises(PreconditionViolated,
+                           match="^number too long: more than 4300 "):
+            heis.parse_value(text)
 
 
 def test_descriptor(dense, cyc):
