@@ -17,6 +17,9 @@ from amalgam.factors import LEVEL_BOUND, FactorSystem, randint
 from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
 
 
+_new = object.__new__
+
+
 def valuation(num, p):
     """The exponent of p in a nonzero integer num; ValueError on 0."""
     if num == 0:
@@ -59,7 +62,9 @@ class DenseInstance(FactorSystem):
 
     Values are ``PAdicRational``s.  The group law, inverse, ``in_base`` and
     ``split`` compute on their ``num``/``den_exp`` pairs inline, keeping
-    each result normalized (p does not divide num unless den_exp is 0).
+    each result normalized (p does not divide num unless den_exp is 0),
+    and build each result value in place, with ``object.__new__`` and its
+    three slots, as ``from_normalized`` would but without the call.
     ``sample`` builds through ``PAdicRational``'s normalizing constructor.
     """
 
@@ -94,12 +99,16 @@ class DenseInstance(FactorSystem):
         while k and num % p == 0:
             num //= p
             k -= 1
-        return from_normalized(num, k, p)
+        z = _new(PAdicRational)
+        z.num, z.den_exp, z.p = num, k, p
+        return z
 
     def factor_inv(self, x):
         if x.num == 0:
             return x
-        return from_normalized(-x.num, x.den_exp, self.p)
+        z = _new(PAdicRational)
+        z.num, z.den_exp, z.p = -x.num, x.den_exp, self.p
+        return z
 
     def in_base(self, n, x):
         num = x.num
@@ -118,15 +127,23 @@ class DenseInstance(FactorSystem):
         base = (num - rep) // self._powers[k]
         p, tk = self.p, t.den_exp
         if tk:
-            tail = from_normalized(t.num + base * self._powers[tk], tk, p)
+            tail = _new(PAdicRational)
+            tail.num, tail.den_exp, tail.p = (
+                t.num + base * self._powers[tk], tk, p)
         else:
             base += t.num
-            tail = from_normalized(base, 0, p) if base else self._zero
+            if base:
+                tail = _new(PAdicRational)
+                tail.num, tail.den_exp, tail.p = base, 0, p
+            else:
+                tail = self._zero
         if rep == 0:
             return self._zero, tail
         # (rep, k) is already normalized: for k > 0, p does not divide num,
         # and rep = num mod p**(n-1+k) with n >= 1, so p does not divide rep
-        return from_normalized(rep, k, p), tail
+        h = _new(PAdicRational)
+        h.num, h.den_exp, h.p = rep, k, p
+        return h, tail
 
     def escape_elem(self, n):
         return self._invp if n == 0 else self._one

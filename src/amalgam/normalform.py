@@ -18,7 +18,11 @@ takes the tail and returns it with the residue already multiplied in.
 ``[level, letters, tail]``.  To work on a nested L-letter one level down, an
 operation opens a child frame above its parent on an explicit stack, and
 ``_close`` folds the finished child back in: as the parent's top letter, one
-Alt built, or into the parent's tail.  Nothing here recurses once per
+Alt built, or into the parent's tail.  Every such fold passes the tail the
+residue lands in to ``split``, which multiplies it in.  The engine builds
+its forms in place, with ``object.__new__`` and three slot stores (``_alt``,
+or inline in ``_close`` and ``_fold``), not through ``Alt.__init__``, which
+other callers use.  Nothing here recurses once per
 nesting level (``==`` and ``render``, the one printer walk, use stacks too),
 so a form nested a thousand levels deep needs no more Python stack than a
 flat one.
@@ -37,7 +41,8 @@ syllable is merged with the frame's top R-letter before it is split, so it
 costs one ``split``, as does one that opens a frame; a frame closes into
 its parent when a letter at the parent's level arrives, or at the end.  A
 closed frame's list goes into its ``Alt`` and is reopened in place, as
-every ``Alt`` on the chain is the call's own; ``mul`` copies what it reopens.
+every ``Alt`` on the chain is the call's own.  ``mul`` likewise reopens an
+L-letter that its own ``_close`` built in place, and copies an operand's.
 
 The empty word is ``Alt(0, (), identity)`` and all representatives are fixed
 by the factor system, so forms are structurally unique per element and ``==``
@@ -87,6 +92,18 @@ class Alt:
 
     def __repr__(self):
         return layout(self, repr)
+
+
+_new = object.__new__
+
+
+def _alt(level, letters, tail):
+    """``Alt(level, letters, tail)`` built in place, skipping ``__init__``."""
+    form = _new(Alt)
+    form.level = level
+    form.letters = letters
+    form.tail = tail
+    return form
 
 
 class Syntax(dict):
@@ -170,7 +187,7 @@ def layout(form, value_str):
 
 
 def identity(sys):
-    return Alt(0, (), sys.factor_id())
+    return _alt(0, (), sys.factor_id())
 
 
 def is_identity(sys, form):
@@ -182,9 +199,9 @@ def inject(sys, n, x):
     sys.check_level(n)
     if n == 0 or sys.in_base(n - 1, x):
         # values in B_{n-1} are identified down the chain to level 0
-        return Alt(0, (), x)
+        return _alt(0, (), x)
     rep, b = sys.split(n, x, sys.factor_id())
-    return Alt(n, (rep,), b)
+    return _alt(n, (rep,), b)
 
 
 def _assemble(sys, n, letters, tail):
@@ -196,36 +213,47 @@ def _assemble(sys, n, letters, tail):
         # level m >= 1 form has an R-letter, so ``mul`` would only multiply
         # the two tails.  A returned form's own letters are a tuple.
         sub = letters[0]
-        return Alt(sub.level, tuple(sub.letters),
-                   sys.factor_mul(sub.tail, tail))
-    return Alt(n if letters else 0, tuple(letters), tail)
+        return _alt(sub.level, tuple(sub.letters),
+                    sys.factor_mul(sub.tail, tail))
+    return _alt(n if letters else 0, tuple(letters), tail)
 
 
 def mul(sys, f, *gs):
     """Product of one or more canonical forms, in order.
 
     f opens the root frame at the higher level of f and the first operand;
-    each operand is folded up to the root's level, or lifts it in place,
-    and meets its top letter, two L-letters opening a child frame that
-    ``_close`` folds back.  The root is assembled once, at the end.
+    each later operand is folded up to the root's level, or lifts it in
+    place, and meets its top letter, two L-letters opening a child frame
+    that ``_close`` folds back.  A reopened L-letter that this call closed
+    keeps its list; an operand's is copied.  The root is assembled once, at
+    the end.
     """
+    if not gs:
+        return _assemble(sys, f.level, f.letters, f.tail)
     fmul, in_base, split = sys.factor_mul, sys.in_base, sys.split
-    root = _open(sys, f, gs[0] if gs else f)
-    frames, rests = [root], []
+    # the Alts this call closed, by id, each holding its frame's list
+    frames, rests, closed = [], [], {}
     for g in gs:
-        n = root[0]
-        if g.level > n:
-            root[1], root[2] = _fold(sys, *root, g.level)
-            root[0] = n = g.level
-        frame, letters, gletters = root, root[1], _enter(sys, root, g)
+        if not frames:
+            root, gletters = _open(sys, f, g)
+            frames.append(root)
+        elif g.level > root[0]:
+            # lift the root in place, g's tail taking the residue
+            root[1], root[2] = _fold(sys, *root, g.level, g.tail)
+            root[0] = g.level
+            gletters = iter(g.letters)
+        else:
+            gletters = _enter(sys, root, g)
+        frame, n, letters = root, root[0], root[1]
         while True:
             for letter in gletters:
                 if letters and (type(letters[-1]) is Alt) is (type(letter) is Alt):
                     if type(letter) is Alt:
                         rests.append(gletters)
-                        frame = _open(sys, letters.pop(), letter)
+                        top = letters.pop()
+                        frame, gletters = _open(
+                            sys, top, letter, closed.pop(id(top), None) is top)
                         frames.append(frame)
-                        gletters = _enter(sys, frame, letter)
                         break
                     x = fmul(letters.pop(), letter)
                     if in_base(n - 1, x):
@@ -238,24 +266,35 @@ def mul(sys, f, *gs):
             else:
                 if not rests:
                     break
-                _close(sys, frames)
+                form = _close(sys, frames)
+                if form is not None:
+                    closed[id(form)] = form
                 frame, gletters = frames[-1], rests.pop()
             n, letters = frame[0], frame[1]
     return _assemble(sys, *root)
 
 
-def _open(sys, f, g):
-    """f as a new frame at the higher level of f and g; f is not changed."""
-    if f.level >= g.level:
-        return [f.level, list(f.letters), f.tail]
-    return [g.level, *_fold(sys, f.level, f.letters, f.tail, g.level)]
+def _open(sys, f, g, own=False):
+    """A new frame for f times g's tail, and an iterator over g's letters.
+
+    The frame is at the higher level of f and g, and g's letters are at
+    that level too.  f and g are not changed: f's letters are copied
+    unless ``own`` says that this call built f and may take its list.
+    """
+    if f.level < g.level:
+        return ([g.level, *_fold(sys, f.level, f.letters, f.tail, g.level,
+                                 g.tail)], iter(g.letters))
+    frame = [f.level, f.letters if own else list(f.letters), f.tail]
+    return frame, _enter(sys, frame, g)
 
 
 def _enter(sys, frame, g):
     """g's letters at the frame's level, at least g's; g's tail joins it."""
-    letters, tail = ((g.letters, g.tail) if g.level == frame[0]
-                     else _fold(sys, g.level, g.letters, g.tail, frame[0]))
-    frame[2] = sys.factor_mul(frame[2], tail)
+    if g.level == frame[0]:
+        frame[2] = sys.factor_mul(frame[2], g.tail)
+        return iter(g.letters)
+    letters, frame[2] = _fold(sys, g.level, g.letters, g.tail, frame[0],
+                              frame[2])
     return iter(letters)
 
 
@@ -281,7 +320,7 @@ def inv(sys, form):
             elif letter.level == 0:
                 # its value lies outside B_{n-1}, and so does the inverse
                 rep, tail = split(n, finv(letter.tail), tail)
-                rep = Alt(0, (), rep)
+                rep = _alt(0, (), rep)
             else:
                 frame[2] = tail
                 frames.append([letter.level, [], finv(letter.tail)])
@@ -291,7 +330,7 @@ def inv(sys, form):
         else:
             rests.pop()
             if len(frames) == 1:
-                return Alt(n, tuple(letters), tail)
+                return _alt(n, tuple(letters), tail)
             frame[2] = tail
             _close(sys, frames)
 
@@ -301,11 +340,13 @@ def forms_equal(sys, f, g):
     return f == g
 
 
-def _fold(sys, m, letters, tail, n):
+def _fold(sys, m, letters, tail, n, t):
     """A level-m frame or form as (letter list, tail) at level n > m.
 
-    It is one left letter, an Alt with its tail reduced to a ``split``
-    representative, or no letter when it lies in B_{n-1}.
+    It becomes one left letter, an Alt with its tail reduced to a ``split``
+    representative, or no letter when it lies in B_{n-1}.  t is the tail
+    at level n that the residue, or the whole form in the second case,
+    joins: the returned tail is t times it, ``split`` doing the product.
     """
     if len(letters) == 1 and type(letters[0]) is Alt:
         # no level-m letter survived: see ``_assemble``
@@ -314,23 +355,35 @@ def _fold(sys, m, letters, tail, n):
         tail = sys.factor_mul(sub.tail, tail)
     if not letters:
         if sys.in_base(n - 1, tail):
-            return [], tail
+            return [], sys.factor_mul(t, tail)
         m, letters = 0, ()
-    rep_t, b = sys.split(n, tail, sys.factor_id())
-    return [Alt(m, letters, rep_t)], b
+    rep, t = sys.split(n, tail, t)
+    form = _new(Alt)
+    form.level = m
+    form.letters = letters
+    form.tail = rep
+    return [form], t
 
 
 def _close(sys, frames):
-    """Fold the deepest open frame into its parent as the parent's top letter."""
+    """Fold the deepest open frame into its parent as the parent's top letter.
+
+    Returns the Alt built on the frame's own letter list, or None when the
+    frame folded to a lone letter's form or into the parent's tail.
+    """
     m, letters, tail = frames.pop()
     parent = frames[-1]
     if len(letters) > 1 or letters and type(letters[0]) is not Alt:
         rep, parent[2] = sys.split(parent[0], tail, parent[2])
-        parent[1].append(Alt(m, letters, rep))
-    else:
-        lifted, b = _fold(sys, m, letters, tail, parent[0])
-        parent[1] += lifted
-        parent[2] = sys.factor_mul(parent[2], b)
+        form = _new(Alt)
+        form.level = m
+        form.letters = letters
+        form.tail = rep
+        parent[1].append(form)
+        return form
+    lifted, parent[2] = _fold(sys, m, letters, tail, parent[0], parent[2])
+    parent[1] += lifted
+    return None
 
 
 def reduce_word(sys, word):
@@ -383,7 +436,7 @@ def reduce_word(sys, word):
                 if top[1] or top[2] is not one:
                     # an empty frame whose tail is still the identity, as
                     # the untouched root's is, lies in B_{n-1}: it stays
-                    top[1], top[2] = _fold(sys, *top, n)
+                    top[1], top[2] = _fold(sys, *top, n, one)
                 top[0] = n
         while top[0] > n:
             if n == 0 and in_base(top[0] - 1, x):
@@ -393,7 +446,8 @@ def reduce_word(sys, word):
             if letters and type(letters[-1]) is Alt:
                 form = letters.pop()
                 if form.level < n:
-                    top = [n, *_fold(sys, form.level, form.letters, form.tail, n)]
+                    top = [n, *_fold(sys, form.level, form.letters,
+                                     form.tail, n, one)]
                 else:
                     # built in this call, from values, so its letter list
                     # is ours to extend; a level-0 form's is an empty tuple
@@ -437,6 +491,6 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    comm = mul(sys, g, Alt(0, (), z), inv(sys, g),
-               Alt(0, (), sys.factor_inv(z)))
+    comm = mul(sys, g, _alt(0, (), z), inv(sys, g),
+               _alt(0, (), sys.factor_inv(z)))
     return is_identity(sys, comm)

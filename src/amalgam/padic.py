@@ -5,8 +5,8 @@ with arbitrary-precision integers throughout, so long witness words cannot
 overflow.  ``PAdicRational``'s constructor is the one normalization; its
 ``+`` and ``*`` build their results through it and serve ``psi``'s
 matrices.  The dense instance does its own arithmetic on the pairs and
-wraps each result with ``from_normalized``.  ``check_prime`` validates the
-prime every instance is built on.
+builds each result in place, as ``from_normalized`` does, without a call.
+``check_prime`` validates the prime every instance is built on.
 """
 
 from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
@@ -138,7 +138,7 @@ def from_normalized(num, den_exp, p):
     """The PAdicRational num / p**den_exp of a pair that is already normalized.
 
     Skips ``__init__``'s normalization; ``zero``, ``one``, ``parse_padic``'s
-    integers and the dense instance's inline arithmetic build with it.
+    integers and the dense instance's ``sample_base`` build with it.
     """
     x = object.__new__(PAdicRational)
     x.num = num

@@ -260,14 +260,26 @@ def test_dense_inline_arithmetic_matches_fractions(p):
     def in_pn(q, m):
         return q.denominator == 1 and q.numerator % p ** m == 0
 
+    def built(*values):
+        # each result is built in place; it must be the value the
+        # normalizing constructor makes of its own fields
+        for v in values:
+            assert type(v) is PAdicRational and v.p == p
+            ref = PAdicRational(v.num, v.den_exp, p)
+            assert v == ref and ref == v
+            assert hash(v) == hash(ref) and str(v) == str(ref)
+        return values
+
     for _ in range(3000):
         x, y, n = value(), value(), rng.randint(1, 6)
         q = exact(x)
-        assert exact(dense.factor_mul(x, y)) == q + exact(y)
-        assert exact(dense.factor_inv(x)) == -q
+        s, = built(dense.factor_mul(x, y))
+        assert exact(s) == q + exact(y)
+        neg, = built(dense.factor_inv(x))
+        assert exact(neg) == -q
         for m in (n - 1, n):
             assert dense.in_base(m, x) == in_pn(q, m)
-        rep, b = dense.split(n, x, dense.factor_id())
+        rep, b = built(*dense.split(n, x, dense.factor_id()))
         r = exact(rep)
         assert r + exact(b) == q
         assert 0 <= r < p ** (n - 1)
@@ -275,7 +287,7 @@ def test_dense_inline_arithmetic_matches_fractions(p):
         # the residue added into a tail, built without a normalizing loop;
         # -b cancels it to zero
         for t in (y, dense.factor_inv(b)):
-            rep_t, tail = dense.split(n, x, t)
+            rep_t, tail = built(*dense.split(n, x, t))
             assert rep_t == rep and exact(tail) == exact(t) + exact(b)
 
 

@@ -203,7 +203,7 @@ def test_assemble_of_a_lone_left_letter_matches_mul(name, request):
         n = f.level + rng.randint(1, 2)
         if f.level == 0 and sys.in_base(n - 1, f.tail):
             continue
-        [sub], _ = _fold(sys, f.level, f.letters, f.tail, n)
+        [sub], _ = _fold(sys, f.level, f.letters, f.tail, n, sys.factor_id())
         b = sys.sample_base(n - 1, rng)
         got = _assemble(sys, n, [sub], b)
         assert got == mul(sys, sub, Alt(0, (), b))

@@ -292,10 +292,19 @@ def commutator_product(sys, k):
     return ProdE([CommE(AtomE(2, v("1")), AtomE(1, v("1/5")))] * k)
 
 
+def reopened_product(sys, k):
+    """h2(1), then [h1(1/5), h0(1/5)] k times, as one product: each term's
+    L-letter meets, and reopens, the one the term before it closed."""
+    v = sys.parse_value
+    comm = CommE(AtomE(1, v("1/5")), AtomE(0, v("1/5")))
+    return ProdE([AtomE(2, v("1"))] + [comm] * k)
+
+
 def test_long_shapes_copy_linearly(monkeypatch):
     # work-count guard: the letters list() and tuple() copy grow linearly in
-    # k, where a tuple per closed frame, or a copy of the growing left
-    # operand per product term, copies about 4x as many at twice the k
+    # k, where a tuple per closed frame, a copy of the growing left operand
+    # per product term, or a copy of each L-letter that mul reopens after
+    # closing it itself, copies about 4x as many at twice the k
     dense = INSTANCES["dense"]
     counted, copied = copy_counting_normalform()
     for name in ("inject", "inv", "mul", "reduce_word"):
@@ -305,6 +314,8 @@ def test_long_shapes_copy_linearly(monkeypatch):
          lambda k: sawtooth_shape(dense, k)),
         (lambda k: wordexpr.eval_expr(dense, commutator_product(dense, k)),
          lambda k: expr_to_word(dense, commutator_product(dense, k))),
+        (lambda k: wordexpr.eval_expr(dense, reopened_product(dense, k)),
+         lambda k: expr_to_word(dense, reopened_product(dense, k))),
     ]
     for build, word in shapes:
         counts = []
@@ -489,11 +500,11 @@ def test_merged_syllable_costs_one_split(name, p, x, y):
 
 DIP_COSTS = [
     # a dip is split once going in (a level-0 one not at all) and once when
-    # it closes; opening it multiplies by no identity, and every split
-    # multiplies its residue into its tail itself, so only the level-0
-    # dip, folded into its parent as a bare residue, costs a factor_mul
+    # it closes; opening it multiplies by no identity, and every split,
+    # the level-0 dip's into its parent's tail too, multiplies its residue
+    # into that tail itself, so no dip costs a factor_mul
     ([(2, 1), (1, 0), (2, 1)], [2, 1, 2, 2], 0),
-    ([(2, 1), (0, 1), (2, 1)], [2, 2, 2], 1),
+    ([(2, 1), (0, 1), (2, 1)], [2, 2, 2], 0),
     # the second syllable lifts the root, with one split of its tail
     ([(1, 0), (2, 1)], [1, 2, 2], 0),
 ]
@@ -517,6 +528,25 @@ def test_dips_and_lifts_split_once(name, p, dip, splits, fmuls):
     assert reduce_word(sys, word) == want
     assert calls["split"] == splits
     assert len(calls["factor_mul"]) == fmuls
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_reduce_word_takes_the_identity_once(name, monkeypatch):
+    # work-count guard: the lifts and reopened L-letters of a pass fold with
+    # the identity taken once per call, not one factor_id call each
+    sys = INSTANCES[name]
+    word = rand_word(sys, random.Random(32), 200)
+    want = fold_reduce(sys, word)
+    calls = []
+    factor_id = sys.factor_id
+
+    def counting():
+        calls.append(None)
+        return factor_id()
+
+    monkeypatch.setattr(sys, "factor_id", counting)
+    assert reduce_word(sys, word) == want
+    assert len(calls) == 1
 
 
 def test_lifting_the_untouched_root_tests_no_base():
