@@ -2,28 +2,38 @@
 
 A family of per-level maps phi_n: H_n -> target that agree on each
 amalgamated B_n extends uniquely to the whole group; evaluation walks the
-canonical form letterwise.  Compatibility and the per-level homomorphism
-property are sampled at construction, and construction fails loudly rather
-than letting an ill-defined family produce garbage images.  One family is
-not sampled: the identity into the factor group under the instance's own
-``factor_mul``, where every check would compare a value with itself.
+canonical form letterwise, mapping each value and summing the images with
+one call to the target's ``total``.  A target may supply that n-ary sum as
+a capability; without one, ``total`` folds ``add`` from ``zero``.  The
+standard targets sum in one pass.  Compatibility and the per-level
+homomorphism property are sampled at construction, with ``add``, and
+construction fails loudly rather than letting an ill-defined family
+produce garbage images.  One family is not sampled: the identity into the
+factor group under the instance's own ``factor_mul``, where every check
+would compare a value with itself.
 """
 
 import random
 
 from amalgam.errors import IncompatibleHom, PreconditionViolated, too_long
 from amalgam.normalform import Alt
-from amalgam.padic import PAdicRational, unipotent
+from amalgam.padic import PAdicRational, padic_sum, unipotent
 
 _CHECK_SEED = 0x5E7
 
 
 class Target:
-    """An abelian group, written additively, whose values compare with ``==``."""
+    """An abelian group, written additively, whose values compare with ``==``.
 
-    __slots__ = ("name", "zero", "add", "value_str", "embeds")
+    ``total(values)`` is the sum of a list of values.  A target that can
+    add many values at once faster than pairwise passes ``total``; one
+    built without it gets the fold of ``add`` from ``zero``, which gives
+    the same sum.
+    """
 
-    def __init__(self, name, zero, add, value_str):
+    __slots__ = ("name", "zero", "add", "value_str", "embeds", "total")
+
+    def __init__(self, name, zero, add, value_str, total=None):
         self.name = name
         self.zero = zero
         self.add = add
@@ -31,6 +41,17 @@ class Target:
         # PAdicRational values can sit in the upper-right entry of a
         # unipotent matrix
         self.embeds = isinstance(zero, PAdicRational)
+        self.total = _fold(zero, add) if total is None else total
+
+
+def _fold(zero, add):
+    """The n-ary sum of a target that supplies only ``add``."""
+    def total(values):
+        acc = zero
+        for v in values:
+            acc = add(acc, v)
+        return acc
+    return total
 
 
 def _identity(n, x):
@@ -39,6 +60,14 @@ def _identity(n, x):
 
 def _drop_centre(n, x):
     return (x[0], x[1])
+
+
+def _pair_total(values):
+    x = y = 0
+    for a, b in values:
+        x += a
+        y += b
+    return (x, y)
 
 
 def _pair_str(a):
@@ -80,20 +109,26 @@ class LevelwiseHom:
 
 
 def phi_eval(g, hom):
-    """Image of g under hom's level maps, summed in any order (abelian target)."""
-    add, phi = hom.target.add, hom.phi
-    acc = hom.target.zero
+    """Image of g under hom's level maps, summed in any order (abelian target).
+
+    Walks g's letters on an explicit stack, maps each value with
+    ``hom.phi`` at its form's level and sums the images with one call to
+    the target's ``total``.
+    """
+    phi = hom.phi
+    images = []
+    push = images.append
     forms = [g]
     while forms:
         f = forms.pop()
         n = f.level
-        acc = add(acc, phi(n, f.tail))
+        push(phi(n, f.tail))
         for letter in f.letters:
             if type(letter) is Alt:
                 forms.append(letter)
             else:
-                acc = add(acc, phi(n, letter))
-    return acc
+                push(phi(n, letter))
+    return hom.target.total(images)
 
 
 def in_kernel(g, hom):
@@ -117,12 +152,23 @@ def psi_eval(g, hom):
 def standard_target(sys):
     """The abelian group that ``standard_hom(sys)`` lands in."""
     kind = sys.kind
-    if kind in ("dense", "cyclic"):
+    if kind == "dense":
+        p = sys.p
         return Target(
-            name="Z[1/p]" if kind == "dense" else f"Z/{sys.modulus}",
+            name="Z[1/p]",
             zero=sys.factor_id(),
             add=sys.factor_mul,
             value_str=sys.value_str,
+            total=lambda values: padic_sum(values, p),
+        )
+    if kind == "cyclic":
+        modulus = sys.modulus
+        return Target(
+            name=f"Z/{modulus}",
+            zero=sys.factor_id(),
+            add=sys.factor_mul,
+            value_str=sys.value_str,
+            total=lambda values: sum(values) % modulus,
         )
     if kind == "heisenberg":
         return Target(
@@ -130,6 +176,7 @@ def standard_target(sys):
             zero=(0, 0),
             add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
             value_str=_pair_str,
+            total=_pair_total,
         )
     raise PreconditionViolated(f"no standard hom for instance kind {kind!r}")
 
@@ -141,8 +188,10 @@ def standard_hom(sys):
     Z[1/p] or Z/p**L, whose sums are the instance's own group law and whose
     values print as the instance's.  Such a family is a compatible family
     of homomorphisms by definition, so ``LevelwiseHom`` does not sample it.
-    heisenberg: drop the central z coordinate, landing in (Z^2, +); that
-    family is sampled.
+    A form's images are summed in one pass: per ``den_exp`` by
+    ``padic.padic_sum``, or as one integer sum mod p**L.
+    heisenberg: drop the central z coordinate, landing in (Z^2, +), summed
+    componentwise; that family is sampled.
     """
     target = standard_target(sys)
     phi = _drop_centre if sys.kind == "heisenberg" else _identity

@@ -4,9 +4,11 @@ Every value is a normalized pair ``num / p**den_exp``; arithmetic is exact
 with arbitrary-precision integers throughout, so long witness words cannot
 overflow.  ``PAdicRational``'s constructor is the one normalization; its
 ``+`` and ``*`` build their results through it and serve ``psi``'s
-matrices.  The dense instance does its own arithmetic on the pairs and
-builds each result in place, as ``from_normalized`` does, without a call.
-``check_prime`` validates the prime every instance is built on.
+matrices; ``padic_sum`` adds a whole list of values, normalizing once,
+for the dense ``phi`` target.  The dense instance does its own arithmetic
+on the pairs and builds each result in place, as ``from_normalized``
+does, without a call.  ``check_prime`` validates the prime every
+instance is built on.
 """
 
 from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
@@ -134,11 +136,38 @@ class PAdicRational:
         return f"PAdicRational({self.num}, {self.den_exp}, p={self.p})"
 
 
+def padic_sum(values, p):
+    """The sum of PAdicRationals over the prime p, normalized once.
+
+    The sum that folding ``+`` would give, without a value per step: the
+    numerators are added per ``den_exp``, each sum is brought over the
+    largest ``den_exp`` with each distinct power of p computed once, and
+    the total is normalized as the constructor does.  The values are
+    trusted to share p.
+    """
+    by_exp = {}
+    get = by_exp.get
+    for x in values:
+        k = x.den_exp
+        by_exp[k] = get(k, 0) + x.num
+    top = max(by_exp, default=0)
+    num = 0
+    for k, s in by_exp.items():
+        num += s if k == top else s * p ** (top - k)
+    if num == 0:
+        return from_normalized(0, 0, p)
+    while top and num % p == 0:
+        num //= p
+        top -= 1
+    return from_normalized(num, top, p)
+
+
 def from_normalized(num, den_exp, p):
     """The PAdicRational num / p**den_exp of a pair that is already normalized.
 
     Skips ``__init__``'s normalization; ``zero``, ``one``, ``parse_padic``'s
-    integers and the dense instance's ``sample_base`` build with it.
+    integers, ``padic_sum`` and the dense instance's ``sample_base`` build
+    with it.
     """
     x = object.__new__(PAdicRational)
     x.num = num

@@ -15,8 +15,9 @@ from amalgam.homs import (
     standard_hom,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import inv, mul, reduce_word
-from amalgam.padic import PAdicRational, mat_mul
+from amalgam.normalform import Alt, inject, inv, mul, reduce_word
+from amalgam.padic import PAdicRational, mat_mul, padic_sum, unipotent
+from amalgam.suites import random_form
 from amalgam.wordexpr import eval_expr, parse_expr
 
 
@@ -225,3 +226,124 @@ def test_standard_hom_unknown_kind(dense):
 
     with pytest.raises(PreconditionViolated):
         standard_hom(Odd())
+
+
+# -- Target.total ------------------------------------------------------------
+
+STANDARD = [("dense", 5, None), ("heisenberg", 3, None),
+            ("cyclic", 2, {"L": 3})]
+
+
+def fold(target, values):
+    acc = target.zero
+    for v in values:
+        acc = target.add(acc, v)
+    return acc
+
+
+def images(g, hom):
+    """hom's image of every value in g, as phi_eval maps them."""
+    out, forms = [], [g]
+    while forms:
+        f = forms.pop()
+        out.append(hom.phi(f.level, f.tail))
+        for letter in f.letters:
+            if type(letter) is Alt:
+                forms.append(letter)
+            else:
+                out.append(hom.phi(f.level, letter))
+    return out
+
+
+def sample_forms(sys):
+    """Random forms, level-0 forms and one form nested 60 levels deep."""
+    rng = random.Random(34)
+    forms = [random_form(sys, rng, rng.choice((1, 8, 40)), 6)
+             for _ in range(60)]
+    forms += [inject(sys, 0, sys.sample(0, rng)) for _ in range(10)]
+    flat = " ".join(f"h{n}({sys.value_str(sys.escape_elem(n - 1))})"
+                    for n in range(60, 0, -1))
+    deep = eval_expr(sys, parse_expr(flat, sys))
+    assert deep.level == 60 and type(deep.letters[-1]) is Alt
+    return forms + [deep]
+
+
+@pytest.mark.parametrize("kind,p,params", STANDARD)
+def test_standard_total_is_the_fold(kind, p, params):
+    sys = make_instance(kind, p, params)
+    hom = standard_hom(sys)
+    target = hom.target
+    for g in sample_forms(sys):
+        values = images(g, hom)
+        assert target.total(values) == fold(target, values)
+        assert target.total(values[:1]) == values[0]
+    assert target.total([]) == target.zero
+
+
+@pytest.mark.parametrize("kind,p,params", STANDARD)
+def test_phi_psi_text_and_kernel_match_the_fold(kind, p, params):
+    sys = make_instance(kind, p, params)
+    hom = standard_hom(sys)
+    target = hom.target
+    forms = sample_forms(sys)
+    # commutators lie in the kernel of every map into an abelian group
+    forms += [mul(sys, a, b, inv(sys, a), inv(sys, b))
+              for a, b in zip(forms[:20], forms[20:40])]
+    for g in forms:
+        want = fold(target, images(g, hom))
+        assert target.value_str(phi_eval(g, hom)) == target.value_str(want)
+        assert in_kernel(g, hom) is (want == target.zero)
+        if target.embeds:
+            assert str(psi_eval(g, hom)) == str(unipotent(want))
+    assert all(in_kernel(g, hom) for g in forms[-20:])
+    assert not all(in_kernel(g, hom) for g in forms[:20])
+
+
+class CountingPrime(int):
+    """A prime that records the exponent of each power taken of it."""
+
+    def __new__(cls, p, powers):
+        self = super().__new__(cls, p)
+        self.powers = powers
+        return self
+
+    def __pow__(self, e):
+        self.powers.append(e)
+        return int(self) ** e
+
+
+def test_padic_sum_over_exponents_in_the_thousands():
+    rng = random.Random(36)
+    exps = (0, 1, 3, 700, 2500, 4000)
+    values = [PAdicRational(rng.randint(-10**6, 10**6), rng.choice(exps), 5)
+              for _ in range(300)]
+    total = fold(standard_hom(make_instance("dense", 5)).target, values)
+    assert total.den_exp == 4000
+    # with it, the sum is 3: normalizing descends all 4,000 powers of 5
+    cancel = PAdicRational(-total.num, 4000, 5) + P(3)
+    for vs, want in ((values, total), (values + [cancel], P(3))):
+        powers = []
+        got = padic_sum(vs, CountingPrime(5, powers))
+        assert (got.num, got.den_exp) == (want.num, want.den_exp)
+        # one power per distinct den_exp below the largest
+        gaps = {4000 - v.den_exp for v in vs} - {0}
+        assert sorted(powers) == sorted(gaps) and len(gaps) >= 5
+
+
+def test_target_without_total_folds_add(dense):
+    calls = []
+
+    def add(a, b):
+        calls.append((a, b))
+        return a + b
+
+    target = Target(name="Z[1/p]", zero=P(0), add=add, value_str=str)
+    values = [P(1, 1), P(3, 2), P(-8, 1), P(2)]
+    assert target.total(values) == P(0) + P(1, 1) + P(3, 2) + P(-8, 1) + P(2)
+    assert len(calls) == len(values) and calls[0][0] == P(0)
+    assert target.total([]) == P(0)
+    hom = LevelwiseHom(dense, target, _identity)
+    g = eval_expr(dense, parse_expr("h1(2/5) h0(3) h2(1/25) h1(1/5)", dense))
+    calls.clear()
+    assert phi_eval(g, hom) == phi_eval(g, standard_hom(dense))
+    assert len(calls) == len(images(g, hom))

@@ -24,6 +24,7 @@ from amalgam.normalform import (
     mul,
     reduce_word,
 )
+from amalgam.oracle import naive_reduce
 from amalgam.padic import PAdicRational
 from amalgam.suites import check_lemma21, sample_lemma21_inputs
 from amalgam.witnesses import (
@@ -733,6 +734,29 @@ def test_verify_verdicts_match_full_replay(name, p, params):
         for label in ("level-1", "level+1", "k=level", "level=0"):
             assert verdicts[kind, label] == {False}
     assert len(verdicts) == 9 + 11
+
+
+def oracle_word(sysx, cert):
+    """The syllables a certificate's result reduces: its tree, or g h g^-1."""
+    if type(cert) is EscapeCertificate:
+        g = wordexpr.parse_expr(cert.g_expr, sysx)
+        h = wordexpr.parse_expr(cert.h_expr, sysx)
+        e = wordexpr.ProdE((g, h, wordexpr.InvE(g)))
+    else:
+        e = wordexpr.parse_expr(cert.tree_expr, sysx)
+    return wordexpr.expr_to_word(sysx, e)
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_certificates_agree_with_the_oracle(name, p, params):
+    # verify replays the engine's own eval_expr, so a fault in mul that it
+    # repeats would pass it; the oracle shares no reduction code with the
+    # engine (a d = 5 tree lowers to 1,024 syllables)
+    sysx = make_instance(name, p, params)
+    for cert in sample_certificates(sysx):
+        form = naive_reduce(sysx, oracle_word(sysx, cert))
+        assert wordexpr.form_expr_str(sysx, form) == cert.result_expr, \
+            cert.to_json_dict()
 
 
 def _refuse_replay(monkeypatch, *names):
