@@ -17,7 +17,9 @@ null), 3 violated
 precondition or unusable parameters (among them a prime of 2**64 or more, a
 negative witness argument, a derived depth above 8, a factor level above
 10,000, and a level or value too long for Python to read or print as a
-decimal, and a ``check --samples`` count below 1 or above ``SAMPLES_BOUND``,
+decimal, which a ``witness`` whose inverse escape letter is one meets
+before it evaluates anything, and a ``check --samples`` count below 1 or
+above ``SAMPLES_BOUND``,
 100,000), 4 a certificate failed verification (among them one whose cyclic
 ``L`` is above 10,000 or whose cyclic ``chain_shift`` or ``max_level`` is a
 bool, one whose ``k`` is negative or ``d`` outside 0..8, as the generators

@@ -10,8 +10,16 @@ The contract is what the normal-form engine, the oracle, the homomorphism
 layer and the witness generators program against; concrete systems live in
 ``instances``.  ``check_instance`` is the one check of the contract: every
 constructor runs it on a few samples, and ``amalgam check instance`` and the
-acceptance run run it on many.  ``randint`` is the one integer draw behind
-every seeded sampler and check.
+acceptance run run it on many.
+
+Every seeded draw is ``random.Random.randint``'s own rejection loop over
+``getrandbits``: for a range of width w, draw ``k = w.bit_length()`` bits
+until the draw is below w.  So a seed gives the integers ``rng.randint``
+gives and leaves the generator in the same state.  ``randint`` is that loop
+as a call, for draws made once per word or per sample; the per-sample
+draws (each instance's ``sample`` and ``sample_base``, a random word's
+levels, ``check_instance``'s levels) write it out in place, with the same
+k and the same bound, so they cost no Python call.
 """
 
 import random
@@ -38,7 +46,9 @@ def randint(rng, a, b):
     handling of ``randrange``: on a shared 2-vCPU Xeon VM with Python 3.11,
     ``timeit`` puts a draw in [-625, 625] at 250-295 ns, against 500-760 ns
     for ``rng.randint``.  An empty range raises ``ValueError``, as
-    ``rng.randint`` does; the loop would never exit on one.
+    ``rng.randint`` does; the loop would never exit on one.  The hot
+    samplers write this loop out in place (see the module docstring); any
+    change to it changes theirs too.
     """
     n = b - a + 1
     if n <= 0:
@@ -193,6 +203,10 @@ def check_instance(sys, samples, seed):
     """
     max_level = max(1, min(6, sys.max_level))
     rng = random.Random(seed)
+    # n is randint(rng, 1, max_level), m is randint(rng, 0, n - 1), each
+    # randint's loop in place
+    getrandbits = rng.getrandbits
+    n_bits = max_level.bit_length()
     checks = {
         "split_exact": 0,
         "split_rep_fixed": 0,
@@ -210,7 +224,10 @@ def check_instance(sys, samples, seed):
         if sys.in_base(n, sys.escape_elem(n)):
             checks["escape_proper"] += 1
     for _ in range(samples):
-        n = randint(rng, 1, max_level)
+        n = getrandbits(n_bits)
+        while n >= max_level:
+            n = getrandbits(n_bits)
+        n += 1
         h = sys.sample(n, rng)
         z = sys.sample_base(n - 1, rng)
         # h z is in h's coset, and outside B_{n-1} when h is: the residue
@@ -227,7 +244,10 @@ def check_instance(sys, samples, seed):
         rep3, _ = sys.split(n, hz, e)
         if rep3 != rep:
             checks["split_coset"] += 1
-        m = randint(rng, 0, n - 1)
+        m_bits = n.bit_length()
+        m = getrandbits(m_bits)
+        while m >= n:
+            m = getrandbits(m_bits)
         bm = sys.sample_base(m, rng)
         crep, cb = sys.split(n + 1, bm, e)
         if sys.factor_mul(crep, cb) != bm:

@@ -13,11 +13,16 @@
 """
 
 from amalgam.errors import InvalidParams, LiteralError, int_literal, too_long
-from amalgam.factors import LEVEL_BOUND, FactorSystem, randint
-from amalgam.padic import PAdicRational, check_prime, from_normalized, parse_padic
+from amalgam.factors import LEVEL_BOUND, FactorSystem
+from amalgam.padic import PAdicRational, check_prime, parse_padic
 
 
 _new = object.__new__
+
+# Samples draw with ``factors.randint``'s loop written in place, k bits at a
+# time until the draw is below the range's width w, k = w.bit_length(): a
+# draw in [-625, 625] takes 11-bit draws below 1251, one in [0, 3] 3-bit
+# draws below 4, one in [-3, 3] 3-bit draws below 7.
 
 
 def valuation(num, p):
@@ -65,7 +70,8 @@ class DenseInstance(FactorSystem):
     each result normalized (p does not divide num unless den_exp is 0),
     and build each result value in place, with ``object.__new__`` and its
     three slots, as ``from_normalized`` would but without the call.
-    ``sample`` builds through ``PAdicRational``'s normalizing constructor.
+    ``sample`` and ``sample_base`` do too: they draw inline and normalize
+    as ``factor_mul`` does.
     """
 
     kind = "dense"
@@ -154,12 +160,30 @@ class DenseInstance(FactorSystem):
         return valuation(x.num, self.p) + 1
 
     def sample(self, n, rng):
-        return PAdicRational(
-            randint(rng, -625, 625), randint(rng, 0, 3), self.p)
+        getrandbits = rng.getrandbits
+        num = getrandbits(11)
+        while num >= 1251:
+            num = getrandbits(11)
+        k = getrandbits(3)
+        while k >= 4:
+            k = getrandbits(3)
+        num -= 625
+        p = self.p
+        while k and num % p == 0:
+            num //= p
+            k -= 1
+        z = _new(PAdicRational)
+        z.num, z.den_exp, z.p = num, k, p
+        return z
 
     def sample_base(self, n, rng):
-        return from_normalized(
-            randint(rng, -625, 625) * self._powers[n], 0, self.p)
+        getrandbits = rng.getrandbits
+        num = getrandbits(11)
+        while num >= 1251:
+            num = getrandbits(11)
+        z = _new(PAdicRational)
+        z.num, z.den_exp, z.p = (num - 625) * self._powers[n], 0, self.p
+        return z
 
     def parse_value(self, text):
         return parse_padic(text, self.p)
@@ -209,11 +233,24 @@ class HeisenbergInstance(FactorSystem):
         return valuation(a[2], self.p) + 1
 
     def sample(self, n, rng):
-        return (randint(rng, -3, 3), randint(rng, -3, 3),
-                randint(rng, -625, 625))
+        getrandbits = rng.getrandbits
+        x = getrandbits(3)
+        while x >= 7:
+            x = getrandbits(3)
+        y = getrandbits(3)
+        while y >= 7:
+            y = getrandbits(3)
+        z = getrandbits(11)
+        while z >= 1251:
+            z = getrandbits(11)
+        return x - 3, y - 3, z - 625
 
     def sample_base(self, n, rng):
-        return (0, 0, self._powers[n] * randint(rng, -625, 625))
+        getrandbits = rng.getrandbits
+        z = getrandbits(11)
+        while z >= 1251:
+            z = getrandbits(11)
+        return (0, 0, self._powers[n] * (z - 625))
 
     def parse_value(self, text):
         s = text.strip()
@@ -293,11 +330,21 @@ class FiniteCyclicInstance(FactorSystem):
         return max(0, valuation(x, self.p) + 1 - self.chain_shift)
 
     def sample(self, n, rng):
-        return randint(rng, 0, self.modulus - 1)
+        getrandbits, width = rng.getrandbits, self.modulus
+        bits = width.bit_length()
+        x = getrandbits(bits)
+        while x >= width:
+            x = getrandbits(bits)
+        return x
 
     def sample_base(self, n, rng):
         q = self._powers[min(n + self.chain_shift, self.L)]
-        return q * randint(rng, 0, self.modulus // q - 1)
+        getrandbits, width = rng.getrandbits, self.modulus // q
+        bits = width.bit_length()
+        x = getrandbits(bits)
+        while x >= width:
+            x = getrandbits(bits)
+        return q * x
 
     def parse_value(self, text):
         residue = int_literal(

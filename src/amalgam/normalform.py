@@ -67,16 +67,27 @@ class Alt:
         self.tail = tail
 
     def __eq__(self, other):
-        """Structural equality, walking nested left letters with a stack."""
+        """Structural equality, walking nested left letters with a stack.
+
+        Identity is tested first, for the forms, each pair of letters and
+        the tails: forms share letters and values, and one object is equal
+        to itself, so a shared nested letter is never walked and a shared
+        value is never compared.
+        """
+        if self is other:
+            return True
         stack = [(self, other)]
         while stack:
             f, g = stack.pop()
             if type(g) is not Alt:
                 return False
-            if (f.level != g.level or f.tail != g.tail
+            if (f.level != g.level
+                    or f.tail is not g.tail and f.tail != g.tail
                     or len(f.letters) != len(g.letters)):
                 return False
             for a, b in zip(f.letters, g.letters):
+                if a is b:
+                    continue
                 if type(a) is Alt:
                     stack.append((a, b))
                 elif type(b) is Alt or a != b:
@@ -191,7 +202,10 @@ def identity(sys):
 
 
 def is_identity(sys, form):
-    return form.level == 0 and form.tail == sys.factor_id()
+    if form.level:
+        return False
+    one = sys.factor_id()
+    return form.tail is one or form.tail == one
 
 
 def inject(sys, n, x):

@@ -29,11 +29,17 @@ from amalgam.witnesses import lemma21_check
 
 
 def random_word(sys, rng, max_len, max_level):
-    max_level = min(max_level, sys.max_level)
+    """randint(rng, 0, max_len) syllables, each at a level drawn in
+    [0, max_level] with ``randint``'s loop in place, then sampled there."""
+    width = min(max_level, sys.max_level) + 1
+    bits = width.bit_length()
+    getrandbits, sample = rng.getrandbits, sys.sample
     out = []
     for _ in range(randint(rng, 0, max_len)):
-        n = randint(rng, 0, max_level)
-        out.append((n, sys.sample(n, rng)))
+        n = getrandbits(bits)
+        while n >= width:
+            n = getrandbits(bits)
+        out.append((n, sample(n, rng)))
     return out
 
 

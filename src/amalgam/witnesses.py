@@ -72,6 +72,18 @@ def _conjugate(sys, h, g, m):
     return mul(sys, g, h, inv(sys, g))
 
 
+def _check_printable(sys, m):
+    """Raise ``too_long()`` if the inverse escape letter at m + 1 cannot print.
+
+    Conjugating or commuting by the letter h_{m+1}(escape_elem(m)) leaves
+    its inverse's representative in the result, so a value past the
+    int-string limit there would be refused only when the result prints,
+    after all the work.  Call it once m + 1 has passed ``check_level``.
+    """
+    inverse = sys.factor_inv(sys.escape_elem(m))
+    sys.value_str(sys.split(m + 1, inverse, sys.factor_id())[0])
+
+
 def _check_bounds(k, d=None):
     """Raise unless k >= 0 and, for a tree (d not None), 0 <= d <= 8."""
     if d is None:
@@ -194,6 +206,7 @@ def escape_witness(sys, h, k, seed=None):
     if h.level == 0:
         m = max(m, sys.base_escape_level(h.tail))
     g = inject(sys, m + 1, sys.escape_elem(m))
+    _check_printable(sys, m)
     result = _conjugate(sys, h, g, m)
     return EscapeCertificate(
         **sys.descriptor(),
@@ -228,9 +241,15 @@ def derived_escape(sys, d, k, seed=None):
     level before any B_L test), and the root's level after it: the
     certificate claims only that the root has level max(k, d) + 1 > k.
     Depths above 8 are refused, since the work grows exponentially with d.
+    For d >= 1 a top whose inverse leaf cannot print is refused before
+    evaluation (``_check_printable``); a lone leaf (d = 0) has no inverse.
     """
     _check_bounds(k, d)
     top = max(k, d)
+    if d:
+        # refused before the leaves' B_L tests, each a power of p
+        sys.check_level(top + 1)
+        _check_printable(sys, top)
     for L in range(top - d, top + 1):
         if inject(sys, L + 1, sys.escape_elem(L)).level != L + 1:
             raise PreconditionViolated(

@@ -38,3 +38,28 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def count_calls():
+    """``count(func, thunk)``: thunk's value and the calls it makes to func.
+
+    Calls are counted with ``sys.setprofile`` by the function's code
+    object, so a call through any name or bound method counts; the profile
+    is removed when thunk returns or raises.
+    """
+    def count(func, thunk):
+        code, calls = func.__code__, [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            value = thunk()
+        finally:
+            sys.setprofile(None)
+        return value, calls[0]
+
+    return count

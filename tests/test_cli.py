@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from amalgam import cli, witnesses
 from amalgam.cli import SAMPLES_BOUND, main
 from amalgam.factors import LEVEL_BOUND
-from amalgam.instances import _Powers
+from amalgam.instances import _Powers, make_instance
+from amalgam.wordexpr import expr_str
 
 GOLDEN_TEXT = "Alt(1; R:2/5; tail 1), level=1"
 
@@ -337,6 +338,8 @@ DEEP_PARENS = "(" * 1200 + "h0(1/5)" + ")" * 1200
     ("reduce", "h7000(-1)"),
     ("reduce", "h300(-1)", "--prime", "18446744073709551557"),
     ("witness", "derived", "1", "6200"),
+    ("witness", "derived", "8", "9999", "--prime", "18446744073709551557"),
+    ("witness", "escape", "h1(1)", "9999", "--prime", "18446744073709551557"),
     ("level", "h" + "9" * 5000 + "(1)"),
     # sample counts outside 1..SAMPLES_BOUND
     ("check", "axioms", "--samples", "-5"),
@@ -378,6 +381,26 @@ def test_huge_prime_deep_tree_is_refused_with_few_powers(capsys, monkeypatch,
     assert err.startswith("error: number too long") and err.count("\n") == 1
     large = [e for e in computed if e > 100]
     assert large and len(large) == len(set(large)) <= 10
+
+
+def test_huge_prime_deep_tree_level_computes_each_power_once(capsys,
+                                                            monkeypatch):
+    # witness derived now refuses that tree before evaluating it; level
+    # evaluates it in full and prints no value
+    big = make_instance("dense", 18446744073709551557)
+    tree = expr_str(big, witnesses._build_tree(big, 4, 9999))
+    missing, computed = _Powers.__missing__, []
+
+    def computing(self, e):
+        computed.append(e)
+        return missing(self, e)
+
+    monkeypatch.setattr(_Powers, "__missing__", computing)
+    code, out, err = run(capsys, "level", tree, "--prime",
+                         "18446744073709551557")
+    assert (code, out, err) == (0, "level=10000\n", "")
+    large = [e for e in computed if e > 100]
+    assert sorted(large) == list(range(9995, 10000))
 
 
 def test_deep_flat_word_level_is_answered(capsys):

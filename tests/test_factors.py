@@ -1,4 +1,5 @@
-"""The one integer draw, and ``check_instance`` seeing each contract clause fail.
+"""The integer draw, the samplers that write it in place, and
+``check_instance`` seeing each contract clause fail.
 
 Each fault fixture below breaks one clause of the factor-system contract.
 The constructor's probe would refuse it, so ``Unprobed`` skips the probe and
@@ -10,8 +11,14 @@ import random
 import pytest
 
 from amalgam.factors import check_instance, randint
-from amalgam.instances import DenseInstance, HeisenbergInstance, valuation
-from amalgam.padic import from_normalized
+from amalgam.instances import (
+    DenseInstance,
+    FiniteCyclicInstance,
+    HeisenbergInstance,
+    valuation,
+)
+from amalgam.padic import PAdicRational, from_normalized
+from amalgam.suites import random_word
 
 RANGES = [(0, 0), (0, 1), (0, 3), (0, 4), (0, 6), (-625, 625),
           (0, 2**64), (1, 2**70), (-2**70, -1), (-3, 3), (-7, -7)]
@@ -42,6 +49,86 @@ def test_randint_refuses_an_empty_range(a, b):
     with pytest.raises(ValueError):
         randint(rng, a, b)
     assert rng.getstate() == state
+
+
+# Each instance's (sample, sample_base) written with ``randint``, each taking
+# (sys, n, rng): the reference its in-place draws must match.
+DENSE_REFERENCE = (
+    lambda sys, n, rng: PAdicRational(
+        randint(rng, -625, 625), randint(rng, 0, 3), sys.p),
+    lambda sys, n, rng: from_normalized(
+        randint(rng, -625, 625) * sys.p ** n, 0, sys.p))
+HEISENBERG_REFERENCE = (
+    lambda sys, n, rng: (randint(rng, -3, 3), randint(rng, -3, 3),
+                         randint(rng, -625, 625)),
+    lambda sys, n, rng: (0, 0, sys.p ** n * randint(rng, -625, 625)))
+
+
+def cyclic_base(sys, n, rng):
+    q = sys.p ** min(n + sys.chain_shift, sys.L)
+    return q * randint(rng, 0, sys.modulus // q - 1)
+
+
+CYCLIC_REFERENCE = (
+    lambda sys, n, rng: randint(rng, 0, sys.modulus - 1), cyclic_base)
+
+SAMPLERS = [
+    (lambda: DenseInstance(2), DENSE_REFERENCE),
+    (lambda: DenseInstance(5), DENSE_REFERENCE),
+    (lambda: DenseInstance(18446744073709551557), DENSE_REFERENCE),
+    (lambda: HeisenbergInstance(3), HEISENBERG_REFERENCE),
+    (lambda: FiniteCyclicInstance(2, 3), CYCLIC_REFERENCE),
+    (lambda: FiniteCyclicInstance(3, 5, chain_shift=2), CYCLIC_REFERENCE),
+]
+SAMPLER_IDS = ["dense2", "dense5", "dense-2**64", "heisenberg3", "cyclic2-L3",
+               "cyclic3-L5-shift2"]
+
+
+def reference_word(sys, rng, sample, max_len, max_level):
+    max_level = min(max_level, sys.max_level)
+    out = []
+    for _ in range(randint(rng, 0, max_len)):
+        n = randint(rng, 0, max_level)
+        out.append((n, sample(sys, n, rng)))
+    return out
+
+
+def same_values(got, want):
+    # a dense value must also be normalized as the constructor normalizes
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("make,reference", SAMPLERS, ids=SAMPLER_IDS)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_in_place_draws_are_randint_draws(make, reference, seed):
+    sys = make()
+    sample, sample_base = reference
+    ours, twin = random.Random(seed), random.Random(seed)
+    for n in range(7):
+        for _ in range(20):
+            assert same_values(sys.sample(n, ours), sample(sys, n, twin))
+            assert same_values(sys.sample_base(n, ours),
+                               sample_base(sys, n, twin))
+        for max_len in (0, 1, 12):
+            assert same_values(random_word(sys, ours, max_len, n),
+                               reference_word(sys, twin, sample, max_len, n))
+    assert ours.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("make", [lambda: DenseInstance(5),
+                                  lambda: HeisenbergInstance(3),
+                                  lambda: FiniteCyclicInstance(2, 3)],
+                         ids=["dense", "heisenberg", "cyclic"])
+def test_per_sample_draws_make_no_randint_call(make, count_calls):
+    # work-count guard: each per-sample draw is randint's loop in place;
+    # a word draws its length, once, through randint
+    sys = make()
+    report, calls = count_calls(randint, lambda: check_instance(sys, 50, 1))
+    assert report["ok"] and calls == 0
+    rng = random.Random(3)
+    for _ in range(20):
+        _, calls = count_calls(randint, lambda: random_word(sys, rng, 12, 6))
+        assert calls == 1
 
 
 class Unprobed:
@@ -223,3 +310,26 @@ def test_check_instance_reports_the_broken_clause(cls, check, also, seed):
 def test_unfaulted_bases_pass_the_same_check():
     for cls in (DenseInstance, HeisenbergInstance):
         assert check_instance(cls(5), 100, 7)["ok"]
+
+
+# check_instance's reports on three faults with every draw made through
+# ``randint``: the in-place draws must find the same failures
+PINNED_CHECKS = {
+    (MovedRep, 1): {"split_rep_fixed": 300, "split_coset": 94},
+    (MovedRep, 7): {"split_rep_fixed": 300, "split_coset": 86},
+    (MovedRep, 11): {"split_rep_fixed": 300, "split_coset": 89},
+    (SplitIgnoresTail, 1): {"split_exact": 299},
+    (SplitIgnoresTail, 7): {"split_exact": 300},
+    (SplitIgnoresTail, 11): {"split_exact": 300},
+    (CentralSplitDropsTail, 1): {"chain_exact": 273},
+    (CentralSplitDropsTail, 7): {"chain_exact": 276},
+    (CentralSplitDropsTail, 11): {"chain_exact": 275},
+}
+
+
+@pytest.mark.parametrize("cls,seed", PINNED_CHECKS,
+                         ids=[f"{cls.__name__}-{seed}" for cls, seed in PINNED_CHECKS])
+def test_check_instance_reports_are_pinned(cls, seed):
+    report = check_instance(cls(5), 300, seed)
+    want = dict.fromkeys(report["checks"], 0) | PINNED_CHECKS[cls, seed]
+    assert report["checks"] == want

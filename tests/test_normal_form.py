@@ -191,6 +191,61 @@ def test_shared_and_copied_forms_are_equal_and_hash_equal(name, request):
         assert hash(form) == hash(c)
 
 
+def test_eq_of_shared_letters_compares_no_value(dense, count_calls):
+    # work-count guard: a product with the identity keeps f's letters and
+    # tail, and == takes a shared object as equal without comparing it
+    rng = random.Random(22)
+    word = []
+    while len(word) < 200:
+        word += rand_word(dense, rng, 16, 6)
+    f = reduce_word(dense, word[:200])
+    g = mul(dense, f, identity(dense))
+    assert len(f.letters) > 20 and distinct_nested(f) > 20
+    equal, calls = count_calls(PAdicRational.__eq__, lambda: f == g)
+    assert equal and calls == 0
+
+
+def deepest_path(form):
+    """The longest chain of forms from ``form`` down, each an L-letter above
+    level 0 of the one before, to one with no such letter."""
+    longest = [form]
+    for letter in form.letters:
+        if type(letter) is Alt and letter.level > 0:
+            below = [form] + deepest_path(letter)
+            if len(below) > len(longest):
+                longest = below
+    return longest
+
+
+def with_deepest_letter(form, letter):
+    """``form`` with the last R-letter at the end of ``deepest_path``
+    replaced by ``letter``, sharing every other letter and tail."""
+    child, changed = None, letter
+    for parent in reversed(deepest_path(form)):
+        letters = list(parent.letters)
+        i = max(i for i, x in enumerate(letters)
+                if (x is child if child is not None else type(x) is not Alt))
+        letters[i] = changed
+        child, changed = parent, Alt(parent.level, tuple(letters), parent.tail)
+    return changed
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_eq_sees_a_deep_change_under_shared_letters(name, request):
+    sys = request.getfixturevalue(name)
+    f = eval_expr(sys, _build_tree(sys, 4, 4))
+    path = deepest_path(f)
+    assert len(path) >= 4
+    old = [x for x in path[-1].letters if type(x) is not Alt][-1]
+    new = sys.factor_mul(old, sys.escape_elem(0))
+    assert new != old
+    g = with_deepest_letter(f, new)
+    # the forms share all but the letters on the path
+    assert sum(a is b for a, b in zip(f.letters, g.letters)) == len(f.letters) - 1
+    assert f != g and g != f
+    assert with_deepest_letter(f, old) == f
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_assemble_of_a_lone_left_letter_matches_mul(name, request):
     # a level-m L-letter's form times b in B_{n-1}: mul only multiplies the

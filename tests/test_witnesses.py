@@ -812,3 +812,31 @@ def test_claim_above_every_atom_is_not_evaluated(monkeypatch, name, p,
     _refuse_replay(monkeypatch, "eval_expr")
     for cert in bad:
         assert verify(cert) is False
+
+
+def test_unprintable_escape_letters_are_refused_before_evaluation(
+        monkeypatch, int_digit_limit):
+    # the inverse leaf at level 10,000 is p**9999 - 1, past the limit; the
+    # refusal comes before any product is formed
+    big = make_instance("dense", 18446744073709551557)
+    h = inject(big, 1, big.escape_elem(0))
+
+    def evaluated(*args):
+        raise AssertionError("evaluated a tree that cannot print")
+
+    monkeypatch.setattr(witnesses, "eval_expr", evaluated)
+    monkeypatch.setattr(witnesses, "_conjugate", evaluated)
+    for d in (1, 8):
+        with pytest.raises(PreconditionViolated, match="^number too long"):
+            derived_escape(big, d, 9999)
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        escape_witness(big, h, 9999)
+
+
+def test_a_lone_leaf_is_exempt_from_the_inverse_check(int_digit_limit):
+    # 5**6200 - 1 has 4,334 digits, but a depth-0 tree has no inverse leaf
+    dense = make_instance("dense", 5)
+    cert = derived_escape(dense, 0, 6200)
+    assert cert.tree_expr == cert.result_expr == "h6201(1)"
+    with pytest.raises(PreconditionViolated, match="^number too long"):
+        derived_escape(dense, 1, 6200)
