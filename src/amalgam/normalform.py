@@ -146,6 +146,12 @@ def render(form, syntax, value_str, one=None):
     a dict keyed by ``id`` (``==`` walks a whole form) records the slice of
     pieces its first rendering spans, for a later occurrence to copy; the
     ``after`` that the end of an enclosing group drops is never in a slice.
+    Each distinct value is formatted once per call: the same dict keeps its
+    text under its ``id``.  The form holds every group and value for the
+    whole call, so no two of their ids collide; a key by value would run a
+    dense value's ``__hash__`` and ``__eq__`` in Python at every occurrence.
+    A tail is compared with ``one`` by identity first, as ``Alt.__eq__`` and
+    ``is_identity`` do.
     """
     n, letters, tail = form.level, iter(form.letters), form.tail
     if n == 0:
@@ -156,13 +162,22 @@ def render(form, syntax, value_str, one=None):
     while True:
         for letter in letters:
             if type(letter) is not Alt:
-                out.append(f"{pre}{value_str(letter)}{post}")
+                x = seen.get(key := id(letter))
+                if x is None:
+                    x = seen[key] = value_str(letter)
+                out.append(f"{pre}{x}{post}")
                 continue
             if letter.level == 0:
-                out.append(f"{i0}{value_str(letter.tail)}{i1}")
-            elif len(letter.letters) == 1 and letter.tail == one:
-                out.append(f"{syntax[letter.level][1]}"
-                           f"{value_str(letter.letters[0])}{post}")
+                x = seen.get(key := id(letter.tail))
+                if x is None:
+                    x = seen[key] = value_str(letter.tail)
+                out.append(f"{i0}{x}{i1}")
+            elif len(letter.letters) == 1 and (
+                    letter.tail is one or letter.tail == one):
+                x = seen.get(key := id(letter.letters[0]))
+                if x is None:
+                    x = seen[key] = value_str(letter.letters[0])
+                out.append(f"{syntax[letter.level][1]}{x}{post}")
             else:
                 key = id(letter)
                 text = seen.get(key)
@@ -176,10 +191,13 @@ def render(form, syntax, value_str, one=None):
                     text = seen[key] = "".join(out[text])
                 out += (text, after)
         else:
-            if tail == one:
+            if tail is one or tail == one:
                 out[-1] = out[-1][:-len(after)]
             else:
-                out.append(f"{t0}{value_str(tail)}{t1}")
+                x = seen.get(key := id(tail))
+                if x is None:
+                    x = seen[key] = value_str(tail)
+                out.append(f"{t0}{x}{t1}")
             if not pending:
                 return "".join(out)
             pre, letters, tail, key, start = pending.pop()

@@ -20,6 +20,8 @@ expression or form is bounded by memory, not by Python's stack:
 * ``parse_expr`` makes one left-to-right pass.  A compiled pattern reads a
   whole atom (with its inversion suffix and the whitespace after it) in one
   match, and each open ``(`` or ``[`` is a frame on an explicit stack.
+  Atoms spelled alike share one node, so the AST is a DAG as soon as an
+  atom repeats, and the factor system parses each distinct literal once.
 * ``eval_expr`` evaluates on the tree's structure.  A bare atom goes
   through ``normalform.inject``; any other subtree without commutators is
   lowered to flat syllables (``expr_to_word``) and reduced in one
@@ -40,9 +42,12 @@ expression or form is bounded by memory, not by Python's stack:
   ``form_expr_str`` and ``format_form`` are ``normalform.render`` in two
   ``Syntax``es.  Evaluation shares forms, so a result form is a DAG: at
   d = 8 its 16,773 nested forms are 229 objects, and ``render`` walks each
-  once per call and copies its text where it recurs.
+  once per call and copies its text where it recurs.  It formats each
+  distinct value object once: the 797 values a dense d = 6 result prints
+  are 81 objects.
 
-The memos of ``eval_expr`` and ``render`` live for one call.
+The memos of ``parse_expr`` (atoms by their text), ``eval_expr`` and
+``render`` live for one call.
 """
 
 import re
@@ -123,14 +128,10 @@ def _inverted(m, e):
 def _atom(src, pos, sys):
     """(atom, suffix match after it) for the atom at src[pos] == 'h'.
 
-    One ``_ATOM`` match reads the literals of every shipped instance.  Any
-    other atom, a malformed one included, is read piece by piece, which
-    balances deeper parentheses and finds the position of an error.
+    ``parse_expr`` reads an atom that ``_ATOM`` matches itself; this reads
+    any other, a malformed one included, piece by piece, which balances
+    deeper parentheses and finds the position of an error.
     """
-    m = _ATOM.match(src, pos)
-    if m is not None:
-        atom = AtomE(int_text(m.group(1)), sys.parse_value(m.group(2)))
-        return atom, m
     start = pos + 1
     digits = _DIGITS.match(src, start)
     if digits.end() == start:
@@ -158,16 +159,33 @@ def parse_expr(src, sys):
     ``[opener, enclosing terms, first commutator operand]``; ``terms``
     collects the product being read inside the innermost group.  Positions
     in error messages point past any whitespace, at the offending character.
+
+    An atom that ``_ATOM`` matches is read here, any other by ``_atom``.
+    Matches with the same level digits and literal text share one
+    ``AtomE``, kept in a dict for the call, so each such literal goes
+    through ``parse_value`` once: a derived tree of depth d has 2**d
+    leaves but d + 1 distinct ones.  A bad literal raises at its first
+    occurrence, as each occurrence would.
     """
     groups = []
     terms = []
+    atoms = {}
     end = len(src)
     pos = _WS.match(src).end()
     while True:
         # a term starts here
         c = src[pos:pos + 1]
         if c == "h":
-            atom, m = _atom(src, pos, sys)
+            m = _ATOM.match(src, pos)
+            if m is None:
+                atom, m = _atom(src, pos, sys)
+            else:
+                key = m.group(1, 2)
+                atom = atoms.get(key)
+                if atom is None:
+                    digits, literal = key
+                    atom = atoms[key] = AtomE(int_text(digits),
+                                              sys.parse_value(literal))
             terms.append(_inverted(m, atom))
             pos = m.end()
         elif c == "(" or c == "[":

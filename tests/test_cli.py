@@ -289,6 +289,20 @@ def test_literal_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("expr,code,message", [
+    ("h0(1/3) h0(1/3)", 2,
+     "error: denominator in '1/3' is not a power of the prime 5"),
+    ("h1(2) h0(1/3)^-1 [h0(1/3), h1(2)]", 2,
+     "error: denominator in '1/3' is not a power of the prime 5"),
+    (f"h0({'1' * 5000}) h1(1) h0({'1' * 5000})^-1", 3,
+     "error: number too long: more than 4300 decimal digits"),
+])
+def test_a_repeated_bad_literal_exits_as_once(capsys, int_digit_limit, expr,
+                                              code, message):
+    # the parser reads equal atoms once; the first still raises as before
+    assert run(capsys, "reduce", expr) == (code, "", message + "\n")
+
+
 def test_bad_prime_is_precondition_error(capsys):
     code, _, err = run(capsys, "reduce", "h0(1)", "--prime", "4")
     assert code == 3

@@ -17,7 +17,7 @@ from amalgam.normalform import (
     reduce_word,
 )
 from amalgam.padic import PAdicRational
-from amalgam.witnesses import _build_tree
+from amalgam.witnesses import _build_tree, derived_escape
 from amalgam.wordexpr import (
     AtomE,
     CommE,
@@ -815,3 +815,128 @@ def test_form_expr_str_reuses_a_group_that_closed_its_parent(dense):
     assert form_expr_str(dense, form) == \
         f"{x_text} h3(1) {s_text} h3(1) {x_text} h0(1/5)"
     assert form_expr_str(dense, form) == reference_form_expr_str(dense, form)
+
+
+# -- one format per distinct value, one parse per distinct atom --------------
+
+
+def printed_values(sys, form):
+    """The value objects ``form_expr_str`` prints, by ``id``.
+
+    Each distinct nested form is walked once, on an explicit stack: its
+    R-letters, the tails of its level-0 letters, and its tail if that is
+    not the identity.
+    """
+    one = sys.factor_id()
+    values, seen, stack = {}, set(), [form]
+    while stack:
+        f = stack.pop()
+        for letter in f.letters:
+            if type(letter) is not Alt:
+                values[id(letter)] = letter
+            elif letter.level == 0:
+                values[id(letter.tail)] = letter.tail
+            elif id(letter) not in seen:
+                seen.add(id(letter))
+                stack.append(letter)
+        if f.tail != one:
+            values[id(f.tail)] = f.tail
+    return values
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_form_expr_str_formats_each_distinct_value_once(name, p, params,
+                                                        count_calls):
+    # work-count guard: a derived result prints hundreds of values held by
+    # a few objects, and each object is formatted once
+    sysx = make_instance(name, p, params)
+    cert = derived_escape(sysx, 6, 0)
+    form = eval_expr(sysx, parse_expr(cert.tree_expr, sysx))
+    text, calls = count_calls(type(sysx).value_str,
+                              lambda: form_expr_str(sysx, form))
+    assert text == cert.result_expr
+    assert calls == len(printed_values(sysx, form))
+    assert 10 * calls < text.count("h")
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_parse_expr_parses_each_distinct_literal_once(name, p, params,
+                                                      count_calls):
+    # a depth-6 derived tree has 64 leaves but 7 distinct ones
+    sysx = make_instance(name, p, params)
+    cert = derived_escape(sysx, 6, 0)
+    tree, calls = count_calls(type(sysx).parse_value,
+                              lambda: parse_expr(cert.tree_expr, sysx))
+    assert calls == 6 + 1
+    assert cert.tree_expr.count("h") == 2 ** 6
+    assert expr_str(sysx, tree) == cert.tree_expr
+    atoms, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is AtomE:
+            atoms.add(id(node))
+        else:
+            stack += (node.a, node.b)
+    assert len(atoms) == 6 + 1
+
+
+def test_equal_values_print_alike_shared_or_not(dense, heis):
+    # the printer keys values by identity: equal values held as distinct
+    # objects print as one shared object does
+    for sysx, fresh in ((dense, lambda: PAdicRational(2, 1, 5)),
+                        (heis, lambda: tuple([1, -2, 3]))):
+        a, b = fresh(), fresh()
+        assert a == b and a is not b
+        forms = []
+        for x, y in ((a, a), (a, b)):
+            low = Alt(0, (), y)
+            inner = Alt(1, (x, low, y), x)
+            forms.append(Alt(2, (y, inner, x, low, y, Alt(1, (y,), x)), y))
+        shared, distinct = forms
+        assert form_expr_str(sysx, distinct) == form_expr_str(sysx, shared) \
+            == reference_form_expr_str(sysx, shared)
+        assert format_form(sysx, distinct) == format_form(sysx, shared)
+
+
+def test_a_tail_equal_to_the_identity_prints_as_the_identity(dense, heis):
+    # a tail == the identity that is another object drops as the identity
+    # object does, in a group, in a bare one-letter form and at the top
+    for sysx, zero, x in (
+            (dense, PAdicRational(0, 0, 5), PAdicRational(1, 1, 5)),
+            (heis, heis.factor_mul((1, 0, 0), (-1, 0, 0)), (1, 0, 0))):
+        one = sysx.factor_id()
+        assert zero == one and zero is not one
+        texts = []
+        for tail in (one, zero):
+            bare = Alt(1, (x,), tail)
+            group = Alt(1, (x, Alt(0, (), x)), tail)
+            form = Alt(2, (x, bare, x, group), tail)
+            texts.append((form_expr_str(sysx, form),
+                          form_expr_str(sysx, bare), format_form(sysx, form)))
+        assert texts[0] == texts[1]
+        v = sysx.value_str(x)
+        assert texts[0][:2] == (
+            f"h2({v}) h1({v}) h2({v}) (h1({v}) h0({v}))", f"h1({v})")
+
+
+def test_atoms_spelled_alike_share_one_node(dense):
+    e = parse_expr("h1(1/5) h1(1/5)^-1 h1(1/5)", dense)
+    a, b, c = e.terms
+    assert type(a) is AtomE and type(b) is InvE
+    assert a is b.child is c
+    assert (a.level, a.value) == (1, PAdicRational(1, 1, 5))
+    form = eval_expr(dense, e)
+    assert form == reduce_word(dense, expr_to_word(dense, e))
+    assert form_expr_str(dense, form) == "h1(1/5)"
+
+
+@pytest.mark.parametrize("text", [
+    "h0(1/3) h0(1/3)",
+    "h1(2) h0(1/3)^-1 h0(1/3)",
+    "[h0(1/3), (h0(1/3))^-1]",
+])
+def test_a_repeated_bad_literal_raises_as_once(dense, text):
+    with pytest.raises(LiteralError) as exc_info:
+        parse_expr(text, dense)
+    assert str(exc_info.value) == \
+        "denominator in '1/3' is not a power of the prime 5"
