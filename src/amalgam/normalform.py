@@ -144,12 +144,16 @@ def render(form, syntax, value_str, one=None):
     ``mul`` and ``eval_expr`` share nested forms, so each group is walked
     once per call: it suspends its parent's letter iterator on a stack, and
     a dict keyed by ``id`` (``==`` walks a whole form) records the slice of
-    pieces its first rendering spans, for a later occurrence to copy; the
-    ``after`` that the end of an enclosing group drops is never in a slice.
-    Each distinct value is formatted once per call: the same dict keeps its
-    text under its ``id``.  The form holds every group and value for the
-    whole call, so no two of their ids collide; a key by value would run a
-    dense value's ``__hash__`` and ``__eq__`` in Python at every occurrence.
+    pieces its first rendering spans, for a later occurrence to copy with
+    its ``after``; the ``after`` that the end of an enclosing group drops is
+    never in a slice.  The dict keeps a level-0 or bare letter's text under
+    its ``id`` too, and every nested letter is looked up there before the
+    level, one-letter and tail tests, so a repeat costs one lookup and no
+    tail comparison.  Each distinct value is formatted once per call: the
+    same dict keeps its text under its ``id``.  The form holds every group
+    and value for the whole call, so no two of their ids collide; a key by
+    value would run a dense value's ``__hash__`` and ``__eq__`` in Python
+    at every occurrence.
     A tail is compared with ``one`` by identity first, as ``Alt.__eq__`` and
     ``is_identity`` do.
     """
@@ -167,29 +171,29 @@ def render(form, syntax, value_str, one=None):
                     x = seen[key] = value_str(letter)
                 out.append(f"{pre}{x}{post}")
                 continue
-            if letter.level == 0:
-                x = seen.get(key := id(letter.tail))
-                if x is None:
-                    x = seen[key] = value_str(letter.tail)
-                out.append(f"{i0}{x}{i1}")
-            elif len(letter.letters) == 1 and (
-                    letter.tail is one or letter.tail == one):
-                x = seen.get(key := id(letter.letters[0]))
-                if x is None:
-                    x = seen[key] = value_str(letter.letters[0])
-                out.append(f"{syntax[letter.level][1]}{x}{post}")
-            else:
-                key = id(letter)
-                text = seen.get(key)
-                if text is None:
+            text = seen.get(key := id(letter))
+            if text is None:
+                if letter.level == 0:
+                    x = seen.get(x_key := id(letter.tail))
+                    if x is None:
+                        x = seen[x_key] = value_str(letter.tail)
+                    text = f"{i0}{x}{i1}"
+                elif len(letter.letters) == 1 and (
+                        letter.tail is one or letter.tail == one):
+                    x = seen.get(x_key := id(letter.letters[0]))
+                    if x is None:
+                        x = seen[x_key] = value_str(letter.letters[0])
+                    text = f"{syntax[letter.level][1]}{x}{post}"
+                else:
                     pending.append((pre, letters, tail, key, len(out)))
                     head, pre = syntax[letter.level]
                     out += (opener, head)
                     letters, tail = iter(letter.letters), letter.tail
                     break
-                if type(text) is slice:
-                    text = seen[key] = "".join(out[text])
-                out += (text, after)
+                seen[key] = text
+            elif type(text) is slice:
+                text = seen[key] = "".join(out[text]) + after
+            out.append(text)
         else:
             if tail is one or tail == one:
                 out[-1] = out[-1][:-len(after)]

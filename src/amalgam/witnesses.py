@@ -20,7 +20,9 @@ canonical text with the claim byte for byte, and runs the generators' own
 checks (``_check_bounds``, ``_conjugate``), so replay refuses what they would.
 Generation and replay evaluate a derived tree with the same ``eval_expr``:
 ``_build_tree`` builds only the expression, so a change to evaluation
-reaches both.
+reaches both.  It builds the tree as a DAG of (d+1)(d+2)/2 nodes, one per
+distinct subtree, and ``parse_expr`` gives the replayed tree the same
+shape, so both print and evaluate each distinct subtree once.
 """
 
 import json
@@ -43,10 +45,11 @@ from amalgam.wordexpr import (
     reaches_level,
 )
 
-# The tree has 2**d leaves but (d+1)(d+2)/2 distinct subtrees, each
-# evaluated once; the result's text grows about 3.6x per level and the cost
-# about 3x.  On a 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 35 ms to
-# generate and as long to verify (315 KB), depth 9 about 0.1 s each (1.1 MB).
+# The tree has 2**d leaves but (d+1)(d+2)/2 distinct subtrees, and its AST
+# is a DAG of that many nodes, each built, printed and evaluated once; the
+# result's text grows about 3.6x per level and the cost about 3x.  On a
+# 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 35 ms to generate and as
+# long to verify (315 KB), depth 9 about 0.1 s each (1.1 MB).
 _MAX_DEPTH = 8
 
 
@@ -223,13 +226,18 @@ def escape_witness(sys, h, k, seed=None):
 def _build_tree(sys, j, L):
     """Perfect commutator tree of depth j topped at level L+1, as an AST.
 
-    Leaves are fresh escape letters h_{L+1}(escape_elem(L)); each internal
-    node is [deeper, shallower], kept at full level by the
-    conjugation-level fact.
+    Leaves are fresh escape letters h_{n+1}(escape_elem(n)); each internal
+    node T(i, n) = [T(i-1, n), T(i-1, n-1)] is [deeper, shallower], kept at
+    full level by the conjugation-level fact.  The tree is built row by
+    row, so each distinct subtree is one node object that all its parents
+    share: j + 1 atoms, one per level, and (j+1)(j+2)/2 nodes in all for
+    the 2**(j+1) - 1 places of the tree.
     """
-    if j == 0:
-        return AtomE(L + 1, sys.escape_elem(L))
-    return CommE(_build_tree(sys, j - 1, L), _build_tree(sys, j - 1, L - 1))
+    # row i holds T(i, L - j + i), ..., T(i, L), lowest level first
+    row = [AtomE(n + 1, sys.escape_elem(n)) for n in range(L - j, L + 1)]
+    for _ in range(j):
+        row = list(map(CommE, row[1:], row))
+    return row[0]
 
 
 def derived_escape(sys, d, k, seed=None):

@@ -303,6 +303,27 @@ def test_a_repeated_bad_literal_exits_as_once(capsys, int_digit_limit, expr,
     assert run(capsys, "reduce", expr) == (code, "", message + "\n")
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/5)", "expected ']' (at position 36)"),
+    ("[h1(1/5), h0(1/5)] [h1(1/5) h0(1/5)]", "expected ',' (at position 35)"),
+    ("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/3)]",
+     "denominator in '1/3' is not a power of the prime 5"),
+    ("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/5)]^-1",
+     "unexpected trailing input (at position 37)"),
+    ("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/5)]] [h1(1/5), h0(1/5)]",
+     "unexpected trailing input (at position 37)"),
+    ("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/5)] [",
+     "expected 'h', '[' or '(' (at position 39)"),
+    ("[[h1(1/5), h0(1/5)], [h1(1/5), h0(1/5)]] "
+     "[[h1(1/5), h0(1/5)], [h1(1/5), h0(1/5)],]",
+     "expected ']' (at position 80)"),
+])
+def test_a_repeated_bad_group_exits_as_once(capsys, expr, message):
+    # the parser shares a group spelled like an earlier one only once it
+    # has closed, so a malformed repeat fails where and as it always did
+    assert run(capsys, "level", expr) == (2, "", f"error: {message}\n")
+
+
 def test_bad_prime_is_precondition_error(capsys):
     code, _, err = run(capsys, "reduce", "h0(1)", "--prime", "4")
     assert code == 3

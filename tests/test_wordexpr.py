@@ -686,8 +686,9 @@ def test_equal_values_at_other_levels_are_other_atoms(dense):
 
 
 def test_derived_tree_evaluates_each_distinct_subtree_once(dense, monkeypatch):
-    # T(j, L) = [T(j-1, L), T(j-1, L-1)] at d = 6 has 127 nodes but only
-    # 7 distinct leaves and 21 distinct commutators
+    # T(j, L) = [T(j-1, L), T(j-1, L-1)] at d = 6 occurs at 127 places
+    # but has only 7 distinct leaves and 21 distinct commutators, and
+    # _build_tree and parse_expr both give it as a DAG of those 28 nodes
     injected, combined, inverted = [], [], []
     inject_atom = wordexpr.inject
     combine, combine_inv = wordexpr._combine, wordexpr._combine_inv
@@ -928,6 +929,104 @@ def test_atoms_spelled_alike_share_one_node(dense):
     form = eval_expr(dense, e)
     assert form == reduce_word(dense, expr_to_word(dense, e))
     assert form_expr_str(dense, form) == "h1(1/5)"
+
+
+def test_commutators_spelled_alike_share_one_node(dense):
+    e = parse_expr("[h1(1/5), h0(1/5)] [h1(1/5), h0(1/5)]", dense)
+    a, b = e.terms
+    assert type(a) is CommE and a is b
+    # another spelling is another node, over the same shared atoms
+    other = parse_expr("[h1(1/5), h0(1/5)] [h1(1/5),h0(1/5)]", dense)
+    c, d = other.terms
+    assert c is not d and c.a is d.a and c.b is d.b
+    form = reduce_word(dense, expr_to_word(dense, e))
+    assert eval_expr(dense, e) == eval_expr(dense, other) == form
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_expr_str_formats_each_distinct_atom_once(name, p, params,
+                                                  count_calls):
+    # work-count guard: a built depth-6 tree prints 64 leaves held by 7 atoms
+    sysx = make_instance(name, p, params)
+    tree = _build_tree(sysx, 6, 6)
+    text, calls = count_calls(type(sysx).value_str,
+                              lambda: expr_str(sysx, tree))
+    assert calls == 6 + 1
+    assert text.count("h") == 2 ** 6
+    assert expr_str(sysx, parse_expr(text, sysx)) == text
+
+
+def test_eval_expr_hashes_each_atom_object_once(dense, count_calls):
+    # work-count guard: nodes are looked up by identity first, so a value's
+    # Python __hash__ runs for the first sight of each of the 7 atoms only
+    tree = _build_tree(dense, 6, 6)
+    want = eval_expr(dense, tree)
+    for e in (tree, parse_expr(expr_str(dense, tree), dense)):
+        form, calls = count_calls(PAdicRational.__hash__,
+                                  lambda: eval_expr(dense, e))
+        assert form == want
+        assert calls <= 6 + 1
+
+
+def test_form_expr_str_compares_each_nested_form_once(dense, count_calls):
+    # work-count guard: a repeated nested letter is found by identity before
+    # its tail is compared with the identity, at most once per nested form
+    # plus once for the top tail
+    form = eval_expr(dense, _build_tree(dense, 6, 6))
+    nested, stack = set(), [form]
+    while stack:
+        for letter in stack.pop().letters:
+            if type(letter) is Alt and id(letter) not in nested:
+                nested.add(id(letter))
+                stack.append(letter)
+    text, calls = count_calls(PAdicRational.__eq__,
+                              lambda: form_expr_str(dense, form))
+    assert text == reference_form_expr_str(dense, form)
+    assert calls <= len(nested) + 1
+
+
+def test_repeated_nested_letters_print_alike_everywhere(dense, count_calls):
+    # a group, a bare one-letter form and a level-0 letter each recur
+    # under two parents and at the top; a one-letter form whose tail equals
+    # the identity without being it prints bare at each occurrence
+    one, fifth = PAdicRational(1, 0, 5), PAdicRational(1, 1, 5)
+    zero = PAdicRational(0, 0, 5)
+    s = Alt(1, (fifth, Alt(0, (), one)), fifth)
+    b = Alt(1, (one,), dense.factor_id())
+    z = Alt(0, (), fifth)
+    x = Alt(2, (one, s, one, b, one, z), dense.factor_id())
+    y = Alt(2, (s, fifth, b, fifth, z), fifth)
+    shared = Alt(3, (x, one, y, one, s, one, b, one, x), fifth)
+    bare = Alt(1, (fifth,), zero)
+    equal_tail = Alt(3, (one, bare, one, Alt(2, (bare, one), zero), one, bare),
+                     zero)
+    s_text = "(h1(1/5) h0(1) h0(1/5))"
+    x_text = f"(h2(1) {s_text} h2(1) h1(1) h2(1) h0(1/5))"
+    s_layout = "L:(Alt(1; R:1/5; L:(Base(1)); tail 1/5))"
+    b_layout = "L:(Alt(1; R:1; tail 0))"
+    x_layout = (f"L:(Alt(2; R:1; {s_layout}; R:1; {b_layout}; R:1; "
+                "L:(Base(1/5)); tail 0))")
+    bare_layout = "L:(Alt(1; R:1/5; tail 0))"
+    for form, text, human in (
+            (shared,
+             f"{x_text} h3(1) ({s_text} h2(1/5) h1(1) h2(1/5) h0(1/5) "
+             f"h0(1/5)) h3(1) {s_text} h3(1) h1(1) h3(1) {x_text} h0(1/5)",
+             f"Alt(3; {x_layout}; R:1; L:(Alt(2; {s_layout}; R:1/5; "
+             f"{b_layout}; R:1/5; L:(Base(1/5)); tail 1/5)); R:1; "
+             f"{s_layout}; R:1; {b_layout}; R:1; {x_layout}; tail 1/5)"),
+            (equal_tail,
+             "h3(1) h1(1/5) h3(1) (h1(1/5) h2(1)) h3(1) h1(1/5)",
+             f"Alt(3; R:1; {bare_layout}; R:1; L:(Alt(2; {bare_layout}; "
+             f"R:1; tail 0)); R:1; {bare_layout}; tail 0)")):
+        assert form_expr_str(dense, form) == text
+        assert form_expr_str(dense, form) == \
+            reference_form_expr_str(dense, form)
+        assert format_form(dense, form) == human
+    # the tails equal to the identity: bare's at its first occurrence only,
+    # then the group's and the top's
+    _, calls = count_calls(PAdicRational.__eq__,
+                           lambda: form_expr_str(dense, equal_tail))
+    assert calls == 3
 
 
 @pytest.mark.parametrize("text", [
