@@ -21,8 +21,9 @@ checks (``_check_bounds``, ``_conjugate``), so replay refuses what they would.
 Generation and replay evaluate a derived tree with the same ``eval_expr``:
 ``_build_tree`` builds only the expression, so a change to evaluation
 reaches both.  It builds the tree as a DAG of (d+1)(d+2)/2 nodes, one per
-distinct subtree, and ``parse_expr`` gives the replayed tree the same
-shape, so both print and evaluate each distinct subtree once.
+distinct subtree, which ``eval_expr`` walks once per node; ``parse_expr``
+shares the replayed tree's d + 1 distinct atoms, and ``eval_expr`` finds
+each repeated group by its shape.
 """
 
 import json
@@ -46,7 +47,7 @@ from amalgam.wordexpr import (
 )
 
 # The tree has 2**d leaves but (d+1)(d+2)/2 distinct subtrees, and its AST
-# is a DAG of that many nodes, each built, printed and evaluated once; the
+# is a DAG of that many nodes, each built and evaluated once; the
 # result's text grows about 3.6x per level and the cost about 3x.  On a
 # 2-vCPU Xeon VM, depth 8 on dense p=5 takes about 35 ms to generate and as
 # long to verify (315 KB), depth 9 about 0.1 s each (1.1 MB).

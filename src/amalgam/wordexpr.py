@@ -20,12 +20,8 @@ expression or form is bounded by memory, not by Python's stack:
 * ``parse_expr`` makes one left-to-right pass.  A compiled pattern reads a
   whole atom (with its inversion suffix and the whitespace after it) in one
   match, and each open ``(`` or ``[`` is a frame on an explicit stack.
-  Atoms spelled alike share one node, and so do commutator groups once
-  they have closed, so the AST is a DAG as soon as a piece repeats and
-  the factor system parses each distinct literal once: a derived tree
-  T(j, L) = [T(j-1, L), T(j-1, L-1)] of depth d has 2**(d+1) - 1 nodes
-  but (d+1)(d+2)/2 distinct subtrees, and parses to that many objects,
-  as ``witnesses._build_tree`` builds it.
+  Atoms spelled alike share one node, so the AST is a DAG as soon as an
+  atom repeats, and the factor system parses each distinct literal once.
 * ``eval_expr`` evaluates on the tree's structure.  A bare atom goes
   through ``normalform.inject``; any other subtree without commutators is
   lowered to flat syllables (``expr_to_word``) and reduced in one
@@ -37,14 +33,15 @@ expression or form is bounded by memory, not by Python's stack:
   commutator-free subtree's form goes through ``inv`` (in a derived tree, a
   one-atom leaf), so no commutator-sized form is inverted, and a depth-d
   commutator tree never expands into its 4**d syllables.  Repeated
-  subtrees, equal atoms included, are evaluated once per call, and a node
-  object already evaluated is found by identity and not walked again.
+  subtrees, equal atoms included, are evaluated once per call: a derived
+  tree T(j, L) = [T(j-1, L), T(j-1, L-1)] of depth d has 2**(d+1) - 1
+  nodes but (d+1)(d+2)/2 distinct subtrees.  A node object already
+  evaluated is found by identity and not walked again, so the DAG that
+  ``witnesses._build_tree`` builds, one object per distinct subtree, is
+  walked once per object.
   ``witnesses.derived_escape`` generates with it and ``verify`` replays
   with it, so both evaluate a certificate's tree the same way.
-* ``expr_to_word``, ``expr_str`` and ``reaches_level`` keep explicit
-  stacks.  ``expr_str`` prints each distinct node object once per call and
-  copies its text where it recurs, so a derived tree's 2**d leaves format
-  d + 1 values.
+* ``expr_to_word``, ``expr_str`` and ``reaches_level`` keep explicit stacks.
   ``form_expr_str`` and ``format_form`` are ``normalform.render`` in two
   ``Syntax``es.  Evaluation shares forms, so a result form is a DAG: at
   d = 8 its 16,773 nested forms are 229 objects, and ``render`` walks each
@@ -52,8 +49,8 @@ expression or form is bounded by memory, not by Python's stack:
   distinct value object once: the 797 values a dense d = 6 result prints
   are 81 objects.
 
-The memos of ``parse_expr`` (atoms and closed groups by their text),
-``eval_expr``, ``expr_str`` and ``render`` live for one call.
+The memos of ``parse_expr`` (atoms by their text), ``eval_expr`` and
+``render`` live for one call.
 """
 
 import re
@@ -171,16 +168,11 @@ def parse_expr(src, sys):
     ``AtomE``, kept in a dict for the call, so each such literal goes
     through ``parse_value`` once: a derived tree of depth d has 2**d
     leaves but d + 1 distinct ones.  A bad literal raises at its first
-    occurrence, as each occurrence would.  The same dict interns each
-    ``[a, b]`` group by its exact source text, from ``[`` to ``]``, once it
-    has closed: a group spelled like an earlier one is that group's
-    ``CommE``, so a derived tree parses to one node per distinct subtree.
-    A repeat is still read, so it raises what and where it always would;
-    the same group spelled with other spacing is another, equal node.
+    occurrence, as each occurrence would.
     """
     groups = []
     terms = []
-    interned = {}
+    atoms = {}
     end = len(src)
     pos = _WS.match(src).end()
     while True:
@@ -192,15 +184,15 @@ def parse_expr(src, sys):
                 atom, m = _atom(src, pos, sys)
             else:
                 key = m.group(1, 2)
-                atom = interned.get(key)
+                atom = atoms.get(key)
                 if atom is None:
                     digits, literal = key
-                    atom = interned[key] = AtomE(int_text(digits),
-                                                 sys.parse_value(literal))
+                    atom = atoms[key] = AtomE(int_text(digits),
+                                              sys.parse_value(literal))
             terms.append(_inverted(m, atom))
             pos = m.end()
         elif c == "(" or c == "[":
-            groups.append([c, terms, None, pos])
+            groups.append([c, terms, None])
             terms = []
             pos = _WS.match(src, pos + 1).end()
             continue
@@ -233,11 +225,7 @@ def parse_expr(src, sys):
             else:
                 if c != "]":
                     raise ExprSyntaxError("expected ']'", pos)
-                key = src[group[3]:pos + 1]
-                comm = interned.get(key)
-                if comm is None:
-                    comm = interned[key] = CommE(group[2], e)
-                e = comm
+                e = CommE(group[2], e)
                 pos = _WS.match(src, pos + 1).end()
             groups.pop()
             terms = group[1]
@@ -414,53 +402,41 @@ def eval_expr(sys, e):
 def expr_str(sys, e):
     """Render an AST back to parseable text.
 
-    A stack of ``(iterator over pieces still to render, node, where its
-    text starts)``: strings are copied out, atoms are rendered in place,
-    and any other node suspends the current iterator while its own pieces
-    are rendered.  Each distinct node object is printed once per call: a
-    dict keyed by the node (AST nodes hash by identity) keeps an atom's
-    text, and the slice of pieces any other node's first rendering spans,
-    for a later occurrence to copy.  So a derived tree built or parsed as
-    a DAG formats each of its distinct atoms' values once.
+    A stack of iterators over pieces still to render: strings are copied
+    out, atoms are rendered in place, and any other node suspends the
+    current iterator while its own pieces are rendered.
     """
     vs = sys.value_str
-    out, seen = [], {}
-    stack = [(iter((e,)), None, 0)]
+    out = []
+    stack = [iter((e,))]
     while stack:
-        items, node, start = stack[-1]
-        for item in items:
+        for item in stack[-1]:
             t = type(item)
             if t is str:
                 out.append(item)
-                continue
-            text = seen.get(item)
-            if text is None:
-                if t is AtomE:
-                    text = seen[item] = f"h{item.level}({vs(item.value)})"
-                else:
-                    if t is InvE:
-                        child = item.child
-                        pieces = ((child, "^-1") if type(child) is AtomE
-                                  else ("(", child, ")^-1"))
-                    elif t is CommE:
-                        pieces = ("[", item.a, ", ", item.b, "]")
+            elif t is AtomE:
+                out.append(f"h{item.level}({vs(item.value)})")
+            elif t is InvE:
+                if type(item.child) is AtomE:
+                    out.append(f"h{item.child.level}({vs(item.child.value)})^-1")
+                    continue
+                stack.append(iter(("(", item.child, ")^-1")))
+                break
+            elif t is CommE:
+                stack.append(iter(("[", item.a, ", ", item.b, "]")))
+                break
+            else:
+                pieces = []
+                for c in item.terms:
+                    if type(c) is ProdE:
+                        pieces += (" (", c, ")")
                     else:
-                        pieces = []
-                        for c in item.terms:
-                            if type(c) is ProdE:
-                                pieces += (" (", c, ")")
-                            else:
-                                pieces += (" ", c)
-                        pieces[0] = pieces[0][1:]
-                    stack.append((iter(pieces), item, len(out)))
-                    break
-            elif type(text) is slice:
-                text = seen[item] = "".join(out[text])
-            out.append(text)
+                        pieces += (" ", c)
+                pieces[0] = pieces[0][1:]
+                stack.append(iter(pieces))
+                break
         else:
             stack.pop()
-            if node is not None:
-                seen[node] = slice(start, len(out))
     return "".join(out)
 
 

@@ -319,8 +319,8 @@ def test_a_repeated_bad_literal_exits_as_once(capsys, int_digit_limit, expr,
      "expected ']' (at position 80)"),
 ])
 def test_a_repeated_bad_group_exits_as_once(capsys, expr, message):
-    # the parser shares a group spelled like an earlier one only once it
-    # has closed, so a malformed repeat fails where and as it always did
+    # a malformed group after a well-formed one spelled alike fails where
+    # and as it would alone
     assert run(capsys, "level", expr) == (2, "", f"error: {message}\n")
 
 
