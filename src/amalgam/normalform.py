@@ -155,7 +155,7 @@ def render(form, syntax, value_str, one=None):
     value would run a dense value's ``__hash__`` and ``__eq__`` in Python
     at every occurrence.
     A tail is compared with ``one`` by identity first, as ``Alt.__eq__`` and
-    ``is_identity`` do.
+    ``is_identity`` do, and not by value when ``one`` is None.
     """
     n, letters, tail = form.level, iter(form.letters), form.tail
     if n == 0:
@@ -179,7 +179,8 @@ def render(form, syntax, value_str, one=None):
                         x = seen[x_key] = value_str(letter.tail)
                     text = f"{i0}{x}{i1}"
                 elif len(letter.letters) == 1 and (
-                        letter.tail is one or letter.tail == one):
+                        letter.tail is one
+                        or one is not None and letter.tail == one):
                     x = seen.get(x_key := id(letter.letters[0]))
                     if x is None:
                         x = seen[x_key] = value_str(letter.letters[0])
@@ -195,7 +196,7 @@ def render(form, syntax, value_str, one=None):
                 text = seen[key] = "".join(out[text]) + after
             out.append(text)
         else:
-            if tail is one or tail == one:
+            if tail is one or one is not None and tail == one:
                 out[-1] = out[-1][:-len(after)]
             else:
                 x = seen.get(key := id(tail))

@@ -245,22 +245,23 @@ def derived_escape(sys, d, k, seed=None):
     """A depth-d derived-series element of level above k.
 
     The tree is topped at level max(k, d) + 1, the least start the recursion
-    needs, and evaluated by ``eval_expr``, as ``verify`` replays it.  Each
-    leaf level is checked once before evaluation (``inject`` bounds the
-    level before any B_L test), and the root's level after it: the
-    certificate claims only that the root has level max(k, d) + 1 > k.
+    needs, and evaluated by ``eval_expr``, as ``verify`` replays it.  The
+    top level is bounded first; then each leaf level L is checked once
+    before evaluation, its escape value outside B_L, and the root's level
+    after it: the certificate claims only that the root has level
+    max(k, d) + 1 > k.
     Depths above 8 are refused, since the work grows exponentially with d.
     For d >= 1 a top whose inverse leaf cannot print is refused before
     evaluation (``_check_printable``); a lone leaf (d = 0) has no inverse.
     """
     _check_bounds(k, d)
     top = max(k, d)
+    # refused before the leaves' B_L tests, each a power of p
+    sys.check_level(top + 1)
     if d:
-        # refused before the leaves' B_L tests, each a power of p
-        sys.check_level(top + 1)
         _check_printable(sys, top)
     for L in range(top - d, top + 1):
-        if inject(sys, L + 1, sys.escape_elem(L)).level != L + 1:
+        if sys.in_base(L, sys.escape_elem(L)):
             raise PreconditionViolated(
                 f"escape_elem({L}) failed to reach level {L + 1}"
             )
