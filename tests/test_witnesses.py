@@ -508,7 +508,6 @@ def test_derived_escape_draws_each_leaf_value_once(name, p, params,
     assert calls == 7 + 1 + 7
 
 
-
 @pytest.mark.parametrize("name,p,params", INSTANCES)
 def test_derived_escape_injects_each_leaf_once(name, p, params, count_calls):
     # work-count guard: the leaf checks test B_L without building a form,
@@ -516,6 +515,7 @@ def test_derived_escape_injects_each_leaf_once(name, p, params, count_calls):
     sys = make_instance(name, p, params)
     _, calls = count_calls(inject, lambda: derived_escape(sys, 6, 3))
     assert calls == 7
+
 
 # Ceilings on the calls into the package (``count_package_calls``) that
 # derived_escape(sys, 6, 3) and verify of its JSON round trip make: the

@@ -982,13 +982,14 @@ def test_form_expr_str_compares_each_nested_form_once(dense, count_calls):
 def test_format_form_compares_no_tail_with_none(dense, count_calls):
     # work-count guard: with no identity to drop, layout prints every tail
     # and compares none, where each comparison was a dense __eq__(None);
-    # the SHA-256 of the text was recorded before the comparisons went
+    # the text's SHA-256 was recorded when every tail was still compared
     form = eval_expr(dense, _build_tree(dense, 6, 6))
     text, calls = count_calls(PAdicRational.__eq__,
                               lambda: format_form(dense, form))
     assert calls == 0
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ce80999ad8e92d271f999dbc3c75e76c6fdabd3bf34620bf15372ed205eb2be0")
+
 
 def test_repeated_nested_letters_print_alike_everywhere(dense, count_calls):
     # a group, a bare one-letter form and a level-0 letter each recur
