@@ -688,6 +688,64 @@ def test_repeated_subtrees_evaluate_as_lowered(name, p, params):
             assert eval_expr(sysx, tree) == want
 
 
+def grown_pool(sys, rng, count):
+    """count node objects, each built over those before it, with their roles.
+
+    A new node is an atom at level 0-4, or an inversion, commutator or
+    product whose children are drawn from the pool, so one object comes up
+    as a product term, as a commutator operand and under an inversion, in
+    one tree and across trees.  A node whose lowered word would pass 2,000
+    syllables is not added.  The roles map each child's id to the parent
+    types it occurs under.
+    """
+    pool, sizes, roles = [], [], {}
+    while len(pool) < count:
+        kind = rng.randrange(4) if pool else 0
+        if kind == 0:
+            n = rng.randint(0, 4)
+            pool.append(AtomE(n, sys.sample(n, rng)))
+            sizes.append(1)
+            continue
+        picks = [rng.randrange(len(pool))
+                 for _ in range(1 if kind == 1 else
+                                2 if kind == 2 else rng.randint(2, 4))]
+        kids = [pool[i] for i in picks]
+        size = sum(sizes[i] for i in picks) * (2 if kind == 2 else 1)
+        if size > 2000:
+            continue
+        e = (InvE(kids[0]) if kind == 1 else CommE(*kids) if kind == 2
+             else ProdE(kids))
+        for kid in kids:
+            roles.setdefault(id(kid), set()).add(type(e))
+        pool.append(e)
+        sizes.append(size)
+    return pool, roles
+
+
+@pytest.mark.parametrize("name,p,params", INSTANCES)
+def test_eval_of_a_shared_dag_matches_lowered_word(name, p, params,
+                                                   monkeypatch):
+    # every non-atom node of a grown pool as a root: the same objects recur
+    # in mixed roles at random, and no node object is combined twice
+    sysx = make_instance(name, p, params)
+    combine = wordexpr._combine
+    combined = []
+
+    def combining(sys, node, pairs):
+        combined.append(id(node))
+        return combine(sys, node, pairs)
+
+    monkeypatch.setattr(wordexpr, "_combine", combining)
+    pool, roles = grown_pool(sysx, random.Random(18), 200)
+    assert any(r == {InvE, CommE, ProdE} for r in roles.values())
+    roots = [e for e in pool if type(e) is not AtomE]
+    assert any(type(e) is ProdE and e.depth != 0 for e in roots)
+    for e in roots:
+        del combined[:]
+        assert eval_expr(sysx, e) == reduce_word(sysx, expr_to_word(sysx, e))
+        assert len(combined) == len(set(combined))
+
+
 def test_equal_values_at_other_levels_are_other_atoms(dense):
     x, y = PAdicRational(1, 0, 5), PAdicRational(1, 1, 5)
     texts = ["[h1(1), h2(1)]", "[h2(1), h2(1)]", "[h1(1/5), h0(1/5)] h1(1/5)",
