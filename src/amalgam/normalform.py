@@ -261,9 +261,9 @@ def mul(sys, f, *gs):
     f opens the root frame at the higher level of f and the first operand;
     each later operand is folded up to the root's level, or lifts it in
     place, and meets its top letter, two L-letters opening a child frame
-    that ``_close`` folds back.  A reopened L-letter that this call closed
-    keeps its list; an operand's is copied.  The root is assembled once, at
-    the end.
+    that ``_close`` folds back.  A reopened L-letter that this call closed,
+    or built in lifting the root, keeps its list; an operand's is copied.
+    The root is assembled once, at the end.
     """
     if not gs:
         return _assemble(sys, f.level, f.letters, f.tail)
@@ -275,8 +275,12 @@ def mul(sys, f, *gs):
             root, gletters = _open(sys, f, g)
             frames.append(root)
         elif g.level > root[0]:
-            # lift the root in place, g's tail taking the residue
+            # lift the root in place, g's tail taking the residue; an Alt
+            # that _fold built on the root's own list is one this call closed
+            old = root[1]
             root[1], root[2] = _fold(sys, *root, g.level, g.tail)
+            if root[1] and root[1][0].letters is old:
+                closed[id(root[1][0])] = root[1][0]
             root[0] = g.level
             gletters = iter(g.letters)
         else:

@@ -25,18 +25,18 @@ expression or form is bounded by memory, not by Python's stack:
 * ``eval_expr`` evaluates on the tree's structure.  A bare atom goes
   through ``normalform.inject``; any other subtree without commutators is
   lowered to flat syllables (``expr_to_word``) and reduced in one
-  ``reduce_word`` pass.  Above them, each node carries its form together
-  with its inverse, where a parent needs that: a commutator [a, b] is one
-  four-operand product a b a^-1 b^-1, its inverse b a b^-1 a^-1; a product
-  is one ``mul`` of its terms' forms, its inverse one of their inverses in
-  reverse; an inversion swaps its child's pair.  Only a
-  commutator-free subtree's form goes through ``inv`` (in a derived tree, a
-  one-atom leaf), so no commutator-sized form is inverted, and a depth-d
-  commutator tree never expands into its 4**d syllables.  Repeated
-  subtrees, equal atoms included, are evaluated once per call: a derived
-  tree T(j, L) = [T(j-1, L), T(j-1, L-1)] of depth d has 2**(d+1) - 1
-  nodes but (d+1)(d+2)/2 distinct subtrees.  A node object already
-  evaluated is found by identity and not walked again, so the DAG that
+  ``reduce_word`` pass.  Each distinct subtree, equal atoms included, is
+  evaluated once per call, when it is first reached, into its form and,
+  below the root, its inverse: a commutator [a, b] is one four-operand
+  product a b a^-1 b^-1, its inverse b a b^-1 a^-1; a product is one
+  ``mul`` of its terms' forms, its inverse one of their inverses in
+  reverse; an inversion swaps its child's pair.  Only a commutator-free
+  subtree's form goes through ``inv`` (in a derived tree, a one-atom
+  leaf), so no commutator-sized form is inverted, and a depth-d
+  commutator tree never expands into its 4**d syllables.  A derived tree
+  T(j, L) = [T(j-1, L), T(j-1, L-1)] of depth d has 2**(d+1) - 1 nodes
+  but (d+1)(d+2)/2 distinct subtrees.  A node object already evaluated is
+  found by identity and not walked again, so the DAG that
   ``witnesses._build_tree`` builds, one object per distinct subtree, is
   walked once per object.
   ``witnesses.derived_escape`` generates with it and ``verify`` replays
@@ -329,72 +329,53 @@ def eval_expr(sys, e):
     Each maximal commutator-free subtree (``depth`` 0) is one ``inject``
     call if it is a bare atom, else one ``reduce_word`` pass; the nodes
     above them combine (form, inverse) pairs (see the module docstring).
-    Subtrees are visited left to right on an explicit stack of ``(node,
-    whether its inverse is wanted, its children's keys so far)``.  The
-    operands of a commutator or an inversion need their inverses, a
-    product's terms need theirs when the product's is wanted, and the
-    root's is never wanted.
+    A post-order walk, left to right on an explicit stack of ``(node, its
+    children's keys so far)``, builds every distinct subtree once per
+    call: its form and, unless it is the root, its inverse.
 
-    Each distinct subtree is evaluated once per call.  Its key, a small
-    int, is interned from its shape: ``(level, value)`` for a bare atom,
-    the node itself (by identity) for any other commutator-free subtree,
-    and the type with the children's keys for a node above them.  So
-    equal atoms, and structurally equal subtrees above them, share one
-    pair however the tree was built.  Each node is looked up by identity
-    first, in the same dict, so a shape (and a dense value's Python
-    ``__hash__``) is computed the first time a node object is seen only.
-    A node object seen before is not walked again unless its inverse is
-    now wanted and not yet built; a structurally equal repeat is walked,
-    but costs lookups, not products.  An inverse first wanted at a repeat
-    is built then, alone, from the children's pairs, and the form already
-    built stays the one object every parent shares.  The pairs live in a
-    list that dies with the call, and a root without commutators is
-    evaluated directly.
+    A subtree's key, a small int, is interned from its shape: ``(level,
+    value)`` for a bare atom, the node itself (by identity) for any other
+    commutator-free subtree, and the type with the children's keys for a
+    node above them.  So equal atoms, and structurally equal subtrees above
+    them, share one pair however the tree was built.  Each node is looked
+    up by identity first, in the same dict, so a shape (and a dense value's
+    Python ``__hash__``) is computed the first time a node object is seen
+    only, and a node object seen before is not walked again.  A
+    structurally equal repeat is walked, but costs lookups, not products.
+    The pairs live in a list that dies with the call, and a root without
+    commutators is evaluated directly.
     """
     if e.depth == 0:
         return _flat(sys, e)
-    keys, pairs = {}, []
-    pending = []
-    node, want = e, False
+    keys, pairs, pending = {}, [], []
+    node = e
     while True:
         key = keys.get(node)
-        if key is None or want and pairs[key][1] is None:
+        if key is None:
             if node.depth != 0:
-                pending.append((node, want, []))
-                want = want or type(node) is not ProdE
+                pending.append((node, []))
                 node = _children(node)[0]
                 continue
-            if key is None:
-                shape = (node.level, node.value) if type(node) is AtomE \
-                    else node
-                key = keys[node] = keys.setdefault(shape, len(pairs))
+            shape = (node.level, node.value) if type(node) is AtomE else node
+            key = keys[node] = keys.setdefault(shape, len(pairs))
             if key == len(pairs):
                 form = _flat(sys, node)
-                pairs.append((form, inv(sys, form) if want else None))
-            elif want and pairs[key][1] is None:
-                form = pairs[key][0]
-                pairs[key] = form, inv(sys, form)
+                pairs.append((form, inv(sys, form)))
         while pending:
-            parent, want, kid_keys = pending[-1]
+            parent, kid_keys = pending[-1]
             kid_keys.append(key)
             kids = _children(parent)
             if len(kid_keys) < len(kids):
                 node = kids[len(kid_keys)]
-                want = want or type(parent) is not ProdE
                 break
             pending.pop()
-            key = keys.get(parent)
-            if key is None:
-                key = keys[parent] = keys.setdefault(
-                    (type(parent), tuple(kid_keys)), len(pairs))
+            key = keys[parent] = keys.setdefault(
+                (type(parent), tuple(kid_keys)), len(pairs))
             if key == len(pairs):
                 kid_pairs = [pairs[k] for k in kid_keys]
                 pairs.append((_combine(sys, parent, kid_pairs),
-                              _combine_inv(sys, parent, kid_pairs) if want
-                              else None))
-            elif want and pairs[key][1] is None:
-                pairs[key] = pairs[key][0], _combine_inv(
-                    sys, parent, [pairs[k] for k in kid_keys])
+                              _combine_inv(sys, parent, kid_pairs)
+                              if pending else None))
         else:
             return pairs[key][0]
 

@@ -330,6 +330,25 @@ def test_long_shapes_copy_linearly(monkeypatch):
         assert counted.layout(form, repr) == layout(want, repr)
 
 
+def test_mul_takes_the_list_of_a_root_it_lifted():
+    # work-count guard: h lifts the level-1 root of f g to level 2, and its
+    # first letter, an L-letter, reopens the Alt that lift built on the
+    # root's own list, which is taken, not copied again: 5 letters are
+    # copied, where a recopy makes 7
+    dense = INSTANCES["dense"]
+    v = dense.parse_value
+    words = [[(1, v("1/5")), (0, v("1/25")), (1, v("2/5"))],
+             [(1, v("3/5")), (0, v("1/125"))],
+             [(1, v("4/5")), (2, v("1"))]]
+    counted, copied = copy_counting_normalform()
+    f, g, h = [counted.reduce_word(dense, word) for word in words]
+    copied[0] = 0
+    form = counted.mul(dense, f, g, h)
+    assert copied[0] == 5
+    want = reduce_word(dense, [s for word in words for s in word])
+    assert counted.layout(form, repr) == layout(want, repr)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_derived_escape_words(name):
     sys = INSTANCES[name]
@@ -560,6 +579,39 @@ def test_reduce_and_mul_stay_under_their_call_ceilings(name,
     per_syllable, per_mul = PER_OP_CEILINGS[name]
     assert reduced <= per_syllable * sum(map(len, words))
     assert multiplied <= per_mul * len(pairs)
+
+
+# Ceilings on the factor-system calls over the same deck, counted by code
+# object (``count_calls``) for the instance class's methods: first over the
+# deck's syllables (dense 5,013, heisenberg 4,761, cyclic 5,125), then over
+# its 200 products.  The counts, equal on Python 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0, are dense 7,063 / 6,378 / 858 / 50 and 594 / 70 / 348 / 0,
+# heisenberg 7,050 / 5,820 / 750 / 50 and 462 / 98 / 308 / 0, cyclic
+# 5,907 / 6,949 / 1,724 / 50 and 431 / 78 / 286 / 0; each ceiling is its
+# count plus 2%, rounded up.
+FACTOR_CALLS = ("split", "in_base", "factor_mul", "factor_id")
+FACTOR_CALL_CEILINGS = {
+    "dense": ((7205, 6506, 876, 51), (606, 72, 355, 0)),
+    "heis": ((7191, 5937, 765, 51), (472, 100, 315, 0)),
+    "cyc": ((6026, 7088, 1759, 51), (440, 80, 292, 0)),
+}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_factor_calls_stay_under_their_ceilings(name, count_calls):
+    sys = INSTANCES[name]
+    rng = random.Random(1)
+    words = [random_word(sys, rng, 200, 6) for _ in range(50)]
+    forms = [reduce_word(sys, word) for word in words]
+    rng = random.Random(2)
+    pairs = [(rng.choice(forms), rng.choice(forms)) for _ in range(200)]
+    for thunk, ceilings in zip(
+            (lambda: [reduce_word(sys, word) for word in words],
+             lambda: [mul(sys, f, g) for f, g in pairs]),
+            FACTOR_CALL_CEILINGS[name]):
+        for method, ceiling in zip(FACTOR_CALLS, ceilings):
+            _, calls = count_calls(getattr(type(sys), method), thunk)
+            assert calls <= ceiling, method
 
 
 @pytest.mark.parametrize("name", ALL)

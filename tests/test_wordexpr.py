@@ -706,9 +706,8 @@ def grown_pool(sys, rng, count):
             pool.append(AtomE(n, sys.sample(n, rng)))
             sizes.append(1)
             continue
-        picks = [rng.randrange(len(pool))
-                 for _ in range(1 if kind == 1 else
-                                2 if kind == 2 else rng.randint(2, 4))]
+        arity = 1 if kind == 1 else 2 if kind == 2 else rng.randint(2, 4)
+        picks = [rng.randrange(len(pool)) for _ in range(arity)]
         kids = [pool[i] for i in picks]
         size = sum(sizes[i] for i in picks) * (2 if kind == 2 else 1)
         if size > 2000:
@@ -795,19 +794,21 @@ def test_derived_tree_evaluates_each_distinct_subtree_once(dense, monkeypatch):
         assert len(combined) == 21 and len(inverted) == 20
 
 
-def test_inverse_first_wanted_at_a_repeat_is_built_alone(dense, monkeypatch):
-    # c and p first occur as product terms, whose inverses are not wanted,
-    # then as commutator operands, which need them: each is combined once
-    # and inverted once, and its later parents get the first form object
-    combined, inverted = [], []
+def test_every_node_but_the_root_is_inverted_once_where_first_built(
+        dense, monkeypatch):
+    # c and p first occur as product terms, then as commutator operands:
+    # each node is combined once, each but the root is inverted once, right
+    # after its form is built, and its later parents get the first form
+    # object
+    events = []
     combine, combine_inv = wordexpr._combine, wordexpr._combine_inv
 
     def combining(sys, node, pairs):
-        combined.append((node, pairs))
+        events.append(("form", node, pairs))
         return combine(sys, node, pairs)
 
     def inverting(sys, node, pairs):
-        inverted.append(node)
+        events.append(("inverse", node, pairs))
         return combine_inv(sys, node, pairs)
 
     monkeypatch.setattr(wordexpr, "_combine", combining)
@@ -816,14 +817,21 @@ def test_inverse_first_wanted_at_a_repeat_is_built_alone(dense, monkeypatch):
     a2 = AtomE(2, PAdicRational(1, 1, 5))
     c = CommE(a1, a2)
     p = ProdE([c, a2])
-    for e, lazy in ((ProdE([c, CommE(c, a1)]), [c]),
-                    (ProdE([p, CommE(p, a1), c]), [c, p])):
-        del combined[:], inverted[:]
+    for e, repeated in ((ProdE([c, CommE(c, a1)]), [c]),
+                        (ProdE([p, CommE(p, a1), c]), [c, p])):
+        del events[:]
         assert eval_expr(dense, e) == reduce_word(dense, expr_to_word(dense, e))
-        nodes = [node for node, _ in combined]
+        formed = [(node, pairs) for kind, node, pairs in events
+                  if kind == "form"]
+        nodes = [node for node, _ in formed]
         assert len(nodes) == len(set(map(id, nodes)))
-        assert [id(n) for n in inverted] == list(map(id, lazy))
-        root_pairs, comm_pairs = combined[-1][1], combined[-2][1]
+        assert nodes[-1] is e
+        assert [(kind, id(node)) for kind, node, _ in events] == [
+            (kind, id(node)) for node in nodes[:-1]
+            for kind in ("form", "inverse")] + [("form", id(e))]
+        for node in repeated:
+            assert sum(n is node for _, n, _ in events) == 2
+        root_pairs, comm_pairs = formed[-1][1], formed[-2][1]
         assert root_pairs[0][0] is comm_pairs[0][0]
 
 
