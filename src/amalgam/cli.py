@@ -60,7 +60,6 @@ from amalgam.homs import (
     standard_target,
 )
 from amalgam.instances import make_instance
-from amalgam.normalform import forms_equal
 from amalgam.suites import check_axioms, check_instance, check_lemma21
 from amalgam.witnesses import (
     certificate_from_json,
@@ -232,7 +231,7 @@ def _dispatch(args, t0):
     if cmd == "eq":
         fa = eval_expr(sys_obj, parse_expr(args.expr_a, sys_obj))
         fb = eval_expr(sys_obj, parse_expr(args.expr_b, sys_obj))
-        equal = forms_equal(sys_obj, fa, fb)
+        equal = fa == fb
         _emit(args, cmd, sys_obj.kind, sys_obj.p, {"equal": equal},
               "equal" if equal else "not equal", t0)
         return _EXIT_OK if equal else _EXIT_NEGATIVE

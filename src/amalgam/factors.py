@@ -78,11 +78,11 @@ class FactorSystem(ABC):
       representative.  The one map serves H_n modulo B_{n-1} and, on base
       values, each B_m modulo B_{n-1}.
 
-    Values are also hashable, equal values hashing equally, since
-    ``wordexpr.eval_expr`` keys atoms by ``(level, value)``.  And a value is
-    never a ``normalform.Alt``: a form's R-letters are bare values and its
-    L-letters are ``Alt``s.  The shipped values (ints, int tuples,
-    ``PAdicRational``) are hashable and no ``Alt``.  Each constructor ends
+    A value is never a ``normalform.Alt``: a form's R-letters are bare
+    values and its L-letters are ``Alt``s.  No computation hashes a value;
+    only ``Alt.__hash__`` does, so a form is hashable when its values are.
+    The shipped values (ints, int tuples, ``PAdicRational``) are hashable,
+    equal values hashing equally, and no ``Alt``.  Each constructor ends
     with ``_check_contract``, so an instance that breaks the sampled
     contract is refused with ``InvalidParams``.
     """

@@ -19,10 +19,10 @@ takes the tail and returns it with the residue already multiplied in.
 operation opens a child frame above its parent on an explicit stack, and
 ``_close`` folds the finished child back in: as the parent's top letter, one
 Alt built, or into the parent's tail.  Every such fold passes the tail the
-residue lands in to ``split``, which multiplies it in.  The engine builds
-its forms in place, with ``object.__new__`` and three slot stores (``_alt``,
-or inline in ``_close`` and ``_fold``), not through ``Alt.__init__``, which
-other callers use.  Nothing here recurses once per
+residue lands in to ``split``, which multiplies it in.  ``_close`` and
+``_fold``, which build most of the engine's forms, build each in place with
+``object.__new__`` and three slot stores, skipping ``Alt.__init__``; every
+other form is built with ``Alt(...)``.  Nothing here recurses once per
 nesting level (``==`` and ``render``, the one printer walk, use stacks too),
 so a form nested a thousand levels deep needs no more Python stack than a
 flat one.
@@ -106,15 +106,6 @@ class Alt:
 
 
 _new = object.__new__
-
-
-def _alt(level, letters, tail):
-    """``Alt(level, letters, tail)`` built in place, skipping ``__init__``."""
-    form = _new(Alt)
-    form.level = level
-    form.letters = letters
-    form.tail = tail
-    return form
 
 
 class Syntax(dict):
@@ -221,7 +212,7 @@ def layout(form, value_str):
 
 
 def identity(sys):
-    return _alt(0, (), sys.factor_id())
+    return Alt(0, (), sys.factor_id())
 
 
 def is_identity(sys, form):
@@ -236,9 +227,9 @@ def inject(sys, n, x):
     sys.check_level(n)
     if n == 0 or sys.in_base(n - 1, x):
         # values in B_{n-1} are identified down the chain to level 0
-        return _alt(0, (), x)
+        return Alt(0, (), x)
     rep, b = sys.split(n, x, sys.factor_id())
-    return _alt(n, (rep,), b)
+    return Alt(n, (rep,), b)
 
 
 def _assemble(sys, n, letters, tail):
@@ -250,9 +241,9 @@ def _assemble(sys, n, letters, tail):
         # level m >= 1 form has an R-letter, so ``mul`` would only multiply
         # the two tails.  A returned form's own letters are a tuple.
         sub = letters[0]
-        return _alt(sub.level, tuple(sub.letters),
-                    sys.factor_mul(sub.tail, tail))
-    return _alt(n if letters else 0, tuple(letters), tail)
+        return Alt(sub.level, tuple(sub.letters),
+                   sys.factor_mul(sub.tail, tail))
+    return Alt(n if letters else 0, tuple(letters), tail)
 
 
 def mul(sys, f, *gs):
@@ -361,7 +352,7 @@ def inv(sys, form):
             elif letter.level == 0:
                 # its value lies outside B_{n-1}, and so does the inverse
                 rep, tail = split(n, finv(letter.tail), tail)
-                rep = _alt(0, (), rep)
+                rep = Alt(0, (), rep)
             else:
                 frame[2] = tail
                 frames.append([letter.level, [], finv(letter.tail)])
@@ -371,13 +362,17 @@ def inv(sys, form):
         else:
             rests.pop()
             if len(frames) == 1:
-                return _alt(n, tuple(letters), tail)
+                return Alt(n, tuple(letters), tail)
             frame[2] = tail
             _close(sys, frames)
 
 
 def forms_equal(sys, f, g):
-    """True iff two canonical forms denote the same element."""
+    """True iff two canonical forms denote the same element: ``f == g``.
+
+    The package compares forms with ``==``; this name stays for callers
+    outside it, such as perfbench's ``words`` deck and the tests.
+    """
     return f == g
 
 
@@ -532,6 +527,6 @@ def centrality_check(sys, g, n, z):
         )
     if not sys.in_base(n, z):
         raise PreconditionViolated("centrality_check needs z in B_n")
-    comm = mul(sys, g, _alt(0, (), z), inv(sys, g),
-               _alt(0, (), sys.factor_inv(z)))
+    comm = mul(sys, g, Alt(0, (), z), inv(sys, g),
+               Alt(0, (), sys.factor_inv(z)))
     return is_identity(sys, comm)

@@ -22,8 +22,8 @@ Generation and replay evaluate a derived tree with the same ``eval_expr``:
 ``_build_tree`` builds only the expression, so a change to evaluation
 reaches both.  It builds the tree as a DAG of (d+1)(d+2)/2 nodes, one per
 distinct subtree, which ``eval_expr`` walks once per node; ``parse_expr``
-shares the replayed tree's d + 1 distinct atoms, and ``eval_expr`` finds
-each repeated group by its shape.
+shares the replayed tree's d + 1 distinct atoms and each commutator of the
+same two operands, so it gives replay the same DAG.
 """
 
 import json

@@ -20,27 +20,30 @@ expression or form is bounded by memory, not by Python's stack:
 * ``parse_expr`` makes one left-to-right pass.  A compiled pattern reads a
   whole atom (with its inversion suffix and the whitespace after it) in one
   match, and each open ``(`` or ``[`` is a frame on an explicit stack.
-  Atoms spelled alike share one node, so the AST is a DAG as soon as an
-  atom repeats, and the factor system parses each distinct literal once.
+  Atoms spelled alike share one node, and so do commutators of the same
+  two operand nodes, so the AST is a DAG as soon as one repeats, and the
+  factor system parses each distinct literal once.
 * ``eval_expr`` evaluates on the tree's structure.  A bare atom goes
   through ``normalform.inject``; any other subtree without commutators is
   lowered to flat syllables (``expr_to_word``) and reduced in one
-  ``reduce_word`` pass.  Each distinct subtree, equal atoms included, is
-  evaluated once per call, when it is first reached, into its form and,
-  below the root, its inverse: a commutator [a, b] is one four-operand
-  product a b a^-1 b^-1, its inverse b a b^-1 a^-1; a product is one
-  ``mul`` of its terms' forms, its inverse one of their inverses in
-  reverse; an inversion swaps its child's pair.  Only a commutator-free
-  subtree's form goes through ``inv`` (in a derived tree, a one-atom
-  leaf), so no commutator-sized form is inverted, and a depth-d
-  commutator tree never expands into its 4**d syllables.  A derived tree
-  T(j, L) = [T(j-1, L), T(j-1, L-1)] of depth d has 2**(d+1) - 1 nodes
-  but (d+1)(d+2)/2 distinct subtrees.  A node object already evaluated is
-  found by identity and not walked again, so the DAG that
-  ``witnesses._build_tree`` builds, one object per distinct subtree, is
-  walked once per object.
-  ``witnesses.derived_escape`` generates with it and ``verify`` replays
-  with it, so both evaluate a certificate's tree the same way.
+  ``reduce_word`` pass.  Each node object is evaluated once per call, when
+  it is first reached, into its form and, below the root, its inverse: a
+  commutator [a, b] is one four-operand product a b a^-1 b^-1, its
+  inverse b a b^-1 a^-1; a product is one ``mul`` of its terms' forms,
+  its inverse one of their inverses in reverse; an inversion swaps its
+  child's pair.  Only a commutator-free subtree's form goes through
+  ``inv`` (in a derived tree, a one-atom leaf), so no commutator-sized
+  form is inverted, and a depth-d commutator tree never expands into its
+  4**d syllables.  A derived tree T(j, L) = [T(j-1, L), T(j-1, L-1)] of
+  depth d has 2**(d+1) - 1 nodes but (d+1)(d+2)/2 distinct subtrees.  A
+  node object already evaluated is found by identity and not walked
+  again, so the DAG that ``witnesses._build_tree`` builds, one object per
+  distinct subtree, is walked once per object, and so is the same DAG
+  that ``parse_expr`` gives for its text.  ``witnesses.derived_escape``
+  generates with it and ``verify`` replays with it, so both evaluate a
+  certificate's tree the same way.  Equal subtrees held as distinct
+  objects are evaluated once each: sharing is made where an AST is built,
+  not found by evaluation.
 * ``expr_to_word``, ``expr_str`` and ``reaches_level`` keep explicit stacks.
   ``form_expr_str`` and ``format_form`` are ``normalform.render`` in two
   ``Syntax``es.  Evaluation shares forms, so a result form is a DAG: at
@@ -49,8 +52,9 @@ expression or form is bounded by memory, not by Python's stack:
   distinct value object once: the 797 values a dense d = 6 result prints
   are 81 objects.
 
-The memos of ``parse_expr`` (atoms by their text), ``eval_expr`` and
-``render`` live for one call.
+The memos of ``parse_expr`` (atoms by their text, commutators by their
+operands' ids), ``eval_expr`` (pairs by node object) and ``render`` live
+for one call.
 """
 
 import re
@@ -164,15 +168,19 @@ def parse_expr(src, sys):
     in error messages point past any whitespace, at the offending character.
 
     An atom that ``_ATOM`` matches is read here, any other by ``_atom``.
-    Matches with the same level digits and literal text share one
-    ``AtomE``, kept in a dict for the call, so each such literal goes
+    A dict for the call shares nodes.  Matches with the same level digits
+    and literal text share one ``AtomE``, so each such literal goes
     through ``parse_value`` once: a derived tree of depth d has 2**d
     leaves but d + 1 distinct ones.  A bad literal raises at its first
-    occurrence, as each occurrence would.
+    occurrence, as each occurrence would.  A commutator of the same two
+    operand nodes, keyed by their ids, shares one ``CommE``, so the
+    derived tree's text parses to its (d+1)(d+2)/2-node DAG.  The dict
+    keeps every node whose id is in a key alive, so no id is reused within
+    the call.  Products and inversions are one node per occurrence.
     """
     groups = []
     terms = []
-    atoms = {}
+    nodes = {}
     end = len(src)
     pos = _WS.match(src).end()
     while True:
@@ -184,10 +192,10 @@ def parse_expr(src, sys):
                 atom, m = _atom(src, pos, sys)
             else:
                 key = m.group(1, 2)
-                atom = atoms.get(key)
+                atom = nodes.get(key)
                 if atom is None:
                     digits, literal = key
-                    atom = atoms[key] = AtomE(int_text(digits),
+                    atom = nodes[key] = AtomE(int_text(digits),
                                               sys.parse_value(literal))
             terms.append(_inverted(m, atom))
             pos = m.end()
@@ -225,7 +233,8 @@ def parse_expr(src, sys):
             else:
                 if c != "]":
                     raise ExprSyntaxError("expected ']'", pos)
-                e = CommE(group[2], e)
+                key = id(group[2]), id(e)
+                e = nodes[key] = nodes.get(key) or CommE(group[2], e)
                 pos = _WS.match(src, pos + 1).end()
             groups.pop()
             terms = group[1]
@@ -330,54 +339,39 @@ def eval_expr(sys, e):
     call if it is a bare atom, else one ``reduce_word`` pass; the nodes
     above them combine (form, inverse) pairs (see the module docstring).
     A post-order walk, left to right on an explicit stack of ``(node, its
-    children's keys so far)``, builds every distinct subtree once per
-    call: its form and, unless it is the root, its inverse.
-
-    A subtree's key, a small int, is interned from its shape: ``(level,
-    value)`` for a bare atom, the node itself (by identity) for any other
-    commutator-free subtree, and the type with the children's keys for a
-    node above them.  So equal atoms, and structurally equal subtrees above
-    them, share one pair however the tree was built.  Each node is looked
-    up by identity first, in the same dict, so a shape (and a dense value's
-    Python ``__hash__``) is computed the first time a node object is seen
-    only, and a node object seen before is not walked again.  A
-    structurally equal repeat is walked, but costs lookups, not products.
-    The pairs live in a list that dies with the call, and a root without
-    commutators is evaluated directly.
+    children's pairs so far)``, builds each node object once per call: its
+    form and, unless it is the root, its inverse.  One dict for the call
+    maps each node object built to its pair, so a node object seen before
+    is not walked again and no value is hashed.  Equal subtrees held as
+    distinct objects are built once each.  A root without commutators is
+    evaluated directly.
     """
     if e.depth == 0:
         return _flat(sys, e)
-    keys, pairs, pending = {}, [], []
+    pairs, pending = {}, []
     node = e
     while True:
-        key = keys.get(node)
-        if key is None:
+        pair = pairs.get(node)
+        if pair is None:
             if node.depth != 0:
                 pending.append((node, []))
                 node = _children(node)[0]
                 continue
-            shape = (node.level, node.value) if type(node) is AtomE else node
-            key = keys[node] = keys.setdefault(shape, len(pairs))
-            if key == len(pairs):
-                form = _flat(sys, node)
-                pairs.append((form, inv(sys, form)))
+            form = _flat(sys, node)
+            pair = pairs[node] = form, inv(sys, form)
         while pending:
-            parent, kid_keys = pending[-1]
-            kid_keys.append(key)
+            parent, kid_pairs = pending[-1]
+            kid_pairs.append(pair)
             kids = _children(parent)
-            if len(kid_keys) < len(kids):
-                node = kids[len(kid_keys)]
+            if len(kid_pairs) < len(kids):
+                node = kids[len(kid_pairs)]
                 break
             pending.pop()
-            key = keys[parent] = keys.setdefault(
-                (type(parent), tuple(kid_keys)), len(pairs))
-            if key == len(pairs):
-                kid_pairs = [pairs[k] for k in kid_keys]
-                pairs.append((_combine(sys, parent, kid_pairs),
-                              _combine_inv(sys, parent, kid_pairs)
-                              if pending else None))
+            pair = pairs[parent] = (_combine(sys, parent, kid_pairs),
+                                    _combine_inv(sys, parent, kid_pairs)
+                                    if pending else None)
         else:
-            return pairs[key][0]
+            return pair[0]
 
 
 def expr_str(sys, e):

@@ -465,17 +465,26 @@ def node_objects(tree):
 
 
 @pytest.mark.parametrize("name,p,params", INSTANCES)
-def test_derived_tree_is_built_as_a_dag(name, p, params):
+def test_derived_tree_is_built_as_a_dag(name, p, params, count_calls):
     # work-count guard: one node per distinct subtree, (d+1)(d+2)/2 = 28 at
     # d = 6, for the 2**(d+1) - 1 = 127 places of the tree; its parsed text
-    # shares the 7 distinct atoms under 63 groups
+    # is the same DAG, the 7 distinct atoms under 21 distinct commutators
     sys = make_instance(name, p, params)
     tree = witnesses._build_tree(sys, 6, 6)
     text = wordexpr.expr_str(sys, tree)
     parsed = wordexpr.parse_expr(text, sys)
     twin = reference_tree(sys, 6, 6)[0]
     assert len(node_objects(tree)) == 28
-    assert len(node_objects(parsed)) == 7 + 63
+    nodes = node_objects(parsed).values()
+    assert sum(type(n) is wordexpr.AtomE for n in nodes) == 7
+    assert sum(type(n) is wordexpr.CommE for n in nodes) == 21
+    assert len(nodes) == 28
+    # both are evaluated with one product per distinct commutator
+    want = wordexpr.eval_expr(sys, tree)
+    for e in (tree, parsed):
+        form, calls = count_calls(wordexpr._combine,
+                                  lambda: wordexpr.eval_expr(sys, e))
+        assert form == want and calls == 21
     assert len(node_objects(twin)) == 127
     assert wordexpr.expr_str(sys, parsed) == wordexpr.expr_str(sys, twin) \
         == text
@@ -519,15 +528,17 @@ def test_derived_escape_injects_each_leaf_once(name, p, params, count_calls):
 
 # Ceilings on the calls into the package (``count_package_calls``) that
 # derived_escape(sys, 6, 3) and verify of its JSON round trip make: the
-# counts measured on Python 3.10.13 and 3.11.7, which agree, dense 4,221 /
-# 4,525, heisenberg 3,925 / 4,213 and cyclic 3,916 / 4,209, plus 2%,
+# counts measured on Python 3.10.13 and 3.11.7, which agree, dense 4,158 /
+# 4,329, heisenberg 3,869 / 4,024 and cyclic 3,860 / 4,020, plus 2%,
 # rounded up.  Python 3.12.1 and 3.13.0 inline list comprehensions and
-# count 22 or 23 fewer on each.  A change that needs more calls raises its
-# ceiling and says why.
+# count 1 or 2 fewer on each.  A parser that shares no commutators makes
+# verify evaluate 63 of them instead of 21 (6,532 calls on dense), which
+# fails its ceiling.  A change that needs more calls raises its ceiling
+# and says why.
 CALL_CEILINGS = {
-    "dense": (4306, 4616),
-    "heisenberg": (4004, 4298),
-    "cyclic": (3995, 4294),
+    "dense": (4242, 4416),
+    "heisenberg": (3947, 4105),
+    "cyclic": (3938, 4101),
 }
 
 
